@@ -19,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kakeya.analysis import certify_lemma_bounds, vsd_counterexample_scan
 from kakeya.families import kakeya_line_family
-from kakeya.measure import decay_report
+from kakeya.measure import decay_csv, decay_report, strip_timing
 from kakeya.phi import PhiVariant, phi_dh_eval
 from kakeya.ring import (
     add,
@@ -33,18 +33,6 @@ from kakeya.ring import (
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 
-def decay_fixture_csv(report) -> str:
-    # seconds are wall time, the one nondeterministic field; fixtures omit it
-    lines = ["D,hit_cells,total_cells,estimate_rational,estimate_decimal,input_depth"]
-    for r in report.rows:
-        est = r.estimate
-        q, rem = divmod(round(est * 10 ** 6), 10 ** 6)
-        lines.append(f"{r.depth},{r.hit_cells},{r.total_cells},"
-                     f"{est.numerator}/{est.denominator},{q}.{rem:06d},"
-                     f"{r.input_depth}")
-    return "\n".join(lines) + "\n"
-
-
 def freeze_decay():
     f2 = power_series_ring(2)
     fam = kakeya_line_family(f2)
@@ -52,7 +40,7 @@ def freeze_decay():
                           (PhiVariant.DH, "decay_kakeya_dh_fq2.csv")):
         t0 = time.perf_counter()
         rep = decay_report(fam, variant, 2, 10)
-        (FIXTURES / name).write_text(decay_fixture_csv(rep))
+        (FIXTURES / name).write_text(strip_timing(decay_csv(rep), "csv"))
         print(f"{name}: {time.perf_counter() - t0:.1f}s")
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: phi-eval, phi-dh-eval, measure, coverage, certify,
 diff-example, decompose.  Exit codes: 0 ok, 1 usage or parse error,
-2 budget exceeded (or insufficient digit depth), 3 fixture mismatch.
+2 budget exceeded (or insufficient digit depth), 3 fixture mismatch,
+4 an exact invariant violated (decay refinement, six-term identity).
 
 Configuration precedence is flags > config file > defaults; the config file
 is plain ``key=value`` lines keyed by long flag names.  Output is
@@ -14,7 +15,6 @@ overrides the default cell budget.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +27,12 @@ from .analysis import (
     term_decomposition,
     vsd_counterexample_scan,
 )
-from .errors import BudgetExceeded, InsufficientDepth, KakeyaError
+from .errors import (
+    BudgetExceeded,
+    InsufficientDepth,
+    InvariantViolated,
+    KakeyaError,
+)
 from .families import BUILTIN_FAMILIES
 from .measure import (
     DEFAULT_CELL_BUDGET,
@@ -36,6 +41,7 @@ from .measure import (
     decay_json,
     decay_report,
     direction_coverage,
+    strip_timing,
 )
 from .phi import (
     PhiConfig,
@@ -58,6 +64,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_FIXTURE = 3
+EXIT_INVARIANT = 4
 
 
 @dataclass
@@ -75,7 +82,6 @@ class RunConfig:
     fixture: str | None = None
     budget_cells: int = DEFAULT_CELL_BUDGET
     budget_pairs: int = DEFAULT_PAIR_BUDGET
-    threads: int = 1
 
     def validate(self) -> "RunConfig":
         problems = []
@@ -96,8 +102,6 @@ class RunConfig:
             problems.append(f"format must be csv or json, got {self.format!r}")
         if self.budget_cells < 1 or self.budget_pairs < 1:
             problems.append("budgets must be positive")
-        if self.threads < 1:
-            problems.append("threads must be >= 1")
         if problems:
             raise ValueError("invalid configuration: " + "; ".join(problems))
         return self
@@ -124,10 +128,6 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_INT_KEYS = {"ell", "dmin", "dmax", "budget_cells", "budget_pairs", "threads",
-             "depth", "A", "B", "nmax", "p", "kmax", "N"}
-
-
 def _merge_config(args: argparse.Namespace, defaults: RunConfig) -> RunConfig:
     """Apply precedence flags > config file > defaults."""
     layered = dict(defaults.__dict__)
@@ -135,7 +135,7 @@ def _merge_config(args: argparse.Namespace, defaults: RunConfig) -> RunConfig:
         for key, val in _load_config_file(args.config).items():
             if key not in layered:
                 raise ValueError(f"unknown config key {key!r}")
-            layered[key] = int(val) if key in _INT_KEYS else val
+            layered[key] = int(val) if isinstance(layered[key], int) else val
     for key in layered:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -165,25 +165,10 @@ def _emit(text: str, out: str | None):
         _atomic_write(out, text)
 
 
-def _strip_timing(text: str, fmt: str) -> str:
-    """Normalize an artifact for fixture comparison: wall time is the one
-    nondeterministic field and is masked out."""
-    if fmt == "json":
-        doc = json.loads(text)
-        for row in doc.get("rows", []):
-            row.pop("seconds", None)
-        return json.dumps(doc, sort_keys=True)
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    keep = [i for i, h in enumerate(header) if h != "seconds"]
-    return "\n".join(",".join(line.split(",")[i] for i in keep)
-                     for line in lines)
-
-
 def _fixture_check(rendered: str, fixture_path: str, fmt: str) -> bool:
     with open(fixture_path, encoding="utf-8") as fh:
         expected = fh.read()
-    return _strip_timing(rendered, fmt) == _strip_timing(expected, fmt)
+    return strip_timing(rendered, fmt) == strip_timing(expected, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +219,7 @@ def cmd_measure(args) -> int:
     fam = BUILTIN_FAMILIES[cfg.family](cfg.ring_spec())
     report = decay_report(fam, cfg.variant(), cfg.dmin, cfg.dmax,
                           budget_cells=cfg.budget_cells,
-                          budget_pairs=cfg.budget_pairs,
-                          workers=cfg.threads)
+                          budget_pairs=cfg.budget_pairs)
     # The digit-shift rule over the carrying ring is a digit map, not a
     # homomorphism; such runs are flagged so downstream readers know.
     experimental = cfg.phi == "dh" and cfg.ring == "zp"
@@ -306,7 +290,7 @@ def cmd_decompose(args) -> int:
     ok = td.identity_holds()
     lines.append(f"sum_identity:{'ok' if ok else 'VIOLATED'}")
     _emit("\n".join(lines) + "\n", cfg.out)
-    return EXIT_OK if ok else EXIT_USAGE
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--fixture", default=None,
                     help="compare output against this file (exit 3 on mismatch)")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(fn=cmd_measure)
 
     sp = sub.add_parser("coverage", help="direction-coverage audit")
@@ -412,10 +395,10 @@ def main(argv=None) -> int:
     except InsufficientDepth as e:
         sys.stderr.write(f"error: {e} (required depth {e.required})\n")
         return EXIT_BUDGET
-    except (ValueError, KakeyaError) as e:
+    except InvariantViolated as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
-    except OSError as e:
+        return EXIT_INVARIANT
+    except (ValueError, KakeyaError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

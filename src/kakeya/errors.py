@@ -33,6 +33,11 @@ class RankDeficient(KakeyaError):
     """A right inverse was requested where the Jacobian is not full rank."""
 
 
+class InvariantViolated(KakeyaError):
+    """A property that holds by theorem failed at run time: a defect in the
+    program, not in its input."""
+
+
 class InsufficientDepth(KakeyaError):
     """An input does not carry enough exact digits for the requested output.
 

@@ -12,22 +12,24 @@ Enumeration cost is governed by an explicit budget (cells stored and (x, w)
 pairs visited); exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
 with the exact counts.
 
-The built-in line families carry a packed-residue fast path evaluated with
-numpy; families without one fall back to element-level evaluation.  Both
-routes are exact and the tests require them to produce identical cell sets.
+One enumerator, :func:`_hits`, produces the surface points that the hit-set
+build, the cross-sections and the direction-coverage audit all consume.  It
+has two routes: the built-in line families carry a packed-residue fast path
+evaluated with numpy; families without one fall back to element-level
+evaluation.  Both routes are exact and the tests require them to produce
+identical cell sets, cross-sections and coverage reports.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
 from .ring import ElementVector, cell_index, element_from_cell
@@ -77,25 +79,21 @@ class CellSet:
                 and np.array_equal(self.bits, other.bits))
 
 
-def covering_estimate(cs: CellSet) -> Fraction:
-    """Hit count over total cells, an exact rational in [0, 1]."""
-    return cs.estimate()
-
-
 def _check_budget(cells: int, pairs: int, budget_cells: int, budget_pairs: int):
     if cells > budget_cells or pairs > budget_pairs:
         raise BudgetExceeded(cells, pairs, budget_cells, budget_pairs)
 
 
-def _component_codes(combined: int, base: int, dim: int) -> list[int]:
-    return [(combined // base ** i) % base for i in range(dim)]
+def _input_depth(variant: PhiVariant, D: int, ell: int) -> int:
+    """Default x depth X: deep enough to fix every depth-D z-cell."""
+    return max(D, phi_input_depth(variant, D, ell))
 
 
 def _element_vector(ring, combined: int, depth: int, dim: int) -> ElementVector:
     base = ring.ell ** depth
     return ElementVector(tuple(
-        element_from_cell(ring, c, depth, depth)
-        for c in _component_codes(combined, base, dim)))
+        element_from_cell(ring, (combined // base ** i) % base, depth, depth)
+        for i in range(dim)))
 
 
 def _vector_cell_code(v: ElementVector, D: int) -> int:
@@ -106,11 +104,52 @@ def _vector_cell_code(v: ElementVector, D: int) -> int:
     return code
 
 
+def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+          x_cells=None):
+    """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
+
+    Covers every depth-X x cell, or the given combined codes ``x_cells``.
+    Returns ``(dirs, z_codes)``: the depth-D direction cell code of each x,
+    and a function from a depth-D w cell code to the depth-D z-cell codes of
+    those x, in the same order.  Families with ``cells_eval`` and
+    p = q = d = 1 take the packed-residue route (one phi table, then
+    ``cells_eval`` per w); all others take the element route (each x and
+    phi(x) built once, then ``eval`` per w).
+    """
+    ell = fam.ring.ell
+    if (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
+            and fam.d_dim == 1):
+        # The table goes first: allocating the x codes before its
+        # temporaries took 1.7x the page faults over D = 2..10 decay tables.
+        phi_tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
+                                        D, X)
+        if x_cells is None:
+            codes = np.arange(ell ** X, dtype=np.int64)
+        else:
+            codes = np.asarray(sorted(x_cells), dtype=np.int64)
+            phi_tab = phi_tab[codes]
+        x_res = codes % ell ** D
+        return x_res, lambda wc: fam.cells_eval(fam.ring, D, x_res, phi_tab,
+                                                wc)
+
+    n_x = ell ** (fam.p_dim * X)
+    codes = range(n_x) if x_cells is None else sorted(x_cells)
+    xs = [_element_vector(fam.ring, xc, X, fam.p_dim) for xc in codes]
+    ys = [phi_for_family(fam, variant, x, D) for x in xs]
+
+    def z_codes(wc: int) -> np.ndarray:
+        w = _element_vector(fam.ring, wc, D, fam.d_dim)
+        return np.asarray([_vector_cell_code(fam.eval(x, y, w, D), D)
+                           for x, y in zip(xs, ys)], dtype=np.int64)
+
+    dirs = np.asarray([_vector_cell_code(x, D) for x in xs], dtype=np.int64)
+    return dirs, z_codes
+
+
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
                     budget_cells: int = DEFAULT_CELL_BUDGET,
                     budget_pairs: int = DEFAULT_PAIR_BUDGET,
-                    x_cells=None, input_depth: int | None = None,
-                    workers: int = 1) -> CellSet:
+                    x_cells=None, input_depth: int | None = None) -> CellSet:
     """Exact hit-set of {(w, f(x, phi(x), w))} over the unit window.
 
     Enumerates every x in R^p at depth X = max(D, depth the phi variant
@@ -120,123 +159,46 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     (used by the input-depth sufficiency re-check).
     """
     ell = fam.ring.ell
-    X = input_depth if input_depth is not None else max(
-        D, phi_input_depth(phi_variant, D, ell))
+    X = input_depth if input_depth is not None else _input_depth(
+        phi_variant, D, ell)
     nd = fam.out_dim
     total_cells = ell ** ((fam.d_dim + nd) * D)
     n_x = ell ** (fam.p_dim * X) if x_cells is None else len(x_cells)
     n_w = ell ** (fam.d_dim * D)
     _check_budget(total_cells, n_x * n_w, budget_cells, budget_pairs)
 
-    fast = (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
-            and fam.d_dim == 1)
-    if fast:
-        bits = _build_fast(fam, phi_variant, D, X, x_cells, workers)
-    else:
-        bits = _build_generic(fam, phi_variant, D, X, x_cells, workers)
-    return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=nd, bits=bits)
-
-
-def _build_fast(fam, variant, D, X, x_cells, workers) -> np.ndarray:
-    ell = fam.ring.ell
-    cfg = PhiConfig(fam.ring, 1, 1)
-    phi_tab = variant_residue_table(variant, cfg, D, X)
-    if x_cells is None:
-        codes = np.arange(ell ** X, dtype=np.int64)
-    else:
-        codes = np.asarray(sorted(x_cells), dtype=np.int64)
-        phi_tab = phi_tab[codes]
-    x_res = codes % ell ** D
-    zc = ell ** D
-    total = ell ** (2 * D)
-
-    def run(w_lo: int, w_hi: int) -> np.ndarray:
-        part = np.zeros(total, dtype=bool)
-        for w in range(w_lo, w_hi):
-            z = fam.cells_eval(fam.ring, D, x_res, phi_tab, w)
-            part[w * zc + z] = True
-        return part
-
-    if workers <= 1:
-        return run(0, zc)
-    bounds = np.linspace(0, zc, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: run(b[0], b[1]),
-                              zip(bounds[:-1], bounds[1:])))
-    bits = parts[0]
-    for p in parts[1:]:
-        bits |= p
-    return bits
-
-
-def _build_generic(fam, variant, D, X, x_cells, workers) -> np.ndarray:
-    ell = fam.ring.ell
-    nd = fam.out_dim
+    _, z_codes = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (nd * D)
-    total = ell ** ((fam.d_dim + nd) * D)
-    xs = range(ell ** (fam.p_dim * X)) if x_cells is None else sorted(x_cells)
-    w_codes = range(ell ** (fam.d_dim * D))
-
-    def run(x_chunk) -> np.ndarray:
-        part = np.zeros(total, dtype=bool)
-        for xc in x_chunk:
-            x = _element_vector(fam.ring, xc, X, fam.p_dim)
-            y = phi_for_family(fam, variant, x, D)
-            for wc in w_codes:
-                w = _element_vector(fam.ring, wc, D, fam.d_dim)
-                z = fam.eval(x, y, w, D)
-                part[wc * zc + _vector_cell_code(z, D)] = True
-        return part
-
-    if workers <= 1:
-        return run(xs)
-    xs = list(xs)
-    chunks = [xs[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, chunks))
-    bits = parts[0]
-    for p in parts[1:]:
-        bits |= p
-    return bits
+    bits = np.zeros(total_cells, dtype=bool)
+    for wc in range(n_w):
+        z = z_codes(wc)
+        bits[wc * zc + z] = True
+    return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=nd, bits=bits)
 
 
 def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
                         w: ElementVector, D: int, *,
                         budget_cells: int = DEFAULT_CELL_BUDGET,
-                        budget_pairs: int = DEFAULT_PAIR_BUDGET,
-                        input_depth: int | None = None) -> CellSet:
+                        budget_pairs: int = DEFAULT_PAIR_BUDGET) -> CellSet:
     """Hit z-cells for one fixed w (the cross-section of the built set).
 
-    Probes the descriptor's right inverse at this w first, so rank
-    deficiency surfaces as the descriptor's own error.
+    Only the depth-D cell of ``w`` enters the enumeration.  Probes the
+    descriptor's right inverse at this w first, so rank deficiency surfaces
+    as the descriptor's own error.
     """
     ell = fam.ring.ell
-    X = input_depth if input_depth is not None else max(
-        D, phi_input_depth(phi_variant, D, ell))
+    X = _input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
-    n_x = ell ** (fam.p_dim * X)
-    _check_budget(total, n_x, budget_cells, budget_pairs)
+    _check_budget(total, ell ** (fam.p_dim * X), budget_cells, budget_pairs)
 
-    zero_x = _element_vector(fam.ring, 0, max(X, D), fam.p_dim)
+    zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
     y0 = phi_for_family(fam, phi_variant, zero_x, D)
     fam.dfdy_right_inverse(zero_x, y0, w, D)  # rank probe; may raise
 
+    _, z_codes = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
-    if (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
-            and fam.d_dim == 1):
-        cfg = PhiConfig(fam.ring, 1, 1)
-        phi_tab = variant_residue_table(phi_variant, cfg, D, X)
-        codes = np.arange(ell ** X, dtype=np.int64)
-        z = fam.cells_eval(fam.ring, D, codes % ell ** D, phi_tab,
-                           cell_index(w[0], D))
-        bits[z] = True
-    else:
-        for xc in range(n_x):
-            x = _element_vector(fam.ring, xc, X, fam.p_dim)
-            y = phi_for_family(fam, phi_variant, x, D)
-            z = fam.eval(x, y, w, D)
-            bits[_vector_cell_code(z, D)] = True
+    bits[z_codes(_vector_cell_code(w, D))] = True
     return CellSet(depth=D, ell=ell, w_dim=0, z_dim=nd, bits=bits)
 
 
@@ -265,36 +227,35 @@ class DecayReport:
 def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                  D_min: int, D_max: int, *,
                  budget_cells: int = DEFAULT_CELL_BUDGET,
-                 budget_pairs: int = DEFAULT_PAIR_BUDGET,
-                 workers: int = 1) -> DecayReport:
+                 budget_pairs: int = DEFAULT_PAIR_BUDGET) -> DecayReport:
     """One exact hit-set per depth in [D_min, D_max].
 
     The refinement property (estimates non-increasing in D) is a theorem for
-    exact hit-sets, so it is asserted here as an internal tripwire."""
+    exact hit-sets, so it is checked here as an internal tripwire: a rise
+    raises :class:`~kakeya.errors.InvariantViolated`."""
     if D_min > D_max or D_min < 1:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
     ell = fam.ring.ell
-    for D in range(D_min, D_max + 1):  # fail fast before any work
-        X = max(D, phi_input_depth(phi_variant, D, ell))
+    depths = {D: _input_depth(phi_variant, D, ell)
+              for D in range(D_min, D_max + 1)}
+    for D, X in depths.items():  # fail fast before any work
         _check_budget(ell ** ((fam.d_dim + fam.out_dim) * D),
                       ell ** (fam.p_dim * X + fam.d_dim * D),
                       budget_cells, budget_pairs)
     rows = []
     prev = None
-    for D in range(D_min, D_max + 1):
+    for D, X in depths.items():
         t0 = time.perf_counter()
         cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
-                             budget_pairs=budget_pairs, workers=workers)
+                             budget_pairs=budget_pairs)
         dt = time.perf_counter() - t0
         est = cs.estimate()
         if prev is not None and est > prev:
-            raise RuntimeError(
+            raise InvariantViolated(
                 f"refinement violated: estimate rose from {prev} to {est} "
                 f"at depth {D}")
         prev = est
-        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, est,
-                             max(D, phi_input_depth(phi_variant, D, fam.ring.ell)),
-                             dt))
+        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, est, X, dt))
     return DecayReport(fam.name, phi_variant.value, str(fam.ring), tuple(rows))
 
 
@@ -303,16 +264,31 @@ def _decimal6(x: Fraction) -> str:
     return f"{q}.{r:06d}"
 
 
-DECAY_CSV_HEADER = "D,hit_cells,total_cells,estimate_rational,estimate_decimal,input_depth,seconds"
+# Wall time is the one nondeterministic decay field; fixtures omit it and
+# comparisons ignore it.
+TIMING_FIELD = "seconds"
+DECAY_CSV_HEADER = ("D,hit_cells,total_cells,estimate_rational,"
+                    f"estimate_decimal,input_depth,{TIMING_FIELD}")
+
+
+def _decay_fields(r: DecayRow) -> dict:
+    """One decay row as the ordered fields both output formats carry."""
+    return {
+        "D": r.depth,
+        "hit_cells": r.hit_cells,
+        "total_cells": r.total_cells,
+        "estimate_rational": f"{r.estimate.numerator}/{r.estimate.denominator}",
+        "estimate_decimal": _decimal6(r.estimate),
+        "input_depth": r.input_depth,
+        TIMING_FIELD: round(r.seconds, 3),
+    }
 
 
 def decay_csv(report: DecayReport) -> str:
     lines = [DECAY_CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            f"{r.depth},{r.hit_cells},{r.total_cells},"
-            f"{r.estimate.numerator}/{r.estimate.denominator},"
-            f"{_decimal6(r.estimate)},{r.input_depth},{r.seconds:.3f}")
+        lines.append(",".join(f"{v:.3f}" if k == TIMING_FIELD else str(v)
+                              for k, v in _decay_fields(r).items()))
     return "\n".join(lines) + "\n"
 
 
@@ -322,21 +298,25 @@ def decay_json(report: DecayReport, experimental: bool = False) -> str:
         "phi": report.variant,
         "ring": report.ring,
         "experimental": experimental,
-        "rows": [
-            {
-                "D": r.depth,
-                "hit_cells": r.hit_cells,
-                "total_cells": r.total_cells,
-                "estimate_rational":
-                    f"{r.estimate.numerator}/{r.estimate.denominator}",
-                "estimate_decimal": _decimal6(r.estimate),
-                "input_depth": r.input_depth,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in report.rows
-        ],
+        "rows": [_decay_fields(r) for r in report.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def strip_timing(text: str, fmt: str) -> str:
+    """A decay CSV or JSON artifact without its timing field.
+
+    The CSV form of a :func:`decay_csv` output is the frozen fixture format;
+    the JSON form is canonical (sorted keys), for comparison only."""
+    if fmt == "json":
+        doc = json.loads(text)
+        for row in doc.get("rows", []):
+            row.pop(TIMING_FIELD, None)
+        return json.dumps(doc, sort_keys=True)
+    lines = text.strip().splitlines() or [""]
+    keep = [i for i, h in enumerate(lines[0].split(",")) if h != TIMING_FIELD]
+    return "".join(",".join(line.split(",")[i] for i in keep) + "\n"
+                   for line in lines)
 
 
 def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
@@ -347,7 +327,7 @@ def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
 
     Exactness of the hit-set means deepening the x enumeration must change
     nothing."""
-    X = max(D, phi_input_depth(phi_variant, D, fam.ring.ell))
+    X = _input_depth(phi_variant, D, fam.ring.ell)
     a = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
                         budget_pairs=budget_pairs)
     b = build_set_cells(fam, phi_variant, D, input_depth=X + extra,
@@ -389,7 +369,7 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     and is reported as excluded by design, never as a failure.
     """
     ell = fam.ring.ell
-    X = max(D, phi_input_depth(phi_variant, D, ell))
+    X = _input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
     _check_budget(n_dirs * n_w, ell ** (fam.p_dim * X) * n_w,
@@ -397,31 +377,13 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
                          budget_pairs=budget_pairs)
 
+    dirs, z_codes = _hits(fam, phi_variant, D, X)
+    zc = ell ** (fam.out_dim * D)
     presence = np.zeros((n_dirs, n_w), dtype=bool)
-    if (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
-            and fam.d_dim == 1):
-        cfg = PhiConfig(fam.ring, 1, 1)
-        phi_tab = variant_residue_table(phi_variant, cfg, D, X)
-        codes = np.arange(ell ** X, dtype=np.int64)
-        x_res = codes % ell ** D
-        zc = ell ** D
-        for w in range(n_w):
-            z = fam.cells_eval(fam.ring, D, x_res, phi_tab, w)
-            ok = cs.bits[w * zc + z]
-            presence[x_res[ok], w] = True
-    else:
-        x_base = ell ** X
-        for xc in range(ell ** (fam.p_dim * X)):
-            x = _element_vector(fam.ring, xc, X, fam.p_dim)
-            y = phi_for_family(fam, phi_variant, x, D)
-            dcode = 0
-            for i in range(fam.p_dim - 1, -1, -1):
-                dcode = dcode * ell ** D + ((xc // x_base ** i) % x_base) % ell ** D
-            for wc in range(n_w):
-                w = _element_vector(fam.ring, wc, D, fam.d_dim)
-                z = fam.eval(x, y, w, D)
-                if cs.contains(wc, _vector_cell_code(z, D)):
-                    presence[dcode, wc] = True
+    for wc in range(n_w):
+        z = z_codes(wc)
+        ok = cs.bits[wc * zc + z]
+        presence[dirs[ok], wc] = True
 
     if drop_direction_cell is not None:
         presence[drop_direction_cell, :] = False

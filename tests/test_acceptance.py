@@ -24,9 +24,11 @@ from kakeya.analysis import (
 from kakeya.families import kakeya_line_family, nikodym_line_family
 from kakeya.measure import (
     build_set_cells,
+    decay_csv,
     decay_report,
     direction_coverage,
     input_depth_sufficiency,
+    strip_timing,
 )
 from kakeya.phi import (
     MatrixFn,
@@ -228,17 +230,6 @@ def test_criterion_07_lemma_certification():
     report(7, "lemma certification against frozen scan")
 
 
-def _decay_fixture_lines(rep):
-    lines = ["D,hit_cells,total_cells,estimate_rational,estimate_decimal,"
-             "input_depth"]
-    for r in rep.rows:
-        q, rem = divmod(round(r.estimate * 10 ** 6), 10 ** 6)
-        lines.append(f"{r.depth},{r.hit_cells},{r.total_cells},"
-                     f"{r.estimate.numerator}/{r.estimate.denominator},"
-                     f"{q}.{rem:06d},{r.input_depth}")
-    return "\n".join(lines) + "\n"
-
-
 def test_criterion_08_measure_decay_layered_phi():
     """Estimates non-increasing over D = 2..10; independent-depth re-check
     yields identical cell sets; table matches the frozen fixture."""
@@ -246,7 +237,7 @@ def test_criterion_08_measure_decay_layered_phi():
     rep = decay_report(fam, PhiVariant.SAWYER, 2, 10)
     ests = [r.estimate for r in rep.rows]
     assert all(b <= a for a, b in zip(ests, ests[1:]))
-    assert _decay_fixture_lines(rep) == \
+    assert strip_timing(decay_csv(rep), "csv") == \
         (FIXTURES / "decay_kakeya_sawyer_fq2.csv").read_text()
     for D in range(2, 11):
         assert input_depth_sufficiency(fam, PhiVariant.SAWYER, D)
@@ -261,7 +252,7 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     rep = decay_report(fam, PhiVariant.DH, 2, 10)
     ests = [r.estimate for r in rep.rows]
     assert all(b <= a for a, b in zip(ests, ests[1:]))
-    assert _decay_fixture_lines(rep) == \
+    assert strip_timing(decay_csv(rep), "csv") == \
         (FIXTURES / "decay_kakeya_dh_fq2.csv").read_text()
     for D in range(2, 11):
         assert input_depth_sufficiency(fam, PhiVariant.DH, D)

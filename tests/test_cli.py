@@ -3,9 +3,12 @@
 import json
 import os
 import pathlib
+import types
 
+import numpy as np
 import pytest
 
+from kakeya import cli, measure
 from kakeya.cli import main
 from kakeya.ring import parse_element, truncate
 
@@ -89,10 +92,11 @@ class TestMeasure:
     def test_fixture_mismatch_exit3(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         text = (FIXTURES / "decay_kakeya_sawyer_fq2.csv").read_text()
-        bad.write_text(text.replace("5/8", "1/2"))
-        code, _, err = run(capsys, "measure", "--dmin", "2", "--dmax", "10",
-                           "--fixture", str(bad))
-        assert code == 3 and "mismatch" in err
+        for bad_text in (text.replace("5/8", "1/2"), ""):
+            bad.write_text(bad_text)
+            code, _, err = run(capsys, "measure", "--dmin", "2", "--dmax", "10",
+                               "--fixture", str(bad))
+            assert code == 3 and "mismatch" in err
 
     def test_budget_exit2_with_counts(self, capsys):
         code, out, err = run(capsys, "measure", "--ring", "fq", "--ell", "3",
@@ -124,12 +128,16 @@ class TestMeasure:
             return ["," .join(line.split(",")[:-1]) for line in lines]
         assert normalized() == normalized()
 
-    def test_threads_flag_identical_output(self, capsys):
-        def normalized(*extra):
-            _, out, _ = run(capsys, "measure", "--dmin", "2", "--dmax", "5",
-                            *extra)
-            return ["," .join(l.split(",")[:-1]) for l in out.strip().splitlines()]
-        assert normalized() == normalized("--threads", "3")
+    def test_refinement_violation_exit4(self, capsys, monkeypatch):
+        def rising(fam, phi_variant, D, **kw):
+            # empty at depth 2, full at depth 3: the estimate rises
+            bits = np.full(2 ** (2 * D), D > 2)
+            return measure.CellSet(depth=D, ell=2, w_dim=1, z_dim=1,
+                                   bits=bits)
+        monkeypatch.setattr(measure, "build_set_cells", rising)
+        code, out, err = run(capsys, "measure", "--dmin", "2", "--dmax", "3")
+        assert code == 4 and out == ""
+        assert err.startswith("error: refinement violated")
 
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KAKEYA_BUDGET_CELLS", "10")
@@ -211,6 +219,20 @@ class TestDecompose:
         assert code == 0
         assert "sum_identity:ok" in out
         assert out.count("\n") == 8  # six terms + f + identity line
+
+    def test_identity_violation_exit4(self, capsys, monkeypatch):
+        real = cli.term_decomposition
+
+        def broken(*args):
+            td = real(*args)
+            return types.SimpleNamespace(terms=td.terms, f_value=td.f_value,
+                                         identity_holds=lambda: False)
+        monkeypatch.setattr(cli, "term_decomposition", broken)
+        x = "fq:2:0:" + ",".join(["1", "0"] * 11)
+        w = "fq:2:0:" + ",".join(["1"] * 14)
+        code, out, _ = run(capsys, "decompose", "--x", x, "--w", w,
+                           "--N", "3", "--depth", "12")
+        assert code == 4 and "sum_identity:VIOLATED" in out
 
 
 class TestUsage:

@@ -11,7 +11,6 @@ from kakeya.families import kakeya_line_family, nikodym_line_family
 from kakeya.measure import (
     CellSet,
     build_set_cells,
-    covering_estimate,
     cross_section_cells,
     decay_csv,
     decay_json,
@@ -77,13 +76,22 @@ class TestBuildSetCells:
     @pytest.mark.parametrize("ring", (F2, Z2, F3), ids=str)
     def test_fast_path_equals_generic_path(self, make, variant, ring):
         """The packed-residue route and the element route must build the
-        identical cell set (the two implementations check each other)."""
+        identical cell set, cross-sections and coverage report (the two
+        implementations check each other)."""
         fam = make(ring)
         generic = dataclasses.replace(fam, cells_eval=None)
         Ds = (1, 2, 3) if ring.ell == 2 else (1, 2)
         for D in Ds:
             assert build_set_cells(fam, variant, D) == \
                 build_set_cells(generic, variant, D)
+            assert direction_coverage(fam, variant, D,
+                                      drop_direction_cell=1) == \
+                direction_coverage(generic, variant, D, drop_direction_cell=1)
+            for wc in range(1, ring.ell ** D):
+                # w carries digits past D; only its depth-D cell may matter
+                w = vector(element_from_cell(ring, wc, D, D + 3))
+                assert cross_section_cells(fam, variant, w, D) == \
+                    cross_section_cells(generic, variant, w, D)
 
     def test_diagnostic_single_direction(self):
         fam = kakeya_line_family(F2)
@@ -98,15 +106,6 @@ class TestBuildSetCells:
         fam = nikodym_line_family(F2)
         for D in (1, 2, 3, 4):
             assert build_set_cells(fam, SAW, D).estimate() <= 1
-
-    def test_workers_do_not_change_result(self):
-        fam = kakeya_line_family(F2)
-        a = build_set_cells(fam, SAW, 5, workers=1)
-        b = build_set_cells(fam, SAW, 5, workers=3)
-        assert a == b
-        generic = dataclasses.replace(fam, cells_eval=None)
-        c = build_set_cells(generic, SAW, 3, workers=2)
-        assert c == build_set_cells(generic, SAW, 3)
 
     def test_union_bound_over_direction_cells(self):
         """Subadditivity over per-direction slices, equality iff no two
@@ -255,10 +254,6 @@ class TestCellSet:
         cs = build_set_cells(kakeya_line_family(F2), SAW, 2)
         with pytest.raises(ValueError):
             cs.bits[0] = False
-
-    def test_covering_estimate_function(self):
-        cs = build_set_cells(kakeya_line_family(F2), SAW, 3)
-        assert covering_estimate(cs) == cs.estimate()
 
     def test_single_cell_example(self):
         bits = np.zeros(64, dtype=bool)
