@@ -33,7 +33,6 @@ from .ring import (
     mat_vec,
     mul,
     neg,
-    norm,
     one,
     padic_ring,
     parse_element,
@@ -41,7 +40,6 @@ from .ring import (
     reduce_to_R,
     sub,
     truncate,
-    valuation,
     vector,
     zero,
 )

@@ -52,10 +52,10 @@ from .phi import (
     required_phi_input_depth,
 )
 from .ring import (
+    Element,
     ElementVector,
     RingMode,
     RingSpec,
-    element_from_digits,
     format_element,
     parse_element,
 )
@@ -188,8 +188,7 @@ def _parse_inputs(texts, ring: RingSpec, min_depth: int = 1) -> ElementVector:
             raise ValueError(f"element {t!r} does not match --ring/--ell "
                              f"({ring})")
         if e.depth < min_depth:
-            digits = [e.digit(d) for d in range(e.lowest_degree, min_depth)]
-            e = element_from_digits(digits, e.lowest_degree, ring, min_depth)
+            e = Element(ring, e.lowest_degree, e.sig, min_depth)
         parsed.append(e)
     return ElementVector(tuple(parsed))
 
@@ -264,7 +263,10 @@ def cmd_certify(args) -> int:
 
 def cmd_diff_example(args) -> int:
     cfg = _merge_config(args, RunConfig())
-    alpha_exp = Fraction(args.alpha)
+    try:
+        alpha_exp = Fraction(args.alpha)
+    except ZeroDivisionError:
+        raise ValueError(f"--alpha {args.alpha}: zero denominator") from None
     scan = vsd_counterexample_scan(args.p, args.kmax, alpha_exp)
     _emit(counterexample_scan_csv(scan), cfg.out)
     return EXIT_OK

@@ -27,6 +27,7 @@ from .ring import (
     ElementMatrix,
     ElementVector,
     RingSpec,
+    _canonical,
     element_from_digits,
     mul,
     neg,
@@ -94,20 +95,14 @@ def invert_element(a: Element) -> Element:
     if out_depth < 1:
         raise InsufficientDepth(2 * v + 1, a.depth, "inversion operand")
     ell = a.ring.ell
-    sig = a.significand()
     if a.ring.mode.value == "zp":
-        inv = pow(sig, -1, ell ** span)
-        ds = []
-        for _ in range(span):
-            inv, r = divmod(inv, ell)
-            ds.append(r)
-    else:
-        u = [a.digit(v + i) for i in range(span)]
-        u0_inv = pow(u[0], -1, ell)
-        ds = [u0_inv]
-        for i in range(1, span):
-            acc = sum(u[j] * ds[i - j] for j in range(1, i + 1)) % ell
-            ds.append((-u0_inv * acc) % ell)
+        return _canonical(a.ring, -v, pow(a.sig, -1, ell ** span), out_depth)
+    u = [a.digit(v + i) for i in range(span)]
+    u0_inv = pow(u[0], -1, ell)
+    ds = [u0_inv]
+    for i in range(1, span):
+        acc = sum(u[j] * ds[i - j] for j in range(1, i + 1)) % ell
+        ds.append((-u0_inv * acc) % ell)
     return element_from_digits(ds, -v, a.ring, out_depth)
 
 

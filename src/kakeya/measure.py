@@ -13,11 +13,12 @@ pairs visited); exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
 with the exact counts.
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
-build, the cross-sections and the direction-coverage audit all consume.  It
-has two routes: the built-in line families carry a packed-residue fast path
-evaluated with numpy; families without one fall back to element-level
-evaluation.  Both routes are exact and the tests require them to produce
-identical cell sets, cross-sections and coverage reports.
+build and the cross-sections consume; the direction-coverage audit reads
+only its direction cells.  It has two routes: the built-in line families
+carry a packed-residue fast path evaluated with numpy; families without one
+fall back to element-level evaluation.  Both routes are exact and the tests
+require them to produce identical cell sets, cross-sections and coverage
+reports.
 """
 
 from __future__ import annotations
@@ -360,13 +361,17 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
                        drop_direction_cell: int | None = None) -> CoverageReport:
     """Audit that the built set contains a full line for every direction.
 
-    Builds the cell set, then independently re-enumerates the construction
-    and records, per (depth-D direction cell, w cell), whether a surface
-    point from that direction is present in the set.  A (direction, w) pair
-    with no present point is reported as missing.  ``drop_direction_cell``
-    deletes one direction's row from the record afterwards (fault injection
-    for tests).  The vertical line w = const is not a member of the family
-    and is reported as excluded by design, never as a failure.
+    The set is built from the points (w, f(x, phi(x), w)) of every depth-X
+    x cell and every w cell, so each x contributes a point in every w
+    column, and the direction cell of x is present in all of them.  The
+    audit therefore runs the enumeration once, without the per-w points, and
+    checks that the x cells reach every depth-D direction cell; a
+    (direction, w) pair with no x is reported as missing.  Errors of the phi
+    table or of the element-level phi evaluation still surface.
+    ``drop_direction_cell`` deletes one direction's row from the record
+    afterwards (fault injection for tests).  The vertical line w = const is
+    not a member of the family and is reported as excluded by design, never
+    as a failure.
     """
     ell = fam.ring.ell
     X = _input_depth(phi_variant, D, ell)
@@ -374,16 +379,9 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     n_w = ell ** (fam.d_dim * D)
     _check_budget(n_dirs * n_w, ell ** (fam.p_dim * X) * n_w,
                   budget_cells, budget_pairs)
-    cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
-                         budget_pairs=budget_pairs)
-
-    dirs, z_codes = _hits(fam, phi_variant, D, X)
-    zc = ell ** (fam.out_dim * D)
+    dirs, _ = _hits(fam, phi_variant, D, X)
     presence = np.zeros((n_dirs, n_w), dtype=bool)
-    for wc in range(n_w):
-        z = z_codes(wc)
-        ok = cs.bits[wc * zc + z]
-        presence[dirs[ok], wc] = True
+    presence[dirs, :] = True
 
     if drop_direction_cell is not None:
         presence[drop_direction_cell, :] = False

@@ -38,6 +38,7 @@ from .ring import (
     ElementMatrix,
     ElementVector,
     RingSpec,
+    _canonical,
     cell_index,
     element_from_digits,
     mat_vec,
@@ -81,6 +82,8 @@ def lambda_floor(k: int, ell: int) -> int:
     """floor(log_ell k), by integer comparison against powers of ell."""
     if k < 1:
         raise BadIndex(f"lambda_floor needs k >= 1, got {k}")
+    if ell < 2:
+        raise BadIndex(f"lambda_floor needs a base ell >= 2, got {ell}")
     e, p = 0, 1
     while p * ell <= k:
         p *= ell
@@ -108,10 +111,8 @@ def projection_element(e: Element, j: int) -> Element:
         raise NegativeValuation("projection is defined on R only")
     if e.depth < hi:
         raise InsufficientDepth(hi, e.depth, f"projection p_{j}")
-    if e.is_zero:
-        return Element(e.ring, 0, (), e.depth)
-    ds = [e.digit(d) for d in range(lo, hi)]
-    return element_from_digits(ds, lo, e.ring, e.depth)
+    return _canonical(e.ring, lo, cell_index(e, hi) // e.ring.ell ** lo,
+                      e.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +124,10 @@ def sk_size(k: int, ell: int) -> int:
     return ell ** (k + lambda_floor(k, ell) + 1)
 
 
-def sk_element_at(k: int, ring: RingSpec, n: int, W: int | None = None) -> Element:
+def sk_element_at(k: int, ring: RingSpec, n: int) -> Element:
     """The n-th S_k element: base-ell digits of n laid over degrees
     -lambda(k), ..., k.  Index 0 is the zero element."""
-    lam = lambda_floor(k, ring.ell)
-    span = k + lam + 1
-    ds = []
-    for _ in range(span):
-        n, r = divmod(n, ring.ell)
-        ds.append(r)
-    return element_from_digits(ds, -lam, ring, W if W is not None else k + 1)
+    return _canonical(ring, -lambda_floor(k, ring.ell), n, k + 1)
 
 
 def sk_elements(k: int, ring: RingSpec) -> Iterator[Element]:
@@ -143,16 +138,15 @@ def sk_elements(k: int, ring: RingSpec) -> Iterator[Element]:
 
 def sk_index_of(e: Element, k: int) -> int:
     """Index of an S_k element; NotInSk if the support bounds are violated."""
-    lam = lambda_floor(k, e.ring.ell)
-    if not e.is_zero:
-        if e.lowest_degree < -lam or e.lowest_degree + len(e.digits) - 1 > k:
-            raise NotInSk(
-                f"digit support [{e.lowest_degree}, "
-                f"{e.lowest_degree + len(e.digits) - 1}] not within [{-lam}, {k}]")
-    n = 0
-    for i in range(k + lam, -1, -1):
-        n = n * e.ring.ell + e.digit(-lam + i)
-    return n
+    ell = e.ring.ell
+    lam = lambda_floor(k, ell)
+    if e.is_zero:
+        return 0
+    if e.lowest_degree < -lam or e.sig >= ell ** (k + 1 - e.lowest_degree):
+        raise NotInSk(
+            f"digit support [{e.lowest_degree}, "
+            f"{e.lowest_degree + len(e.digits) - 1}] not within [{-lam}, {k}]")
+    return e.sig * ell ** (e.lowest_degree + lam)
 
 
 def omega_block_size(k: int, ell: int, p_dim: int, q_dim: int) -> int:
@@ -198,7 +192,7 @@ class MatrixFn:
                               self.value_index(row, col, cell))
             self._values[key] = e  # idempotent fill; safe under concurrent reads
         if W is not None and W != e.depth:
-            return Element(e.ring, e.lowest_degree, e.digits, W)
+            return Element(e.ring, e.lowest_degree, e.sig, W)
         return e
 
     def __repr__(self):
@@ -413,13 +407,8 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarra
         r = decode_matrix_fn(k, cfg)
         kb = r.k_block
         lam = lambda_floor(kb, ell)
-        # S_k values shifted up by lam so they pack as nonnegative codes.
-        shifted = []
-        for cell in range(ell ** kb):
-            v = r.table_value(0, 0, cell)
-            code = 0 if v.is_zero else (
-                v.significand() * ell ** (v.lowest_degree + lam))
-            shifted.append(code)
+        # An S_k index is its value shifted up by lam: a nonnegative code.
+        shifted = [r.value_index(0, 0, cell) for cell in range(ell ** kb)]
         rv = np.asarray(shifted, dtype=np.int64)[codes % ell ** kb]
         lo, hi = alpha(k), alpha(k + 1)
         pk = codes % ell ** hi - codes % ell ** lo

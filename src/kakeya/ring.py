@@ -8,14 +8,18 @@ Two rings are supported, selected by :class:`RingMode`:
 * ``POWER_SERIES`` -- formal power / Laurent series over the field with
   ``ell`` elements; digit arithmetic is carry-free (mod ``ell`` per digit).
 
-An :class:`Element` is a digit vector together with an explicit working depth
-``W``: every digit of degree below ``W`` is exact, degrees at or above ``W``
-are unknown.  All operations propagate depth pessimistically, so a result
-never claims more digits than its inputs justify.  Norms are exact rationals;
-nothing in this module touches floating point.
+An :class:`Element` is a packed significand -- its base-``ell`` digits from
+the valuation up, as one Python integer -- together with its valuation and
+an explicit working depth ``W``: every digit of degree below ``W`` is exact,
+degrees at or above ``W`` are unknown.  All operations propagate depth
+pessimistically, so a result never claims more digits than its inputs
+justify.  Norms are exact rationals; nothing in this module touches floating
+point.
 
 The module also provides a vectorized "residue" layer (``residue_*``)
-operating on packed cell codes with numpy.  It implements the same ring
+operating on packed cell codes with numpy.  A cell code is the same packing
+of the digits from degree 0 up, so ``cell_index`` and ``element_from_cell``
+are shifts of the significand.  The layer implements the same ring
 arithmetic at a fixed depth ``D`` and exists purely for speed in exhaustive
 enumerations; its agreement with the Element layer is enforced by tests.
 """
@@ -103,30 +107,38 @@ class Element:
     """A ring or field element known exactly up to (not including) degree
     ``depth``.
 
-    Canonical form: ``digits`` is empty for zero; otherwise ``digits[0] != 0``,
-    ``digits[-1] != 0`` and ``lowest_degree`` is the valuation.  Position ``i``
-    of ``digits`` holds the coefficient of degree ``lowest_degree + i``.
-    Equality and hashing compare the represented value (ring + digit content),
-    not the working depth.
+    ``sig`` packs the digits positionally from the valuation up: the
+    coefficient of degree ``lowest_degree + i`` is ``sig // ell**i % ell``.
+    Canonical form: ``sig`` is 0 for zero (with ``lowest_degree`` 0);
+    otherwise ``sig`` is not divisible by ``ell``, ``lowest_degree`` is the
+    valuation and ``sig < ell**(depth - lowest_degree)``.  Equality and
+    hashing compare the represented value (ring + digit content), not the
+    working depth.
     """
 
     ring: RingSpec
     lowest_degree: int
-    digits: tuple[int, ...]
+    sig: int
     depth: int = field(compare=False)
 
     @property
     def is_zero(self) -> bool:
-        return not self.digits
+        return not self.sig
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """Digits from the valuation up to the highest nonzero one (empty
+        for zero); a view of ``sig``."""
+        return tuple(_unpack_sig(self.sig, self.ring.ell))
 
     @property
     def valuation(self):
         """Largest k with the element in p^k; INF for zero."""
-        return INF if not self.digits else self.lowest_degree
+        return INF if not self.sig else self.lowest_degree
 
     def norm(self) -> Fraction:
         """Ultrametric norm ell^(-valuation), as an exact rational."""
-        if not self.digits:
+        if not self.sig:
             return Fraction(0)
         v = self.lowest_degree
         if v >= 0:
@@ -136,16 +148,13 @@ class Element:
     def digit(self, degree: int) -> int:
         """Coefficient of the given degree (0 outside the stored span)."""
         i = degree - self.lowest_degree
-        if not self.digits or i < 0 or i >= len(self.digits):
+        if i < 0:
             return 0
-        return self.digits[i]
+        return self.sig // self.ring.ell ** i % self.ring.ell
 
     def significand(self) -> int:
         """Digits packed positionally: sum digits[i] * ell^i."""
-        s = 0
-        for d in reversed(self.digits):
-            s = s * self.ring.ell + d
-        return s
+        return self.sig
 
     def __add__(self, other):
         return add(self, other)
@@ -163,17 +172,51 @@ class Element:
         return f"<{format_element(self)} @W={self.depth}>"
 
 
-def _canonical(ring: RingSpec, lowest: int, digits: list[int], depth: int) -> Element:
-    """Strip leading/trailing zeros and build a canonical Element."""
-    i = 0
-    while i < len(digits) and digits[i] == 0:
-        i += 1
-    if i == len(digits):
-        return Element(ring, 0, (), depth)
-    j = len(digits)
-    while digits[j - 1] == 0:
-        j -= 1
-    return Element(ring, lowest + i, tuple(digits[i:j]), depth)
+def _unpack_sig(sig: int, ell: int) -> list[int]:
+    """Base-ell digits of a nonnegative integer, lowest first."""
+    ds = []
+    while sig:
+        sig, r = divmod(sig, ell)
+        ds.append(r)
+    return ds
+
+
+def _pack_sig(digits, ell: int) -> int:
+    """Inverse of :func:`_unpack_sig`; each digit is reduced mod ell."""
+    sig = 0
+    for d in reversed(digits):
+        sig = sig * ell + d % ell
+    return sig
+
+
+def _digitwise(ell: int, sa: int, sb: int, sign: int) -> int:
+    """Carry-free sa + sign * sb: each base-ell digit pair summed mod ell."""
+    s, p = 0, 1
+    while sa or sb:
+        sa, x = divmod(sa, ell)
+        sb, y = divmod(sb, ell)
+        s += (x + sign * y) % ell * p
+        p *= ell
+    return s
+
+
+def _canonical(ring: RingSpec, lowest: int, sig: int, depth: int) -> Element:
+    """The canonical Element of sig * t^lowest known below ``depth``: sig is
+    reduced mod ell^(depth - lowest), then its low zero digits move into the
+    valuation."""
+    ell = ring.ell
+    if depth <= lowest:
+        return Element(ring, 0, 0, depth)
+    sig %= ell ** (depth - lowest)
+    if not sig:
+        return Element(ring, 0, 0, depth)
+    if ell == 2:
+        low = (sig & -sig).bit_length() - 1
+        return Element(ring, lowest + low, sig >> low, depth)
+    while sig % ell == 0:
+        sig //= ell
+        lowest += 1
+    return Element(ring, lowest, sig, depth)
 
 
 def element_from_digits(digits: Sequence[int], lowest_degree: int,
@@ -186,18 +229,16 @@ def element_from_digits(digits: Sequence[int], lowest_degree: int,
     if W <= lowest_degree or W < 1:
         raise BadDepth(f"working depth {W} must exceed lowest degree "
                        f"{lowest_degree} and be positive")
-    ds = list(digits)
-    for d in ds:
+    for d in digits:
         if not 0 <= d < ring.ell:
             raise DigitOutOfRange(f"digit {d} not in [0, {ring.ell})")
-    ds = ds[:W - lowest_degree]
-    return _canonical(ring, lowest_degree, ds, W)
+    return _canonical(ring, lowest_degree, _pack_sig(digits, ring.ell), W)
 
 
 def zero(ring: RingSpec, W: int) -> Element:
     if W < 1:
         raise BadDepth(f"working depth {W} must be positive")
-    return Element(ring, 0, (), W)
+    return Element(ring, 0, 0, W)
 
 
 def one(ring: RingSpec, W: int) -> Element:
@@ -208,19 +249,7 @@ def from_int(n: int, ring: RingSpec, W: int) -> Element:
     """The image of a nonnegative integer (base-ell digit expansion)."""
     if n < 0:
         raise ValueError("use neg() for negatives; they differ per ring mode")
-    ds = []
-    while n:
-        n, r = divmod(n, ring.ell)
-        ds.append(r)
-    return element_from_digits(ds, 0, ring, W)
-
-
-def _from_significand(ring: RingSpec, sig: int, lowest: int, depth: int) -> Element:
-    ds = []
-    while sig:
-        sig, r = divmod(sig, ring.ell)
-        ds.append(r)
-    return _canonical(ring, lowest, ds, depth)
+    return element_from_cell(ring, n, W)
 
 
 def _check_same_ring(a: Element, b: Element):
@@ -233,51 +262,40 @@ def _with_depth(e: Element, W: int) -> Element:
     unknown, not zero)."""
     if W == e.depth:
         return e
-    if e.is_zero or e.lowest_degree >= W:
-        return Element(e.ring, 0, (), W)
-    return _canonical(e.ring, e.lowest_degree,
-                      list(e.digits[:W - e.lowest_degree]), W)
+    return _canonical(e.ring, e.lowest_degree, e.sig, W)
 
 
 def add(a: Element, b: Element) -> Element:
     """Sum, exact for all degrees below min of the operand depths."""
     _check_same_ring(a, b)
     W = min(a.depth, b.depth)
-    if a.is_zero and b.is_zero:
-        return Element(a.ring, 0, (), W)
-    if a.is_zero:
+    if not a.sig:
         return _with_depth(b, W)
-    if b.is_zero:
+    if not b.sig:
         return _with_depth(a, W)
     m = min(a.lowest_degree, b.lowest_degree)
-    span = W - m
-    if span <= 0:
-        return Element(a.ring, 0, (), W)
     ell = a.ring.ell
+    sa = a.sig * ell ** (a.lowest_degree - m)
+    sb = b.sig * ell ** (b.lowest_degree - m)
     if a.ring.mode is RingMode.PADIC:
-        sig = (a.significand() * ell ** (a.lowest_degree - m)
-               + b.significand() * ell ** (b.lowest_degree - m))
-        return _from_significand(a.ring, sig % ell ** span, m, W)
-    ds = [0] * span
-    for e in (a, b):
-        off = e.lowest_degree - m
-        for i, d in enumerate(e.digits):
-            if off + i < span:
-                ds[off + i] = (ds[off + i] + d) % ell
-    return _canonical(a.ring, m, ds, W)
+        s = sa + sb
+    elif ell == 2:
+        s = sa ^ sb
+    else:
+        s = _digitwise(ell, sa, sb, 1)
+    return _canonical(a.ring, m, s, W)
 
 
 def neg(a: Element) -> Element:
     """Additive inverse at the operand's own depth."""
-    if a.is_zero:
-        return a
     ell = a.ring.ell
-    span = a.depth - a.lowest_degree
+    if not a.sig or (ell == 2 and a.ring.mode is RingMode.POWER_SERIES):
+        return a
     if a.ring.mode is RingMode.PADIC:
-        sig = (ell ** span - a.significand()) % ell ** span
-        return _from_significand(a.ring, sig, a.lowest_degree, a.depth)
-    ds = [(-d) % ell for d in a.digits]
-    return _canonical(a.ring, a.lowest_degree, ds, a.depth)
+        s = -a.sig
+    else:
+        s = _digitwise(ell, 0, a.sig, -1)
+    return _canonical(a.ring, a.lowest_degree, s, a.depth)
 
 
 def sub(a: Element, b: Element) -> Element:
@@ -291,52 +309,49 @@ def mul(a: Element, b: Element) -> Element:
     own depth, which keeps the result depth an integer.
     """
     _check_same_ring(a, b)
-    eff_va = a.lowest_degree if not a.is_zero else a.depth
-    eff_vb = b.lowest_degree if not b.is_zero else b.depth
+    eff_va = a.lowest_degree if a.sig else a.depth
+    eff_vb = b.lowest_degree if b.sig else b.depth
     W = min(a.depth + eff_vb, b.depth + eff_va)
-    if a.is_zero or b.is_zero:
-        return Element(a.ring, 0, (), max(W, 1))
+    if not a.sig or not b.sig:
+        return Element(a.ring, 0, 0, max(W, 1))
     lowest = a.lowest_degree + b.lowest_degree
-    span = W - lowest
     ell = a.ring.ell
     if a.ring.mode is RingMode.PADIC:
-        sig = (a.significand() * b.significand()) % ell ** span
-        return _from_significand(a.ring, sig, lowest, W)
-    ds = [0] * span
-    for i, da in enumerate(a.digits):
-        if da == 0 or i >= span:
-            continue
-        for j, db in enumerate(b.digits):
-            if i + j >= span:
-                break
-            ds[i + j] = (ds[i + j] + da * db) % ell
-    return _canonical(a.ring, lowest, ds, W)
-
-
-def valuation(a: Element):
-    return a.valuation
-
-
-def norm(a: Element) -> Fraction:
-    return a.norm()
+        s = a.sig * b.sig
+    elif ell == 2:
+        # carry-less product: one shifted copy of b per set bit of a
+        s, x = 0, a.sig
+        while x:
+            bit = x & -x
+            s ^= b.sig * bit
+            x ^= bit
+    else:
+        span = W - lowest
+        da = _unpack_sig(a.sig, ell)[:span]
+        db = _unpack_sig(b.sig, ell)[:span]
+        ds = [0] * span
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db[:span - i], i):
+                    ds[j] += x * y
+        s = _pack_sig(ds, ell)
+    return _canonical(a.ring, lowest, s, W)
 
 
 def truncate(a: Element, D: int) -> Element:
     """Zero every digit of degree >= D; the canonical coset representative."""
     if D > a.depth:
         raise BadDepth(f"truncation depth {D} exceeds working depth {a.depth}")
-    if a.is_zero or a.lowest_degree >= D:
-        return Element(a.ring, 0, (), a.depth)
-    ds = list(a.digits[:D - a.lowest_degree])
-    return _canonical(a.ring, a.lowest_degree, ds, a.depth)
+    keep = a.ring.ell ** max(D - a.lowest_degree, 0)
+    return _canonical(a.ring, a.lowest_degree, a.sig % keep, a.depth)
 
 
 def reduce_to_R(a: Element) -> Element:
     """Drop all digits of negative degree, mapping K onto R."""
-    if a.is_zero or a.lowest_degree >= 0:
+    if a.lowest_degree >= 0:
         return a
-    ds = list(a.digits[-a.lowest_degree:])
-    return _canonical(a.ring, 0, ds, a.depth)
+    return _canonical(a.ring, 0, a.sig // a.ring.ell ** -a.lowest_degree,
+                      a.depth)
 
 
 def cell_index(a: Element, D: int) -> int:
@@ -345,26 +360,22 @@ def cell_index(a: Element, D: int) -> int:
     Bijective with cosets of p^D in R: code = sum digit_i * ell^i over
     degrees 0..D-1.
     """
-    if not a.is_zero and a.lowest_degree < 0:
+    if a.lowest_degree < 0:
         raise NegativeValuation(f"cell_index needs an R-element, got valuation "
                                 f"{a.lowest_degree}")
     if D > a.depth:
         raise BadDepth(f"cell depth {D} exceeds working depth {a.depth}")
-    code = 0
-    for deg in range(D - 1, -1, -1):
-        code = code * a.ring.ell + a.digit(deg)
-    return code
+    ell = a.ring.ell
+    return a.sig * ell ** a.lowest_degree % ell ** D
 
 
 def element_from_cell(ring: RingSpec, code: int, D: int, W: int | None = None) -> Element:
     """Canonical representative of the depth-D cell with the given code."""
     if W is None:
         W = D
-    ds = []
-    for _ in range(D):
-        code, r = divmod(code, ring.ell)
-        ds.append(r)
-    return element_from_digits(ds, 0, ring, W)
+    if W < 1:
+        raise BadDepth(f"working depth {W} must be positive")
+    return _canonical(ring, 0, int(code) % ring.ell ** D, W)
 
 
 def enumerate_residues(ring: RingSpec, D: int) -> Iterator[Element]:
@@ -389,11 +400,9 @@ def format_element(a: Element) -> str:
     """Digit-string form; digits run from the valuation up to depth-1.
 
     Zero is emitted as a single 0 digit at degree 0, padded to the depth."""
-    if a.is_zero:
-        low, ds = 0, [0] * max(a.depth, 1)
-    else:
-        low = a.lowest_degree
-        ds = [a.digit(low + i) for i in range(a.depth - low)]
+    low = a.lowest_degree
+    ds = _unpack_sig(a.sig, a.ring.ell)
+    ds += [0] * (max(a.depth - low, 1) - len(ds))
     return f"{a.ring.tag}:{a.ring.ell}:{low}:{','.join(map(str, ds))}"
 
 
@@ -616,19 +625,12 @@ def residue_mul(ring: RingSpec, D: int, a, b):
     if ring.mode is RingMode.PADIC:
         return (a * b) % ring.ell ** D
     if ring.ell == 2:
-        if isinstance(a, int) and isinstance(b, int):
-            mask = (1 << D) - 1
-            acc = 0
-            for i in range(D):
-                if (a >> i) & 1:
-                    acc ^= (b << i) & mask
-            return acc
         mask = (1 << D) - 1
         aa, bb = np.asarray(a), np.asarray(b)
         acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
         for i in range(D):
             acc ^= ((aa >> i) & 1) * ((bb << i) & mask)
-        return acc
+        return _int_if_scalar(acc, a, b)
     da = _unpack_digits(ring, a, D)
     db = _unpack_digits(ring, b, D)
     shape = np.broadcast_shapes(da.shape, db.shape)
@@ -637,10 +639,7 @@ def residue_mul(ring: RingSpec, D: int, a, b):
     db = np.broadcast_to(db, shape)
     for i in range(D):
         out[..., i:] += da[..., i:i + 1] * db[..., :D - i]
-    packed = _pack_digits(ring, out % ring.ell)
-    if isinstance(a, int) and isinstance(b, int):
-        return int(packed)
-    return packed
+    return _int_if_scalar(_pack_digits(ring, out % ring.ell), a, b)
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):
@@ -650,8 +649,3 @@ def residue_shift_down(ring: RingSpec, k: int, a):
     integer floor-division by ell^k on the packed code.
     """
     return a // ring.ell ** k
-
-
-def residue_truncate(ring: RingSpec, D: int, a):
-    """Keep only the D lowest digits of a packed code."""
-    return a % ring.ell ** D

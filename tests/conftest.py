@@ -1,6 +1,5 @@
 """Shared strategies and helpers for the test suite."""
 
-import pytest
 from hypothesis import strategies as st
 
 from kakeya.ring import (
@@ -14,8 +13,12 @@ Z2 = padic_ring(2)
 F2 = power_series_ring(2)
 Z3 = padic_ring(3)
 F3 = power_series_ring(3)
+Z5 = padic_ring(5)
+F5 = power_series_ring(5)
+Z7 = padic_ring(7)
+F7 = power_series_ring(7)
 
-ALL_RINGS = (Z2, F2, Z3, F3)
+ALL_RINGS = (Z2, F2, Z3, F3, Z5, F5, Z7, F7)
 
 
 @st.composite
@@ -28,16 +31,3 @@ def elements(draw, ring: RingSpec, min_low: int = 0, max_low: int = 0,
     ds = draw(st.lists(st.integers(0, ring.ell - 1), min_size=0, max_size=n))
     return element_from_digits(ds, low, ring, depth)
 
-
-def ring_strategy():
-    return st.sampled_from(ALL_RINGS)
-
-
-@pytest.fixture(params=ALL_RINGS, ids=[str(r) for r in ALL_RINGS])
-def any_ring(request):
-    return request.param
-
-
-@pytest.fixture(params=(Z2, F2), ids=("zp:2", "fq:2"))
-def ell2_ring(request):
-    return request.param

@@ -209,6 +209,15 @@ class TestDiffExample:
         assert len(lines) == 101
         assert lines[8].split(",")[1] == "4"  # g(8)
 
+    @pytest.mark.parametrize("argv", (("--p", "1", "--alpha", "1/10"),
+                                      ("--p", "0", "--alpha", "1/10"),
+                                      ("--p", "2", "--alpha", "1/0")),
+                             ids=("p1", "p0", "alpha-zero-denominator"))
+    def test_bad_arguments_exit1(self, capsys, argv):
+        code, out, err = run(capsys, "diff-example", "--kmax", "10", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestDecompose:
     def test_identity_reported(self, capsys):

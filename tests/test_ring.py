@@ -1,5 +1,6 @@
 """Ring layer: canonical forms, exact arithmetic, cells, text format."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +46,7 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import F2, F3, Z2, Z3, elements
+from conftest import ALL_RINGS, F2, F3, Z2, Z3, elements
 
 
 class TestConstruction:
@@ -307,7 +308,7 @@ class TestVectorsMatrices:
 class TestResidueLayer:
     """The packed-code fast path must agree with the element layer."""
 
-    @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3), ids=str)
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     @pytest.mark.parametrize("D", (1, 3, 5))
     def test_scalar_ops_match_elements(self, ring, D):
         m = ring.ell ** D
@@ -321,7 +322,7 @@ class TestResidueLayer:
                 assert residue_mul(ring, D, a, b) == cell_index(mul(ea, eb), D)
                 assert residue_neg(ring, D, a) == cell_index(neg(ea), D)
 
-    @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3), ids=str)
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_vector_ops_match_scalar(self, ring):
         D = 4
         m = ring.ell ** D
@@ -332,3 +333,80 @@ class TestResidueLayer:
             for i in range(0, m, 7):
                 assert vm[i] == residue_mul(ring, D, int(a[i]), b)
                 assert va[i] == residue_add(ring, D, int(a[i]), b)
+
+
+def _oracle(ring, op, a, b):
+    """(depth, lowest degree, digits over [lowest, depth)) of a op b, where
+    a and b are (lowest degree, digit list) pairs: integer arithmetic for
+    zp, digitwise sums and a convolution mod ell for fq."""
+    ell = ring.ell
+    (la, da), (lb, db) = a, b
+    if op == "add":
+        low, W = min(la, lb), min(la + len(da), lb + len(db))
+        pa = [0] * (la - low) + da
+        pb = [0] * (lb - low) + db
+    elif op == "neg":
+        low, W, pa, pb = la, la + len(da), da, []
+    else:
+        def eff(lo, ds):  # valuation; the depth bounds a zero's
+            nz = [i for i, d in enumerate(ds) if d]
+            return lo + nz[0] if nz else lo + len(ds)
+        low = la + lb
+        W = min(la + len(da) + eff(lb, db), lb + len(db) + eff(la, da))
+        pa, pb = da, db
+        if not any(da) or not any(db):  # mul keeps a zero's depth >= 1
+            W = max(W, 1)
+            return W, low, [0] * max(W - low, 0)
+    n = W - low
+    if ring.mode is RingMode.PADIC:
+        ia = sum(d * ell ** i for i, d in enumerate(pa))
+        ib = sum(d * ell ** i for i, d in enumerate(pb))
+        value = {"add": ia + ib, "neg": -ia, "mul": ia * ib}[op] % ell ** n
+        ds = []
+        for _ in range(n):
+            value, r = divmod(value, ell)
+            ds.append(r)
+    else:
+        ga = pa + [0] * n
+        gb = pb + [0] * n
+        ds = [{"add": ga[j] + gb[j], "neg": -ga[j],
+               "mul": sum(ga[i] * gb[j - i] for i in range(j + 1))}[op] % ell
+              for j in range(n)]
+    return W, low, ds
+
+
+class TestWideOracle:
+    """Element add/neg/mul against integer and polynomial arithmetic on spans
+    whose ell^span passes 2^63 (beyond any int64 code)."""
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_ops_match_oracle(self, ring):
+        ell = ring.ell
+        max_span = 70 if ell == 2 else 40
+        assert ell ** max_span > 2 ** 63
+        rnd = random.Random(str(ring))
+
+        def draw():
+            low = rnd.randint(-3, 3)
+            span = rnd.choice((1, 2, max_span, rnd.randint(1, max_span)))
+            span = max(span, 1 - low)
+            ds = [rnd.randrange(ell) for _ in range(span)]
+            ds[0] = rnd.choice((0, ds[0]))
+            return low, ds
+
+        for _ in range(60):
+            a, b = draw(), draw()
+            ea, eb = (element_from_digits(ds, lo, ring, lo + len(ds))
+                      for lo, ds in (a, b))
+            for op, got in (("add", add(ea, eb)), ("neg", neg(ea)),
+                            ("mul", mul(ea, eb))):
+                W, low, ds = _oracle(ring, op, a, b)
+                assert got.depth == W, op
+                assert [got.digit(d) for d in range(low, W)] == ds, op
+                assert type(got.digits) is tuple
+                assert all(type(d) is int for d in got.digits)
+
+    def test_digits_are_python_ints_from_numpy_codes(self):
+        e = element_from_cell(F3, np.int64(17), 4)
+        assert e.digits == (2, 2, 1)
+        assert all(type(d) is int for d in e.digits)
