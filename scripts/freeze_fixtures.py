@@ -33,15 +33,25 @@ from kakeya.ring import (
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 
+# (ring, first D, last D, file suffix) of each frozen decay table; the
+# deep tables stop at the deepest D whose build stays well inside a minute.
+DECAY_TABLES = (
+    (power_series_ring(2), 2, 10, "fq2"),
+    (padic_ring(2), 2, 10, "zp2"),
+    (power_series_ring(2), 11, 12, "fq2_deep"),
+    (padic_ring(2), 11, 12, "zp2_deep"),
+)
+
+
 def freeze_decay():
-    f2 = power_series_ring(2)
-    fam = kakeya_line_family(f2)
-    for variant, name in ((PhiVariant.SAWYER, "decay_kakeya_sawyer_fq2.csv"),
-                          (PhiVariant.DH, "decay_kakeya_dh_fq2.csv")):
-        t0 = time.perf_counter()
-        rep = decay_report(fam, variant, 2, 10)
-        (FIXTURES / name).write_text(strip_timing(decay_csv(rep), "csv"))
-        print(f"{name}: {time.perf_counter() - t0:.1f}s")
+    for ring, dmin, dmax, suffix in DECAY_TABLES:
+        fam = kakeya_line_family(ring)
+        for variant in (PhiVariant.SAWYER, PhiVariant.DH):
+            name = f"decay_kakeya_{variant.value}_{suffix}.csv"
+            t0 = time.perf_counter()
+            rep = decay_report(fam, variant, dmin, dmax)
+            (FIXTURES / name).write_text(strip_timing(decay_csv(rep), "csv"))
+            print(f"{name}: {time.perf_counter() - t0:.1f}s")
 
 
 def freeze_lemma_minimal_n():

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: phi-eval, phi-dh-eval, measure, coverage, certify,
-diff-example, decompose.  Exit codes: 0 ok, 1 usage or parse error,
-2 budget exceeded (or insufficient digit depth), 3 fixture mismatch,
-4 an exact invariant violated (decay refinement, six-term identity).
+diff-example, decompose.  Exit codes: 0 ok, 1 usage or parse error (or a
+depth past the int64 code limit), 2 budget exceeded (or insufficient digit
+depth), 3 fixture mismatch, 4 an exact invariant violated (decay
+refinement, six-term identity).
 
 Configuration precedence is flags > config file > defaults; the config file
 is plain ``key=value`` lines keyed by long flag names.  Output is

@@ -18,11 +18,15 @@ only its direction cells.  It has two routes: the built-in line families
 carry a packed-residue fast path evaluated with numpy; families without one
 fall back to element-level evaluation.  Both routes are exact and the tests
 require them to produce identical cell sets, cross-sections and coverage
-reports.
+reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
+(x mod ell^D, phi(x) mod ell^D), so the packed route evaluates each distinct
+pair once per w, not each depth-X x cell, and takes the w cells in blocks;
+the element route keeps one entry per x as the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -30,13 +34,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvariantViolated
+from .errors import BadDepth, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, cell_index, element_from_cell
+from .ring import ElementVector, RingMode, cell_index, element_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
+# Pair evaluations per block of the w loop: bounds the temporaries of one
+# ``z_codes`` call to about this many elements.
+W_BLOCK_EVALS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,14 @@ def _check_budget(cells: int, pairs: int, budget_cells: int, budget_pairs: int):
         raise BudgetExceeded(cells, pairs, budget_cells, budget_pairs)
 
 
+def _check_headroom(ell: int, D: int):
+    """Packed int64 codes join two depth-D codes: the pair key, the zp
+    product before its reduction and the (w, z) bitmap index."""
+    if ell ** (2 * D) >= 2 ** 63:
+        raise BadDepth(f"depth {D} at ell = {ell} needs ell^(2D) < 2^63 "
+                       "for the packed int64 codes")
+
+
 def _input_depth(variant: PhiVariant, D: int, ell: int) -> int:
     """Default x depth X: deep enough to fix every depth-D z-cell."""
     return max(D, phi_input_depth(variant, D, ell))
@@ -105,43 +120,71 @@ def _vector_cell_code(v: ElementVector, D: int) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(ring, variant: PhiVariant, D: int, X: int):
+    """The distinct pairs of every depth-X x cell, kept for reuse.
+
+    Only the pairs are kept, never the ell^X phi table; the table is built
+    through the module-level ``variant_residue_table`` on each miss."""
+    # The table goes first: allocating the x codes before its temporaries
+    # took 1.7x the page faults over the D = 2..10 decay tables.
+    tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X)
+    return _distinct_pairs(ring.ell ** D,
+                           np.arange(ring.ell ** X, dtype=np.int64), tab)
+
+
+def _distinct_pairs(mod: int, x: np.ndarray, y: np.ndarray):
+    """The sorted distinct (x mod ``mod``, y) pairs as two read-only arrays.
+
+    Overwrites ``x`` with the pair keys."""
+    x %= mod
+    x *= mod
+    x += y
+    x_res, y_res = np.divmod(np.unique(x), mod)
+    x_res.setflags(write=False)
+    y_res.setflags(write=False)
+    return x_res, y_res
+
+
 def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
           x_cells=None):
     """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
 
     Covers every depth-X x cell, or the given combined codes ``x_cells``.
-    Returns ``(dirs, z_codes)``: the depth-D direction cell code of each x,
-    and a function from a depth-D w cell code to the depth-D z-cell codes of
-    those x, in the same order.  Families with ``cells_eval`` and
-    p = q = d = 1 take the packed-residue route (one phi table, then
-    ``cells_eval`` per w); all others take the element route (each x and
-    phi(x) built once, then ``eval`` per w).
+    Returns ``(dirs, z_codes)``.  ``dirs`` holds the depth-D direction cell
+    of each enumerated entry, and ``z_codes`` maps a 1-D array of depth-D w
+    cell codes to one row per w of the entries' depth-D z-cell codes, in
+    the order of ``dirs``.  Families with ``cells_eval`` and p = q = d = 1
+    take the packed-residue route: one phi table, deduplicated to the
+    distinct pairs (x mod ell^D, phi(x) mod ell^D), so there is one entry
+    per distinct pair, and ``cells_eval`` broadcast over the w block.  All
+    others take the element route, with one entry per x: each x and phi(x)
+    built once, then ``eval`` per x and w.
     """
     ell = fam.ring.ell
+    _check_headroom(ell, D)
     if (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
             and fam.d_dim == 1):
-        # The table goes first: allocating the x codes before its
-        # temporaries took 1.7x the page faults over D = 2..10 decay tables.
-        phi_tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
-                                        D, X)
         if x_cells is None:
-            codes = np.arange(ell ** X, dtype=np.int64)
+            x_res, y_res = _pairs(fam.ring, variant, D, X)
         else:
+            tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
+                                        D, X)
             codes = np.asarray(sorted(x_cells), dtype=np.int64)
-            phi_tab = phi_tab[codes]
-        x_res = codes % ell ** D
-        return x_res, lambda wc: fam.cells_eval(fam.ring, D, x_res, phi_tab,
-                                                wc)
+            x_res, y_res = _distinct_pairs(ell ** D, codes, tab[codes])
+        return x_res, lambda wcs: fam.cells_eval(fam.ring, D, x_res, y_res,
+                                                 wcs[:, None])
 
     n_x = ell ** (fam.p_dim * X)
     codes = range(n_x) if x_cells is None else sorted(x_cells)
     xs = [_element_vector(fam.ring, xc, X, fam.p_dim) for xc in codes]
     ys = [phi_for_family(fam, variant, x, D) for x in xs]
 
-    def z_codes(wc: int) -> np.ndarray:
-        w = _element_vector(fam.ring, wc, D, fam.d_dim)
-        return np.asarray([_vector_cell_code(fam.eval(x, y, w, D), D)
-                           for x, y in zip(xs, ys)], dtype=np.int64)
+    def z_codes(wcs: np.ndarray) -> np.ndarray:
+        ws = [_element_vector(fam.ring, int(wc), D, fam.d_dim) for wc in wcs]
+        return np.asarray([[_vector_cell_code(fam.eval(x, y, w, D), D)
+                            for x, y in zip(xs, ys)] for w in ws],
+                          dtype=np.int64).reshape(len(ws), len(xs))
 
     dirs = np.asarray([_vector_cell_code(x, D) for x in xs], dtype=np.int64)
     return dirs, z_codes
@@ -157,7 +200,10 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     needs) -- deep enough that the z-cell is fully determined -- and every w
     in R^d at depth D.  ``x_cells`` restricts the x enumeration to the given
     depth-X combined codes (diagnostic use); ``input_depth`` overrides X
-    (used by the input-depth sufficiency re-check).
+    (used by the input-depth sufficiency re-check).  The packed route
+    evaluates each distinct pair (x mod ell^D, phi(x) mod ell^D) once per w
+    and takes the w cells in blocks; the pair budget still counts x cells
+    times w cells.
     """
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
@@ -168,12 +214,15 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     n_w = ell ** (fam.d_dim * D)
     _check_budget(total_cells, n_x * n_w, budget_cells, budget_pairs)
 
-    _, z_codes = _hits(fam, phi_variant, D, X, x_cells)
+    dirs, z_codes = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (nd * D)
     bits = np.zeros(total_cells, dtype=bool)
-    for wc in range(n_w):
-        z = z_codes(wc)
-        bits[wc * zc + z] = True
+    # fq at ell >= 3 unpacks D digits per code inside cells_eval
+    digits = D if fam.ring.mode is RingMode.POWER_SERIES and ell > 2 else 1
+    step = max(1, W_BLOCK_EVALS // max(len(dirs) * digits, 1))
+    for w0 in range(0, n_w, step):
+        wcs = np.arange(w0, min(w0 + step, n_w), dtype=np.int64)
+        bits[wcs[:, None] * zc + z_codes(wcs)] = True
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=nd, bits=bits)
 
 
@@ -199,7 +248,7 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
 
     _, z_codes = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
-    bits[z_codes(_vector_cell_code(w, D))] = True
+    bits[z_codes(np.asarray([_vector_cell_code(w, D)]))[0]] = True
     return CellSet(depth=D, ell=ell, w_dim=0, z_dim=nd, bits=bits)
 
 
@@ -243,6 +292,7 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
         _check_budget(ell ** ((fam.d_dim + fam.out_dim) * D),
                       ell ** (fam.p_dim * X + fam.d_dim * D),
                       budget_cells, budget_pairs)
+        _check_headroom(ell, D)
     rows = []
     prev = None
     for D, X in depths.items():

@@ -313,7 +313,7 @@ def mul(a: Element, b: Element) -> Element:
     eff_vb = b.lowest_degree if b.sig else b.depth
     W = min(a.depth + eff_vb, b.depth + eff_va)
     if not a.sig or not b.sig:
-        return Element(a.ring, 0, 0, max(W, 1))
+        return Element(a.ring, 0, 0, W)
     lowest = a.lowest_degree + b.lowest_degree
     ell = a.ring.ell
     if a.ring.mode is RingMode.PADIC:

@@ -276,6 +276,23 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     report(9, "measure decay, digit-shift phi; carry non-additivity pinned")
 
 
+@pytest.mark.parametrize("ring, dmin, dmax, suffix", (
+    (Z2, 2, 10, "zp2"),
+    (F2, 11, 12, "fq2_deep"),
+    (Z2, 11, 12, "zp2_deep"),
+), ids=("zp2", "fq2_deep", "zp2_deep"))
+@pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
+                         ids=("sawyer", "dh"))
+def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
+    """The decay tables beyond criteria 08 and 09 (the padic ring, and
+    D = 11..12 on both rings) replay their frozen fixtures exactly; they
+    were frozen by the per-x enumeration, before pair deduplication."""
+    rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
+    name = f"decay_kakeya_{variant.value}_{suffix}.csv"
+    assert strip_timing(decay_csv(rep), "csv") == \
+        (FIXTURES / name).read_text()
+
+
 def test_criterion_10_direction_coverage():
     """No missing (direction, w) pair at any depth <= 6, both families, with
     the vertical direction excluded by design."""

@@ -148,6 +148,15 @@ class TestMeasure:
                          "--budget-cells", str(2 ** 20))
         assert code == 0
 
+    def test_int64_headroom_exit1(self, capsys, monkeypatch):
+        # raised budgets let ell^(2D) pass 2^63; the depth is refused
+        monkeypatch.setenv("KAKEYA_BUDGET_CELLS", str(2 ** 80))
+        code, out, err = run(capsys, "measure", "--ring", "zp", "--ell", "7",
+                             "--dmin", "12", "--dmax", "12",
+                             "--budget-pairs", str(2 ** 80))
+        assert code == 1 and out == ""
+        assert err.startswith("error: depth 12") and "2^63" in err
+
 
 class TestConfigFile:
     def test_precedence_flags_over_file_over_defaults(self, capsys, tmp_path):

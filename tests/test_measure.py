@@ -6,8 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kakeya.errors import BudgetExceeded, RankDeficient
-from kakeya.families import kakeya_line_family, nikodym_line_family
+from kakeya import measure
+from kakeya.errors import BadDepth, BudgetExceeded, RankDeficient
+from kakeya.families import (
+    kakeya_line_family,
+    nikodym_line_family,
+    phi_for_family,
+)
 from kakeya.measure import (
     CellSet,
     build_set_cells,
@@ -29,7 +34,7 @@ from kakeya.phi import (
 )
 from kakeya.ring import cell_index, element_from_cell, neg, one, vector, zero
 
-from conftest import F2, F3, Z2, Z3
+from conftest import ALL_RINGS, F2, F3, Z2, Z3, Z7
 
 SAW, DH = PhiVariant.SAWYER, PhiVariant.DH
 
@@ -73,25 +78,72 @@ class TestBuildSetCells:
     @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
                              ids=("kakeya", "nikodym"))
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
-    @pytest.mark.parametrize("ring", (F2, Z2, F3), ids=str)
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_fast_path_equals_generic_path(self, make, variant, ring):
         """The packed-residue route and the element route must build the
         identical cell set, cross-sections and coverage report (the two
         implementations check each other)."""
         fam = make(ring)
         generic = dataclasses.replace(fam, cells_eval=None)
-        Ds = (1, 2, 3) if ring.ell == 2 else (1, 2)
+        ell = ring.ell
+        Ds = (1, 2, 3) if ell == 2 else (1, 2)
         for D in Ds:
             assert build_set_cells(fam, variant, D) == \
                 build_set_cells(generic, variant, D)
             assert direction_coverage(fam, variant, D,
                                       drop_direction_cell=1) == \
                 direction_coverage(generic, variant, D, drop_direction_cell=1)
-            for wc in range(1, ring.ell ** D):
+            # every nonzero w cell for ell <= 3; for ell >= 5 some units, a
+            # valuation-1 cell and the top cell
+            wcs = (range(1, ell ** D) if ell <= 3 else
+                   [wc for wc in (1, ell - 1, ell, ell + 2, ell ** D - 1)
+                    if wc < ell ** D])
+            for wc in wcs:
                 # w carries digits past D; only its depth-D cell may matter
                 w = vector(element_from_cell(ring, wc, D, D + 3))
                 assert cross_section_cells(fam, variant, w, D) == \
                     cross_section_cells(generic, variant, w, D)
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_packed_pairs_are_the_distinct_x_phi_pairs(self, ring, variant):
+        """The packed route enumerates each (x mod ell^D, phi(x) mod ell^D)
+        once: its pairs are distinct and are exactly those of the
+        element-level phi over every depth-X x cell."""
+        fam = kakeya_line_family(ring)
+        ell = ring.ell
+        D = 3 if ell == 2 else 2
+        X = max(D, phi_input_depth(variant, D, ell))
+        x_res, y_res = measure._pairs(ring, variant, D, X)
+        keys = x_res * ell ** D + y_res
+        assert (np.diff(keys) > 0).all()
+        want = set()
+        for xc in range(ell ** X):
+            x = vector(element_from_cell(ring, xc, X, X))
+            y = phi_for_family(fam, variant, x, D)
+            want.add((cell_index(x[0], D), cell_index(y[0], D)))
+        assert set(zip(x_res.tolist(), y_res.tolist())) == want
+        dirs, _ = measure._hits(fam, variant, D, X)
+        assert np.array_equal(dirs, x_res)
+
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    @pytest.mark.parametrize("ring", (F2, Z2, F3, Z7), ids=str)
+    def test_x_cells_subset_merged_by_dedup(self, make, ring):
+        """x cells of one direction class, all at depth X > D: the packed
+        route merges those sharing phi mod ell^D, and still builds the
+        element route's set."""
+        fam = make(ring)
+        generic = dataclasses.replace(fam, cells_eval=None)
+        ell = ring.ell
+        D = 3 if ell == 2 else 2
+        X = max(D, phi_input_depth(SAW, D, ell))
+        assert X > D
+        cells = [1 + k * ell ** D for k in range(ell ** (X - D))]
+        dirs, _ = measure._hits(fam, SAW, D, X, cells)
+        assert 1 <= len(dirs) < len(cells)
+        assert build_set_cells(fam, SAW, D, x_cells=cells) == \
+            build_set_cells(generic, SAW, D, x_cells=cells)
 
     def test_diagnostic_single_direction(self):
         fam = kakeya_line_family(F2)
@@ -242,6 +294,21 @@ class TestBudget:
             build_set_cells(fam, SAW, 3, budget_pairs=10)
         X = max(3, phi_input_depth(SAW, 3, 2))
         assert ei.value.pairs_needed == 2 ** X * 2 ** 3
+
+    def test_int64_headroom_checked_before_any_array(self):
+        """ell^(2D) >= 2^63 would wrap the packed codes; with budgets that
+        let it through, every entry point refuses before allocating (an
+        ell^(2D) bitmap here would be about 2^67 bytes)."""
+        fam = kakeya_line_family(Z7)
+        big = dict(budget_cells=2 ** 80, budget_pairs=2 ** 80)
+        w = vector(one(Z7, 12))
+        for call in (lambda: build_set_cells(fam, SAW, 12, **big),
+                     lambda: cross_section_cells(fam, SAW, w, 12, **big),
+                     lambda: direction_coverage(fam, SAW, 12, **big),
+                     lambda: decay_report(fam, SAW, 11, 12, **big)):
+            with pytest.raises(BadDepth, match=r"2\^63"):
+                call()
+        measure._check_headroom(7, 11)  # 7^22 < 2^63
 
     def test_decay_report_fails_fast(self):
         fam = kakeya_line_family(F3)

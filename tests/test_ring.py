@@ -108,6 +108,11 @@ class TestArithmetic:
         prod = mul(z, from_int(3, Z2, 7))
         assert prod.is_zero and prod.depth == 5
 
+    def test_zero_mul_depth_may_be_nonpositive(self):
+        # v(zero) >= 1 and v(t^-5) = -5 fix the product only below degree -4
+        prod = mul(zero(Z2, 1), element_from_digits([1], -5, Z2, 1))
+        assert prod.is_zero and prod.depth == -4
+
     @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3), ids=str)
     def test_neg_is_additive_inverse_exhaustive(self, ring):
         for code in range(ring.ell ** 4):
@@ -354,8 +359,7 @@ def _oracle(ring, op, a, b):
         low = la + lb
         W = min(la + len(da) + eff(lb, db), lb + len(db) + eff(la, da))
         pa, pb = da, db
-        if not any(da) or not any(db):  # mul keeps a zero's depth >= 1
-            W = max(W, 1)
+        if not any(da) or not any(db):
             return W, low, [0] * max(W - low, 0)
     n = W - low
     if ring.mode is RingMode.PADIC:
