@@ -5,13 +5,22 @@ The values written here are oracle outputs (exhaustive enumerations and
 direct integer scans), frozen on first run; the test suite replays the same
 computations and demands bit-identical results.  Rerun only when a deliberate
 behaviour change invalidates them, and commit the diff.
+
+    python scripts/freeze_fixtures.py           # rewrite tests/fixtures/
+    python scripts/freeze_fixtures.py --check   # compare, write nothing there
+
+``--check`` regenerates every fixture into a temporary directory, compares
+each byte for byte with tests/fixtures/, names every file that differs or
+exists on one side only, and exits 1 if there is any such file, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -43,32 +52,32 @@ DECAY_TABLES = (
 )
 
 
-def freeze_decay():
+def freeze_decay(out: pathlib.Path):
     for ring, dmin, dmax, suffix in DECAY_TABLES:
         fam = kakeya_line_family(ring)
         for variant in (PhiVariant.SAWYER, PhiVariant.DH):
             name = f"decay_kakeya_{variant.value}_{suffix}.csv"
             t0 = time.perf_counter()
             rep = decay_report(fam, variant, dmin, dmax)
-            (FIXTURES / name).write_text(strip_timing(decay_csv(rep), "csv"))
+            (out / name).write_text(strip_timing(decay_csv(rep), "csv"))
             print(f"{name}: {time.perf_counter() - t0:.1f}s")
 
 
-def freeze_lemma_minimal_n():
-    out = {}
+def freeze_lemma_minimal_n(out: pathlib.Path):
+    doc = {}
     for ell in (2, 3):
         table = {}
         for A in range(9):
             for B in range(9):
                 rep = certify_lemma_bounds(A, B, 10 ** 6, ell)
                 table[f"{A},{B}"] = rep.minimal_n
-        out[str(ell)] = table
-    path = FIXTURES / "lemma_minimal_n.json"
-    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        doc[str(ell)] = table
+    path = out / "lemma_minimal_n.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{path.name}: {2 * 81} scans frozen")
 
 
-def freeze_dh_carry_counterexample():
+def freeze_dh_carry_counterexample(out: pathlib.Path):
     z2 = padic_ring(2)
     for a in range(2 ** 6):
         for b in range(2 ** 6):
@@ -86,14 +95,14 @@ def freeze_dh_carry_counterexample():
                     "map_of_sum": format_element(lhs),
                     "sum_of_maps": format_element(rhs),
                 }
-                path = FIXTURES / "dh_carry_counterexample.json"
+                path = out / "dh_carry_counterexample.json"
                 path.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{path.name}: first failing pair ({a}, {b})")
                 return
     raise SystemExit("no counterexample found; additivity unexpectedly holds")
 
 
-def freeze_diff_example():
+def freeze_diff_example(out: pathlib.Path):
     scan = vsd_counterexample_scan(2, 10 ** 4, Fraction(1, 10))
     doc = {
         "p": 2,
@@ -102,15 +111,41 @@ def freeze_diff_example():
         "crossover": scan.crossover,
         "final_strict_margin": scan.final_strict_margin,
     }
-    path = FIXTURES / "diff_example.json"
+    path = out / "diff_example.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{path.name}: crossover {scan.crossover}, "
           f"final strict margin {scan.final_strict_margin}")
 
 
+def freeze(out: pathlib.Path):
+    out.mkdir(parents=True, exist_ok=True)
+    freeze_decay(out)
+    freeze_lemma_minimal_n(out)
+    freeze_dh_carry_counterexample(out)
+    freeze_diff_example(out)
+
+
+def check() -> int:
+    """Regenerate into a temporary directory and compare with FIXTURES."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = pathlib.Path(tmp)
+        freeze(fresh)
+        names = sorted({p.name for p in fresh.iterdir()}
+                       | {p.name for p in FIXTURES.iterdir()})
+        differ = [n for n in names
+                  if not (fresh / n).is_file() or not (FIXTURES / n).is_file()
+                  or (fresh / n).read_bytes() != (FIXTURES / n).read_bytes()]
+    for n in differ:
+        print(f"differs: {n}")
+    print(f"{len(names) - len(differ)} of {len(names)} fixtures identical")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    freeze_decay()
-    freeze_lemma_minimal_n()
-    freeze_dh_carry_counterexample()
-    freeze_diff_example()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tests/fixtures/ instead of "
+                             "rewriting it; exit 1 on any difference")
+    if parser.parse_args().check:
+        sys.exit(check())
+    freeze(FIXTURES)

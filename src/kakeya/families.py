@@ -33,8 +33,7 @@ from .ring import (
     neg,
     one,
     reduce_to_R,
-    residue_mul,
-    residue_sub,
+    residue_mul_sub,
     sub,
     truncate,
     vector,
@@ -51,8 +50,12 @@ class FamilyDescriptor:
     full rank; where it does not, the callable raises RankDeficient.
 
     ``cells_eval``, when present, evaluates the same map on packed depth-D
-    residue codes (scalars or numpy arrays) and exists purely to accelerate
-    exhaustive enumeration; the measure tests pin it to ``eval``.
+    residue codes and exists purely to accelerate exhaustive enumeration;
+    the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
+    y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
+    ``z_codes``, a function from a 1-D array of w codes to the
+    (len(w), len(pairs)) array of z codes; per-pair work that does not
+    depend on w is done once, in the call that prepares ``z_codes``.
     """
 
     name: str
@@ -122,8 +125,8 @@ def kakeya_line_family(ring: RingSpec) -> FamilyDescriptor:
     def f_dfdy(x, y, w, depth):
         return ElementMatrix(((neg(one(ring, depth)),),))
 
-    def f_cells(rg, D, x_res, y_res, w_res):
-        return residue_sub(rg, D, residue_mul(rg, D, x_res, w_res), y_res)
+    def f_cells(rg, D, x_res, y_res):
+        return residue_mul_sub(rg, D, x_res, y_res)
 
     return FamilyDescriptor(
         name="kakeya", ring=ring, p_dim=1, q_dim=1, d_dim=1, n_dim=2,
@@ -151,8 +154,8 @@ def nikodym_line_family(ring: RingSpec) -> FamilyDescriptor:
             raise RankDeficient("nikodym family: dF/dy = w is zero at w = 0")
         return ElementMatrix(((invert_element(w[0]),),))
 
-    def f_cells(rg, D, x_res, y_res, w_res):
-        return residue_sub(rg, D, residue_mul(rg, D, y_res, w_res), x_res)
+    def f_cells(rg, D, x_res, y_res):
+        return residue_mul_sub(rg, D, y_res, x_res)
 
     return FamilyDescriptor(
         name="nikodym", ring=ring, p_dim=1, q_dim=1, d_dim=1, n_dim=2,

@@ -19,9 +19,10 @@ carry a packed-residue fast path evaluated with numpy; families without one
 fall back to element-level evaluation.  Both routes are exact and the tests
 require them to produce identical cell sets, cross-sections and coverage
 reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
-(x mod ell^D, phi(x) mod ell^D), so the packed route evaluates each distinct
-pair once per w, not each depth-X x cell, and takes the w cells in blocks;
-the element route keeps one entry per x as the independent oracle.
+(x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
+pairs once per enumeration and evaluates each of them once per w, not each
+depth-X x cell, taking the w cells in blocks; the element route keeps one
+entry per x as the independent oracle.
 """
 
 from __future__ import annotations
@@ -157,9 +158,10 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     the order of ``dirs``.  Families with ``cells_eval`` and p = q = d = 1
     take the packed-residue route: one phi table, deduplicated to the
     distinct pairs (x mod ell^D, phi(x) mod ell^D), so there is one entry
-    per distinct pair, and ``cells_eval`` broadcast over the w block.  All
-    others take the element route, with one entry per x: each x and phi(x)
-    built once, then ``eval`` per x and w.
+    per distinct pair, and one ``cells_eval`` call that prepares the pairs
+    and returns ``z_codes`` itself.  All others take the element route,
+    with one entry per x: each x and phi(x) built once, then ``eval`` per x
+    and w.
     """
     ell = fam.ring.ell
     _check_headroom(ell, D)
@@ -172,8 +174,7 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
                                         D, X)
             codes = np.asarray(sorted(x_cells), dtype=np.int64)
             x_res, y_res = _distinct_pairs(ell ** D, codes, tab[codes])
-        return x_res, lambda wcs: fam.cells_eval(fam.ring, D, x_res, y_res,
-                                                 wcs[:, None])
+        return x_res, fam.cells_eval(fam.ring, D, x_res, y_res)
 
     n_x = ell ** (fam.p_dim * X)
     codes = range(n_x) if x_cells is None else sorted(x_cells)
@@ -201,9 +202,10 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     in R^d at depth D.  ``x_cells`` restricts the x enumeration to the given
     depth-X combined codes (diagnostic use); ``input_depth`` overrides X
     (used by the input-depth sufficiency re-check).  The packed route
-    evaluates each distinct pair (x mod ell^D, phi(x) mod ell^D) once per w
-    and takes the w cells in blocks; the pair budget still counts x cells
-    times w cells.
+    prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once and
+    evaluates each once per w, in blocks of w cells that bound the
+    evaluation temporaries; the pair budget still counts x cells times w
+    cells.
     """
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
@@ -217,7 +219,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     dirs, z_codes = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (nd * D)
     bits = np.zeros(total_cells, dtype=bool)
-    # fq at ell >= 3 unpacks D digits per code inside cells_eval
+    # fq at ell >= 3 evaluates D digits per pair inside z_codes
     digits = D if fam.ring.mode is RingMode.POWER_SERIES and ell > 2 else 1
     step = max(1, W_BLOCK_EVALS // max(len(dirs) * digits, 1))
     for w0 in range(0, n_w, step):

@@ -45,7 +45,6 @@ from .ring import (
     reduce_to_R,
     residue_add,
     residue_mul,
-    residue_shift_down,
     truncate,
     zero,
 )
@@ -393,6 +392,12 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarra
     the packed depth-D_out code of phi(representative of c).  Scalar case
     only (p = q = 1).  Exactness is the same cutoff argument as phi_eval;
     agreement with it is pinned by tests.
+
+    Every member r_k it reads lies in block Omega_1, whose S_1 values have
+    lambda(1) = 0: they are R-elements on degrees [0, 1], and their S_1
+    index is their cell code.  Leaving Omega_1 takes K >= |Omega_1| =
+    ell^(2 ell) >= 16 and so an input depth of at least alpha(17) = 153,
+    a table of ell^153 cells that no int64 array can index.
     """
     if cfg.p_dim != 1 or cfg.q_dim != 1:
         raise ValueError("residue table is scalar-only (p = q = 1)")
@@ -405,16 +410,13 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarra
     acc = np.zeros_like(codes)
     for k in range(K + 1):
         r = decode_matrix_fn(k, cfg)
-        kb = r.k_block
-        lam = lambda_floor(kb, ell)
-        # An S_k index is its value shifted up by lam: a nonnegative code.
-        shifted = [r.value_index(0, 0, cell) for cell in range(ell ** kb)]
-        rv = np.asarray(shifted, dtype=np.int64)[codes % ell ** kb]
+        values = np.asarray([r.value_index(0, 0, cell) for cell in range(ell)],
+                            dtype=np.int64)
         lo, hi = alpha(k), alpha(k + 1)
         pk = codes % ell ** hi - codes % ell ** lo
-        prod = residue_mul(cfg.ring, D_out + lam, rv, pk)
-        acc = residue_add(cfg.ring, D_out,
-                          acc, residue_shift_down(cfg.ring, lam, prod))
+        # column c of the (-1, ell) view holds the codes of depth-1 cell c
+        prod = residue_mul(cfg.ring, D_out, pk.reshape(-1, ell), values)
+        acc = residue_add(cfg.ring, D_out, acc, prod.reshape(-1))
     return acc
 
 

@@ -579,7 +579,7 @@ def _unpack_digits(ring: RingSpec, a, D: int) -> np.ndarray:
 
 def _pack_digits(ring: RingSpec, digits: np.ndarray) -> np.ndarray:
     pows = ring.ell ** np.arange(digits.shape[-1], dtype=np.int64)
-    return (digits * pows).sum(axis=-1)
+    return digits @ pows
 
 
 def _int_if_scalar(result, *operands):
@@ -620,7 +620,8 @@ def residue_sub(ring: RingSpec, D: int, a, b):
 def residue_mul(ring: RingSpec, D: int, a, b):
     """Depth-D product of packed codes.
 
-    POWER_SERIES is a truncated carry-free convolution; ell = 2 uses shift/xor.
+    POWER_SERIES is a truncated carry-free convolution; ell = 2 uses
+    shift/xor, ell >= 3 a matmul by ``_toeplitz(b)``: pass the smaller as b.
     """
     if ring.mode is RingMode.PADIC:
         return (a * b) % ring.ell ** D
@@ -631,15 +632,44 @@ def residue_mul(ring: RingSpec, D: int, a, b):
         for i in range(D):
             acc ^= ((aa >> i) & 1) * ((bb << i) & mask)
         return _int_if_scalar(acc, a, b)
-    da = _unpack_digits(ring, a, D)
+    da = _unpack_digits(ring, a, D)[..., None, :]
+    prod = np.matmul(da, _toeplitz(ring, D, b))[..., 0, :]
+    return _int_if_scalar(_pack_digits(ring, prod % ring.ell), a, b)
+
+
+def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
+    """Digit convolution matrices of the codes ``b``, shape b.shape + (D, D).
+
+    Row i holds b's digits moved up i places, so ``digits(a) @ T`` is the
+    truncated carry-free product a*b digit by digit, before the mod ell."""
     db = _unpack_digits(ring, b, D)
-    shape = np.broadcast_shapes(da.shape, db.shape)
-    out = np.zeros(shape, dtype=np.int64)
-    da = np.broadcast_to(da, shape)
-    db = np.broadcast_to(db, shape)
+    T = np.zeros(db.shape + (D,), dtype=np.int64)
     for i in range(D):
-        out[..., i:] += da[..., i:i + 1] * db[..., :D - i]
-    return _int_if_scalar(_pack_digits(ring, out % ring.ell), a, b)
+        T[..., i, i:] = db[..., :D - i]
+    return T
+
+
+def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
+    """Prepare w -> a*w - c for the 1-D code arrays ``a`` and ``c``.
+
+    Returns a function from a 1-D array of w codes to the (len(w), len(a))
+    depth-D codes of a*w - c.  POWER_SERIES at ell >= 3 unpacks the distinct
+    a codes and c once; per w block it does one integer matmul.
+    """
+    if ring.mode is RingMode.PADIC or ring.ell == 2:
+        return lambda w: residue_sub(
+            ring, D, residue_mul(ring, D, a, w[:, None]), c)
+    a_codes, inverse = np.unique(a, return_inverse=True)
+    da = _unpack_digits(ring, a_codes, D)
+    dc = _unpack_digits(ring, c, D)
+
+    def z_codes(w: np.ndarray) -> np.ndarray:
+        z = np.matmul(da, _toeplitz(ring, D, w)).take(inverse, axis=1)
+        z -= dc
+        z %= ring.ell
+        return _pack_digits(ring, z)
+
+    return z_codes
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -34,7 +34,7 @@ from kakeya.phi import (
 )
 from kakeya.ring import cell_index, element_from_cell, neg, one, vector, zero
 
-from conftest import ALL_RINGS, F2, F3, Z2, Z3, Z7
+from conftest import ALL_RINGS, F2, F3, F5, Z2, Z3, Z5, Z7
 
 SAW, DH = PhiVariant.SAWYER, PhiVariant.DH
 
@@ -65,13 +65,17 @@ class TestBuildSetCells:
         assert cs.estimate() == Fraction(3, 4)
 
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
-    @pytest.mark.parametrize("ring", (F2, Z2), ids=str)
+    @pytest.mark.parametrize("ring", (F2, Z2, F3, Z3, F5, Z5), ids=str)
     def test_matches_brute_force_oracle(self, ring, variant):
         fam = kakeya_line_family(ring)
-        for D in (1, 2, 3):
+        ell = ring.ell
+        # the deepest D whose brute force stays within about 2 s
+        D_max = {2: 3, 3: 3 if variant is SAW else 4,
+                 5: 3 if variant is SAW else 2}[ell]
+        for D in range(1, D_max + 1):
             cs = build_set_cells(fam, variant, D)
             want = brute_force_cells(fam, variant, D)
-            got = {(w, z) for w in range(2 ** D) for z in range(2 ** D)
+            got = {(w, z) for w in range(ell ** D) for z in range(ell ** D)
                    if cs.contains(w, z)}
             assert got == want
 

@@ -46,7 +46,7 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import F2, F3, Z2, Z3, elements
+from conftest import ALL_RINGS, F2, F3, F5, F7, Z2, Z3, Z5, Z7, elements
 
 CFG_F2 = PhiConfig(F2)
 CFG_Z2 = PhiConfig(Z2)
@@ -415,6 +415,40 @@ class TestResidueTables:
         for code in range(3 ** X):
             e = phi_eval(cell_vec(ring, code, X), cfg, D)[0]
             assert tab[code] == cell_index(e, D)
+
+    @pytest.mark.parametrize("ring", (F5, Z5, F7, Z7), ids=str)
+    @pytest.mark.parametrize("D", (2, 3, 4))
+    def test_phi_table_matches_evaluator_ell5_7(self, ring, D):
+        """ell >= 5: every input cell while the table is small, about 1,000
+        of them at D = 4 (the first table with K = 2, ell^6 cells)."""
+        ell = ring.ell
+        cfg = PhiConfig(ring)
+        X = max(D, required_phi_input_depth(D, ell))
+        tab = phi_residue_table(cfg, D, X)
+        step = 1 + ell ** X // 1024
+        for code in range(0, ell ** X, step):
+            e = phi_eval(cell_vec(ring, code, X), cfg, D)[0]
+            assert tab[code] == cell_index(e, D)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_table_reads_only_block_one(self, ring):
+        """phi_residue_table takes each S_1 index as a cell code (lambda(1)
+        = 0).  At the deepest packed depth every member up to the cutoff
+        lies in Omega_1, and a cutoff past Omega_1 needs 153 input digits."""
+        ell = ring.ell
+        cfg = PhiConfig(ring)
+        D = max(d for d in range(1, 64) if ell ** (2 * d) < 2 ** 63)
+        assert decode_matrix_fn(tail_cutoff(D, ell), cfg).k_block == 1
+        first_outside = omega_block_size(1, ell, 1, 1)
+        assert first_outside >= 16
+        assert decode_matrix_fn(first_outside - 1, cfg).k_block == 1
+        assert decode_matrix_fn(first_outside, cfg).k_block == 2
+        # a cutoff K >= first_outside means an input depth alpha(K + 1)
+        assert alpha(first_outside + 1) >= alpha(17) == 153
+        if ell == 2:
+            D_out = summand_valuation_floor(first_outside, ell) + 1
+            assert tail_cutoff(D_out, ell) == first_outside
+            assert required_phi_input_depth(D_out, ell) == 153
 
     @pytest.mark.parametrize("ring", (F2, Z2, F3), ids=str)
     def test_dh_table_matches_evaluator(self, ring):

@@ -38,6 +38,7 @@ from kakeya.ring import (
     reduce_to_R,
     residue_add,
     residue_mul,
+    residue_mul_sub,
     residue_neg,
     residue_sub,
     sub,
@@ -338,6 +339,55 @@ class TestResidueLayer:
             for i in range(0, m, 7):
                 assert vm[i] == residue_mul(ring, D, int(a[i]), b)
                 assert va[i] == residue_add(ring, D, int(a[i]), b)
+
+    @staticmethod
+    def _check_mul_sub(ring, D, a, c, w):
+        """residue_mul_sub against residue_sub(residue_mul(...)), against
+        one-element w blocks, and against Element sub(mul(...))."""
+        z_codes = residue_mul_sub(ring, D, a, c)
+        got = z_codes(w)
+        assert got.shape == (len(w), len(a))
+        assert np.array_equal(
+            got, residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c))
+        for i, wc in enumerate(w.tolist()):
+            assert np.array_equal(z_codes(w[i:i + 1]), got[i:i + 1])
+            ew = element_from_cell(ring, wc, D)
+            for j, (ac, cc) in enumerate(zip(a.tolist(), c.tolist())):
+                want = sub(mul(element_from_cell(ring, ac, D), ew),
+                           element_from_cell(ring, cc, D))
+                assert got[i, j] == cell_index(want, D)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    @pytest.mark.parametrize("D", (1, 3))
+    def test_mul_sub_matches_residue_ops_and_elements(self, ring, D):
+        m = ring.ell ** D
+        rnd = random.Random(10 * ring.ell + D)
+        a = [rnd.randrange(m) for _ in range(12)]
+        a = np.asarray(a + a[:5] + [0, m - 1, 0], dtype=np.int64)  # repeats
+        assert len(np.unique(a)) < len(a)
+        c = np.asarray([rnd.randrange(m) for _ in a], dtype=np.int64)
+        w = np.asarray([0, 1, m - 1] + [rnd.randrange(m) for _ in range(4)],
+                       dtype=np.int64)
+        self._check_mul_sub(ring, D, a, c, w)
+
+    def test_mul_sub_deep_fq3(self):
+        """No lane-width limit: fq:3 at D = 19, the deepest depth whose
+        pair codes fit int64 (3^19 > 2^30)."""
+        D = 19
+        assert 3 ** (2 * D) < 2 ** 63 <= 3 ** (2 * D + 2)
+        m = 3 ** D
+        rnd = random.Random(D)
+        a = [rnd.randrange(m) for _ in range(5)]
+        a = np.asarray(a + a[:2] + [m - 1], dtype=np.int64)
+        c = np.asarray([rnd.randrange(m) for _ in a], dtype=np.int64)
+        w = np.asarray([0, m - 1, rnd.randrange(m)], dtype=np.int64)
+        self._check_mul_sub(F3, D, a, c, w)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_mul_sub_empty_pairs(self, ring):
+        empty = np.zeros(0, dtype=np.int64)
+        z_codes = residue_mul_sub(ring, 3, empty, empty)
+        assert z_codes(np.arange(4, dtype=np.int64)).shape == (4, 0)
 
 
 def _oracle(ring, op, a, b):
