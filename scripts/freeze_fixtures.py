@@ -42,13 +42,16 @@ from kakeya.ring import (
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 
-# (ring, first D, last D, file suffix) of each frozen decay table; the
-# deep tables stop at the deepest D whose build stays well inside a minute.
+# (ring, first D, last D, file suffix) of each frozen decay table.  The
+# D = 11..12 and D = 13 tables were first frozen by the full ell^(2D) bitmap
+# build, before pair deduplication and streamed counts respectively.
 DECAY_TABLES = (
     (power_series_ring(2), 2, 10, "fq2"),
     (padic_ring(2), 2, 10, "zp2"),
     (power_series_ring(2), 11, 12, "fq2_deep"),
     (padic_ring(2), 11, 12, "zp2_deep"),
+    (power_series_ring(2), 13, 13, "fq2_d13"),
+    (padic_ring(2), 13, 13, "zp2_d13"),
 )
 
 

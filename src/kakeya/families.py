@@ -53,9 +53,11 @@ class FamilyDescriptor:
     residue codes and exists purely to accelerate exhaustive enumeration;
     the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
-    ``z_codes``, a function from a 1-D array of w codes to the
-    (len(w), len(pairs)) array of z codes; per-pair work that does not
-    depend on w is done once, in the call that prepares ``z_codes``.
+    ``(z_codes, walk)``: ``z_codes`` is a function from a 1-D array of w
+    codes to the (len(w), len(pairs)) array of z codes, and ``walk()``
+    yields (w codes, z rows) over every depth-D w cell once (see
+    :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
+    depend on w is done once, in the call that prepares them.
     """
 
     name: str

@@ -1,28 +1,35 @@
 """Finite-depth covering-measure estimation of constructed sets.
 
-Everything here is exhaustive and exact: a set is materialized as the full
-collection of depth-D residue cells it touches, never sampled.  The covering
+Everything here is exhaustive and exact: every depth-D residue cell a set
+touches is enumerated, never sampled.  The covering
 estimate (hit cells / total cells) is therefore a true upper bound for the
 measure of the set inside the unit window R^d x R^(n-d), and refining D can
 only shrink it.  Decay of the estimate with D is the desk-scale shadow of
 the measure-zero property; the decay tables are frozen as regression
 fixtures, not asserted against a rate.
 
-Enumeration cost is governed by an explicit budget (cells stored and (x, w)
-pairs visited); exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
-with the exact counts.
+Enumeration cost is governed by an explicit budget, checked before any
+array is built; exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
+with the exact counts.  Cells count what is stored (a :class:`CellSet`'s
+bitmap, or the one w column a decay row reuses), pairs what is evaluated
+(:func:`_pair_bound` entries per w cell).
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
-build and the cross-sections consume; the direction-coverage audit reads
-only its direction cells.  It has two routes: the built-in line families
-carry a packed-residue fast path evaluated with numpy; families without one
-fall back to element-level evaluation.  Both routes are exact and the tests
-require them to produce identical cell sets, cross-sections and coverage
-reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
-(x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
-pairs once per enumeration and evaluates each of them once per w, not each
-depth-X x cell, taking the w cells in blocks; the element route keeps one
-entry per x as the independent oracle.
+build, the decay counts and the cross-sections consume; the
+direction-coverage audit reads only its direction cells.  It has two
+routes: the built-in line families carry a packed-residue fast path
+evaluated with numpy; families without one fall back to element-level
+evaluation.  Both routes are exact and the tests require them to produce
+identical cell sets, cross-sections and coverage reports.  The z-cell of
+f(x, phi(x), w) depends on x only through the pair (x mod ell^D,
+phi(x) mod ell^D), so the packed route prepares the distinct pairs once
+per enumeration and evaluates each of them once per w; the element route
+keeps one entry per x as the independent oracle.  Both routes walk every
+w cell exactly once: the packed walk steps z incrementally per w (zp, and
+fq at ell = 2) or takes w blocks (fq at ell >= 3), the element route takes
+blocks.  The hit-set build sets each step's cells in its bitmap;
+:func:`decay_report` needs only counts, so it counts each step in one
+reused column bitmap and never holds the ell^(2D) set.
 """
 
 from __future__ import annotations
@@ -35,16 +42,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDepth, BudgetExceeded, InvariantViolated
+from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, RingMode, cell_index, element_from_cell
+from .ring import ElementVector, _w_blocks, cell_index, element_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
-# Pair evaluations per block of the w loop: bounds the temporaries of one
-# ``z_codes`` call to about this many elements.
-W_BLOCK_EVALS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,12 @@ class CellSet:
         return Fraction(self.hit_count, self.total_cells)
 
     def contains(self, w_code: int, z_code: int) -> bool:
-        return bool(self.bits[w_code * self.ell ** (self.z_dim * self.depth)
-                              + z_code])
+        n_w = self.ell ** (self.w_dim * self.depth)
+        n_z = self.ell ** (self.z_dim * self.depth)
+        if not (0 <= w_code < n_w and 0 <= z_code < n_z):
+            raise BadIndex(f"cell ({w_code}, {z_code}) outside "
+                           f"[0, {n_w}) x [0, {n_z})")
+        return bool(self.bits[w_code * n_z + z_code])
 
     def __eq__(self, other):
         if not isinstance(other, CellSet):
@@ -121,17 +129,47 @@ def _vector_cell_code(v: ElementVector, D: int) -> int:
     return code
 
 
+def _packed(fam: FamilyDescriptor) -> bool:
+    return (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
+            and fam.d_dim == 1)
+
+
+def _pair_bound(fam: FamilyDescriptor, variant: PhiVariant, D: int,
+                n_x: int) -> int:
+    """Entries evaluated per w cell: the ``n_x`` x cells on the element
+    route; on the packed route at most the distinct pairs, ell^D for sawyer
+    (see :func:`_pairs`) and ell^(D+1) for dh."""
+    if not _packed(fam):
+        return n_x
+    extra = 0 if variant is PhiVariant.SAWYER else 1
+    return min(n_x, fam.ring.ell ** (D + extra))
+
+
 @functools.lru_cache(maxsize=4)
 def _pairs(ring, variant: PhiVariant, D: int, X: int):
-    """The distinct pairs of every depth-X x cell, kept for reuse.
+    """The sorted distinct pairs (x mod ell^D, phi(x) mod ell^D) of every
+    depth-X x cell, kept for reuse.
 
-    Only the pairs are kept, never the ell^X phi table; the table is built
-    through the module-level ``variant_residue_table`` on each miss."""
+    At the default sawyer X, phi(x) mod ell^D is a function of x mod ell^D
+    (see :func:`~kakeya.phi.phi_residue_table`), so the table is built on
+    the ell^D codes alone and the pairs are (arange(ell^D), table): sorted
+    and distinct.  dh (whose X = D + 1 table is already minimal) and an
+    overridden X (the input-depth re-check, which must stay an independent
+    route) deduplicate the full ell^X table.  Only the pairs are kept;
+    tables are built through the module-level ``variant_residue_table``."""
+    m = ring.ell ** D
+    cfg = PhiConfig(ring, 1, 1)
+    if variant is PhiVariant.SAWYER and X == _input_depth(variant, D,
+                                                            ring.ell):
+        y_res = variant_residue_table(variant, cfg, D, X, cells=m)
+        x_res = np.arange(m, dtype=np.int64)
+        x_res.setflags(write=False)
+        y_res.setflags(write=False)
+        return x_res, y_res
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
-    tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X)
-    return _distinct_pairs(ring.ell ** D,
-                           np.arange(ring.ell ** X, dtype=np.int64), tab)
+    tab = variant_residue_table(variant, cfg, D, X)
+    return _distinct_pairs(m, np.arange(ring.ell ** X, dtype=np.int64), tab)
 
 
 def _distinct_pairs(mod: int, x: np.ndarray, y: np.ndarray):
@@ -152,21 +190,21 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
 
     Covers every depth-X x cell, or the given combined codes ``x_cells``.
-    Returns ``(dirs, z_codes)``.  ``dirs`` holds the depth-D direction cell
-    of each enumerated entry, and ``z_codes`` maps a 1-D array of depth-D w
-    cell codes to one row per w of the entries' depth-D z-cell codes, in
-    the order of ``dirs``.  Families with ``cells_eval`` and p = q = d = 1
-    take the packed-residue route: one phi table, deduplicated to the
-    distinct pairs (x mod ell^D, phi(x) mod ell^D), so there is one entry
-    per distinct pair, and one ``cells_eval`` call that prepares the pairs
-    and returns ``z_codes`` itself.  All others take the element route,
-    with one entry per x: each x and phi(x) built once, then ``eval`` per x
-    and w.
+    Returns ``(dirs, (z_codes, walk))``.  ``dirs`` holds the depth-D
+    direction cell of each enumerated entry.  ``z_codes`` maps a 1-D array
+    of depth-D w cell codes to one row per w of the entries' depth-D z-cell
+    codes, in the order of ``dirs``; ``walk()`` yields (w codes, z rows) in
+    that layout over every w cell once, and may overwrite a step's rows at
+    the next.  Families with ``cells_eval`` and p = q = d = 1 take the
+    packed-residue route: one phi table, reduced to the distinct pairs
+    (x mod ell^D, phi(x) mod ell^D), and one ``cells_eval`` call that
+    prepares them and returns both functions.  All others take the element
+    route, with one entry per x: each x and phi(x) built once, then ``eval``
+    per x and w, walked in blocks of w cells.
     """
     ell = fam.ring.ell
     _check_headroom(ell, D)
-    if (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
-            and fam.d_dim == 1):
+    if _packed(fam):
         if x_cells is None:
             x_res, y_res = _pairs(fam.ring, variant, D, X)
         else:
@@ -188,7 +226,8 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
                           dtype=np.int64).reshape(len(ws), len(xs))
 
     dirs = np.asarray([_vector_cell_code(x, D) for x in xs], dtype=np.int64)
-    return dirs, z_codes
+    n_w = ell ** (fam.d_dim * D)
+    return dirs, (z_codes, lambda: _w_blocks(z_codes, n_w, len(xs)))
 
 
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
@@ -202,10 +241,8 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     in R^d at depth D.  ``x_cells`` restricts the x enumeration to the given
     depth-X combined codes (diagnostic use); ``input_depth`` overrides X
     (used by the input-depth sufficiency re-check).  The packed route
-    prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once and
-    evaluates each once per w, in blocks of w cells that bound the
-    evaluation temporaries; the pair budget still counts x cells times w
-    cells.
+    prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
+    step of the enumeration's walk over the w cells sets its (w, z) cells.
     """
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
@@ -213,18 +250,14 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     nd = fam.out_dim
     total_cells = ell ** ((fam.d_dim + nd) * D)
     n_x = ell ** (fam.p_dim * X) if x_cells is None else len(x_cells)
-    n_w = ell ** (fam.d_dim * D)
-    _check_budget(total_cells, n_x * n_w, budget_cells, budget_pairs)
+    _check_budget(total_cells, _pair_bound(fam, phi_variant, D, n_x)
+                  * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
 
-    dirs, z_codes = _hits(fam, phi_variant, D, X, x_cells)
+    _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (nd * D)
     bits = np.zeros(total_cells, dtype=bool)
-    # fq at ell >= 3 evaluates D digits per pair inside z_codes
-    digits = D if fam.ring.mode is RingMode.POWER_SERIES and ell > 2 else 1
-    step = max(1, W_BLOCK_EVALS // max(len(dirs) * digits, 1))
-    for w0 in range(0, n_w, step):
-        wcs = np.arange(w0, min(w0 + step, n_w), dtype=np.int64)
-        bits[wcs[:, None] * zc + z_codes(wcs)] = True
+    for w, z in walk():
+        bits[w[:, None] * zc + z] = True
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=nd, bits=bits)
 
 
@@ -242,13 +275,15 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     X = _input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
-    _check_budget(total, ell ** (fam.p_dim * X), budget_cells, budget_pairs)
+    _check_budget(total, _pair_bound(fam, phi_variant, D,
+                                     ell ** (fam.p_dim * X)),
+                  budget_cells, budget_pairs)
 
     zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
     y0 = phi_for_family(fam, phi_variant, zero_x, D)
     fam.dfdy_right_inverse(zero_x, y0, w, D)  # rank probe; may raise
 
-    _, z_codes = _hits(fam, phi_variant, D, X)
+    _, (z_codes, _) = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
     bits[z_codes(np.asarray([_vector_cell_code(w, D)]))[0]] = True
     return CellSet(depth=D, ell=ell, w_dim=0, z_dim=nd, bits=bits)
@@ -280,36 +315,59 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                  D_min: int, D_max: int, *,
                  budget_cells: int = DEFAULT_CELL_BUDGET,
                  budget_pairs: int = DEFAULT_PAIR_BUDGET) -> DecayReport:
-    """One exact hit-set per depth in [D_min, D_max].
+    """The exact hit count of the depth-D set for each D in [D_min, D_max].
 
-    The refinement property (estimates non-increasing in D) is a theorem for
-    exact hit-sets, so it is checked here as an internal tripwire: a rise
-    raises :class:`~kakeya.errors.InvariantViolated`."""
+    Each depth is streamed by :func:`_count_hits`, never built as a
+    :class:`CellSet`, so memory is one ell^D column, not ell^(2D); the
+    budget of every depth is checked before any work.  The refinement
+    property (estimates non-increasing in D) is a theorem for exact
+    hit-sets, so it is checked here as an internal tripwire: a rise raises
+    :class:`~kakeya.errors.InvariantViolated`."""
     if D_min > D_max or D_min < 1:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
     ell = fam.ring.ell
     depths = {D: _input_depth(phi_variant, D, ell)
               for D in range(D_min, D_max + 1)}
     for D, X in depths.items():  # fail fast before any work
-        _check_budget(ell ** ((fam.d_dim + fam.out_dim) * D),
-                      ell ** (fam.p_dim * X + fam.d_dim * D),
-                      budget_cells, budget_pairs)
+        _check_budget(ell ** (fam.out_dim * D),
+                      _pair_bound(fam, phi_variant, D, ell ** (fam.p_dim * X))
+                      * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
         _check_headroom(ell, D)
     rows = []
     prev = None
     for D, X in depths.items():
         t0 = time.perf_counter()
-        cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
-                             budget_pairs=budget_pairs)
+        hits = _count_hits(fam, phi_variant, D, X)
         dt = time.perf_counter() - t0
-        est = cs.estimate()
+        total = ell ** ((fam.d_dim + fam.out_dim) * D)
+        est = Fraction(hits, total)
         if prev is not None and est > prev:
             raise InvariantViolated(
                 f"refinement violated: estimate rose from {prev} to {est} "
                 f"at depth {D}")
         prev = est
-        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, est, X, dt))
+        rows.append(DecayRow(D, hits, total, est, X, dt))
     return DecayReport(fam.name, phi_variant.value, str(fam.ring), tuple(rows))
+
+
+def _count_hits(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
+                X: int) -> int:
+    """Hit cells of the depth-D set: each walk step's z rows are set in a
+    reused buffer of one z column per w of the step, counted, cleared."""
+    _, (_, walk) = _hits(fam, phi_variant, D, X)
+    zc = fam.ring.ell ** (fam.out_dim * D)
+    seen = np.zeros(zc, dtype=bool)
+    hits = 0
+    for w, z in walk():
+        size = len(w) * zc
+        if size > zc:  # a block: one column per w
+            if seen.size < size:
+                seen = np.zeros(size, dtype=bool)
+            z = z + np.arange(0, size, zc, dtype=np.int64)[:, None]
+        seen[z] = True
+        hits += int(np.count_nonzero(seen[:size]))
+        seen[:size] = False
+    return hits
 
 
 def _decimal6(x: Fraction) -> str:
@@ -429,7 +487,8 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     X = _input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
-    _check_budget(n_dirs * n_w, ell ** (fam.p_dim * X) * n_w,
+    _check_budget(n_dirs * n_w, _pair_bound(fam, phi_variant, D,
+                                            ell ** (fam.p_dim * X)) * n_w,
                   budget_cells, budget_pairs)
     dirs, _ = _hits(fam, phi_variant, D, X)
     presence = np.zeros((n_dirs, n_w), dtype=bool)

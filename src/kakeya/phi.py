@@ -385,12 +385,14 @@ def phi_input_depth(variant: PhiVariant, D_out: int, ell: int) -> int:
     return D_out + 1
 
 
-def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarray:
-    """phi on every depth-``input_depth`` cell at once, as packed codes.
+def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int,
+                      cells: int | None = None) -> np.ndarray:
+    """phi on depth-``input_depth`` cells at once, as packed codes.
 
-    Returns an array of length ell^input_depth whose entry at cell code c is
-    the packed depth-D_out code of phi(representative of c).  Scalar case
-    only (p = q = 1).  Exactness is the same cutoff argument as phi_eval;
+    Returns an array whose entry at cell code c is the packed depth-D_out
+    code of phi(representative of c), for every c below ``cells`` (default:
+    all ell^input_depth cells; else a multiple of ell).  Scalar case only
+    (p = q = 1).  Exactness is the same cutoff argument as phi_eval;
     agreement with it is pinned by tests.
 
     Every member r_k it reads lies in block Omega_1, whose S_1 values have
@@ -398,6 +400,13 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarra
     index is their cell code.  Leaving Omega_1 takes K >= |Omega_1| =
     ell^(2 ell) >= 16 and so an input depth of at least alpha(17) = 153,
     a table of ell^153 cells that no int64 array can index.
+
+    So each summand is R-valued: the digits lo..hi-1 of x times r_k(x mod
+    ell), and its depth-D_out code reads only the digits of x below D_out.
+    phi(x) mod ell^D_out is therefore a function of x mod ell^D_out, and
+    ``cells = ell^D_out`` -- those codes taken as depth-``input_depth``
+    representatives -- is the whole table: entry c of the full table equals
+    entry c mod ell^D_out of this one.
     """
     if cfg.p_dim != 1 or cfg.q_dim != 1:
         raise ValueError("residue table is scalar-only (p = q = 1)")
@@ -406,7 +415,8 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int) -> np.ndarra
     need = alpha(K + 1)
     if input_depth < need:
         raise InsufficientDepth(need, input_depth, "phi residue table")
-    codes = np.arange(ell ** input_depth, dtype=np.int64)
+    codes = np.arange(ell ** input_depth if cells is None else cells,
+                      dtype=np.int64)
     acc = np.zeros_like(codes)
     for k in range(K + 1):
         r = decode_matrix_fn(k, cfg)
@@ -435,7 +445,12 @@ def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int) -> np.ndarray
 
 
 def variant_residue_table(variant: PhiVariant, cfg: PhiConfig,
-                          D_out: int, input_depth: int) -> np.ndarray:
+                          D_out: int, input_depth: int,
+                          cells: int | None = None) -> np.ndarray:
+    """The variant's phi table.  ``cells`` limits the sawyer table to the
+    codes below it (see :func:`phi_residue_table`); the dh table reads x
+    only below digit D_out + 1, its least input depth, and is always
+    built whole."""
     if variant is PhiVariant.SAWYER:
-        return phi_residue_table(cfg, D_out, input_depth)
+        return phi_residue_table(cfg, D_out, input_depth, cells)
     return dh_residue_table(cfg.ring, D_out, input_depth)

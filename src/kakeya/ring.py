@@ -649,16 +649,60 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
+# Pair evaluations per block of a blocked w walk: bounds the temporaries of
+# one ``z_codes`` call to about this many elements.
+W_BLOCK_EVALS = 2 ** 14
+
+
+def _w_blocks(z_codes, n_w: int, evals_per_w: int):
+    """Every w code below ``n_w`` once, as (w block, z_codes(w block)), in
+    blocks of about W_BLOCK_EVALS evaluations."""
+    step = max(1, W_BLOCK_EVALS // max(evals_per_w, 1))
+    for w0 in range(0, n_w, step):
+        w = np.arange(w0, min(w0 + step, n_w), dtype=np.int64)
+        yield w, z_codes(w)
+
+
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """Prepare w -> a*w - c for the 1-D code arrays ``a`` and ``c``.
 
-    Returns a function from a 1-D array of w codes to the (len(w), len(a))
-    depth-D codes of a*w - c.  POWER_SERIES at ell >= 3 unpacks the distinct
-    a codes and c once; per w block it does one integer matmul.
+    Returns ``(z_codes, walk)``.  ``z_codes`` maps a 1-D array of w codes
+    to the (len(w), len(a)) depth-D codes of a*w - c.  ``walk()`` visits
+    every depth-D w code exactly once and yields (w codes, z rows) in the
+    same layout; a step's rows may be overwritten by the next step.
+
+    * PADIC steps w by 1: z += a mod ell^D, one w per step.
+    * POWER_SERIES at ell = 2 walks w in Gray order k ^ (k >> 1): step k
+      flips bit i = ctz(k) of w, so z ^= (a << i) & mask, one w per step.
+    * POWER_SERIES at ell >= 3 unpacks the distinct a codes and c once;
+      ``z_codes`` does one integer matmul per w block, and the walk yields
+      blocks of ``z_codes``.
     """
+    m = ring.ell ** D
     if ring.mode is RingMode.PADIC or ring.ell == 2:
-        return lambda w: residue_sub(
-            ring, D, residue_mul(ring, D, a, w[:, None]), c)
+        def z_codes(w: np.ndarray) -> np.ndarray:
+            return residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c)
+
+        def walk():
+            fq = ring.mode is RingMode.POWER_SERIES
+            order = np.arange(m, dtype=np.int64)
+            if fq:
+                order ^= order >> 1
+                shifted = [(a << i) & (m - 1) for i in range(D)]
+            z = np.array(residue_neg(ring, D, c), dtype=np.int64)  # w = 0
+            yield order[:1], z[None]
+            for k in range(1, m):
+                if fq:
+                    z ^= shifted[(k & -k).bit_length() - 1]
+                elif ring.ell == 2:
+                    z += a
+                    z &= m - 1
+                else:
+                    z += a
+                    z %= m
+                yield order[k:k + 1], z[None]
+
+        return z_codes, walk
     a_codes, inverse = np.unique(a, return_inverse=True)
     da = _unpack_digits(ring, a_codes, D)
     dc = _unpack_digits(ring, c, D)
@@ -669,7 +713,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         z %= ring.ell
         return _pack_digits(ring, z)
 
-    return z_codes
+    return z_codes, lambda: _w_blocks(z_codes, m, len(a) * D)
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -280,13 +280,16 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     (Z2, 2, 10, "zp2"),
     (F2, 11, 12, "fq2_deep"),
     (Z2, 11, 12, "zp2_deep"),
-), ids=("zp2", "fq2_deep", "zp2_deep"))
+    (F2, 13, 13, "fq2_d13"),
+    (Z2, 13, 13, "zp2_d13"),
+), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13"))
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
 def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
     """The decay tables beyond criteria 08 and 09 (the padic ring, and
-    D = 11..12 on both rings) replay their frozen fixtures exactly; they
-    were frozen by the per-x enumeration, before pair deduplication."""
+    D = 11..13 on both rings) replay their frozen fixtures exactly; they
+    were frozen by full ell^(2D) bitmap builds (D <= 12 by the per-x
+    enumeration, before pair deduplication), not by streamed counts."""
     rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
     name = f"decay_kakeya_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \

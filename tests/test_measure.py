@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kakeya import measure
-from kakeya.errors import BadDepth, BudgetExceeded, RankDeficient
+from kakeya.errors import BadDepth, BadIndex, BudgetExceeded, RankDeficient
 from kakeya.families import (
     kakeya_line_family,
     nikodym_line_family,
@@ -113,7 +113,8 @@ class TestBuildSetCells:
     def test_packed_pairs_are_the_distinct_x_phi_pairs(self, ring, variant):
         """The packed route enumerates each (x mod ell^D, phi(x) mod ell^D)
         once: its pairs are distinct and are exactly those of the
-        element-level phi over every depth-X x cell."""
+        element-level phi over every depth-X x cell.  For sawyer, built on
+        the ell^D codes alone, there is exactly one per x residue."""
         fam = kakeya_line_family(ring)
         ell = ring.ell
         D = 3 if ell == 2 else 2
@@ -121,6 +122,8 @@ class TestBuildSetCells:
         x_res, y_res = measure._pairs(ring, variant, D, X)
         keys = x_res * ell ** D + y_res
         assert (np.diff(keys) > 0).all()
+        if variant is SAW:
+            assert np.array_equal(x_res, np.arange(ell ** D))
         want = set()
         for xc in range(ell ** X):
             x = vector(element_from_cell(ring, xc, X, X))
@@ -193,6 +196,29 @@ class TestExactness:
         fam = nikodym_line_family(Z3)
         assert input_depth_sufficiency(fam, SAW, 2)
 
+    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    def test_deeper_and_x_cells_routes_build_full_tables(self, ring,
+                                                         monkeypatch):
+        """The re-check at X + 2 and an ``x_cells`` build read the full
+        table at their depth, not the ell^D table of the default route,
+        so the re-check compares two independent routes."""
+        sizes = []
+
+        def spy(variant, cfg, D, X, cells=None):
+            tab = phi_residue_table(cfg, D, X, cells)
+            sizes.append((X, len(tab)))
+            return tab
+        monkeypatch.setattr(measure, "variant_residue_table", spy)
+        measure._pairs.cache_clear()
+        ell, D = ring.ell, 3
+        X = max(D, phi_input_depth(SAW, D, ell))
+        fam = kakeya_line_family(ring)
+        assert input_depth_sufficiency(fam, SAW, D)
+        assert sizes == [(X, ell ** D), (X + 2, ell ** (X + 2))]
+        build_set_cells(fam, SAW, D, x_cells=[1, 2])
+        assert sizes[-1] == (X, ell ** X)
+        measure._pairs.cache_clear()
+
 
 class TestCrossSection:
     def test_rank_deficiency_propagates(self):
@@ -255,6 +281,26 @@ class TestDecay:
                                        "estimate_rational", "estimate_decimal",
                                        "input_depth", "seconds"}
 
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_streamed_counts_equal_built_sets(self, make, variant, ring):
+        """Streamed decay rows count exactly the cells of the built set,
+        on the packed route and, at small D, on the element route."""
+        fam = make(ring)
+        generic = dataclasses.replace(fam, cells_eval=None)
+        D_max = {2: 4, 3: 3}.get(ring.ell, 2)
+        rep = decay_report(fam, variant, 1, D_max)
+        for row in rep.rows:
+            cs = build_set_cells(fam, variant, row.depth)
+            assert (row.hit_cells, row.total_cells) == \
+                (cs.hit_count, cs.total_cells)
+        D_generic = 2 if ring.ell <= 5 else 1
+        for row in decay_report(generic, variant, 1, D_generic).rows:
+            assert row == dataclasses.replace(rep.rows[row.depth - 1],
+                                              seconds=row.seconds)
+
     def test_deterministic_modulo_timing(self):
         fam = kakeya_line_family(F2)
         a = decay_report(fam, SAW, 2, 5)
@@ -293,11 +339,11 @@ class TestBudget:
         assert ei.value.budget_cells == 100
 
     def test_pairs_overflow_reports_counts(self):
+        # the sawyer pair bound, ell^D distinct pairs, times ell^D w cells
         fam = kakeya_line_family(F2)
         with pytest.raises(BudgetExceeded) as ei:
             build_set_cells(fam, SAW, 3, budget_pairs=10)
-        X = max(3, phi_input_depth(SAW, 3, 2))
-        assert ei.value.pairs_needed == 2 ** X * 2 ** 3
+        assert ei.value.pairs_needed == 2 ** 3 * 2 ** 3
 
     def test_int64_headroom_checked_before_any_array(self):
         """ell^(2D) >= 2^63 would wrap the packed codes; with budgets that
@@ -332,6 +378,20 @@ class TestCellSet:
         cs = CellSet(depth=3, ell=2, w_dim=1, z_dim=1, bits=bits)
         assert cs.estimate() == Fraction(1, 64)
         assert cs.contains(2, 1)
+
+    def test_contains_rejects_cells_outside(self):
+        """An out-of-range code would read another row's cell or wrap to
+        the last row; it raises instead."""
+        cs = build_set_cells(kakeya_line_family(F2), SAW, 3)
+        assert cs.contains(0, 0)  # x = 0: z = -phi(0) = 0 at w = 0
+        cs.contains(7, 7)  # the last cell is in range
+        for w_code, z_code in ((0, 8), (-1, 0), (8, 0), (0, -1)):
+            with pytest.raises(BadIndex):
+                cs.contains(w_code, z_code)
+        section = cross_section_cells(kakeya_line_family(F2), SAW,
+                                      vector(one(F2, 3)), 3)
+        with pytest.raises(BadIndex):
+            section.contains(1, 0)
 
     def test_all_and_none(self):
         full = CellSet(depth=1, ell=2, w_dim=1, z_dim=1,

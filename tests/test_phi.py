@@ -450,6 +450,23 @@ class TestResidueTables:
             assert tail_cutoff(D_out, ell) == first_outside
             assert required_phi_input_depth(D_out, ell) == 153
 
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_table_depends_only_on_x_mod_ell_d(self, ring):
+        """phi mod ell^D reads x mod ell^D: the full ell^X table equals the
+        table on the ell^D codes, read at x mod ell^D, at every D whose
+        full table has at most 2^15 cells."""
+        ell = ring.ell
+        cfg = PhiConfig(ring)
+        depths = [D for D in range(1, 12)
+                  if ell ** max(D, required_phi_input_depth(D, ell)) <= 2 ** 15]
+        assert len(depths) >= 3
+        for D in depths:
+            X = max(D, required_phi_input_depth(D, ell))
+            full = phi_residue_table(cfg, D, X)
+            short = phi_residue_table(cfg, D, X, cells=ell ** D)
+            assert short.shape == (ell ** D,)
+            assert np.array_equal(full, short[np.arange(ell ** X) % ell ** D])
+
     @pytest.mark.parametrize("ring", (F2, Z2, F3), ids=str)
     def test_dh_table_matches_evaluator(self, ring):
         D, X = 5, 6

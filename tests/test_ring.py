@@ -341,10 +341,24 @@ class TestResidueLayer:
                 assert va[i] == residue_add(ring, D, int(a[i]), b)
 
     @staticmethod
+    def _check_walk(ring, D, a, z_codes, walk):
+        """The walk visits every depth-D w code exactly once, and each
+        step's rows are ``z_codes`` of its w codes."""
+        seen = []
+        for w, z in walk():
+            assert z.shape == (len(w), len(a))
+            assert np.array_equal(z, z_codes(w))
+            seen += w.tolist()
+        assert sorted(seen) == list(range(ring.ell ** D))
+
+    @staticmethod
     def _check_mul_sub(ring, D, a, c, w):
         """residue_mul_sub against residue_sub(residue_mul(...)), against
-        one-element w blocks, and against Element sub(mul(...))."""
-        z_codes = residue_mul_sub(ring, D, a, c)
+        one-element w blocks, and against Element sub(mul(...)); its walk
+        (when ell^D is small) against ``z_codes``."""
+        z_codes, walk = residue_mul_sub(ring, D, a, c)
+        if ring.ell ** D <= 7 ** 3:
+            TestResidueLayer._check_walk(ring, D, a, z_codes, walk)
         got = z_codes(w)
         assert got.shape == (len(w), len(a))
         assert np.array_equal(
@@ -386,8 +400,9 @@ class TestResidueLayer:
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_empty_pairs(self, ring):
         empty = np.zeros(0, dtype=np.int64)
-        z_codes = residue_mul_sub(ring, 3, empty, empty)
+        z_codes, walk = residue_mul_sub(ring, 3, empty, empty)
         assert z_codes(np.arange(4, dtype=np.int64)).shape == (4, 0)
+        self._check_walk(ring, 3, empty, z_codes, walk)
 
 
 def _oracle(ring, op, a, b):
