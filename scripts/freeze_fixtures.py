@@ -43,8 +43,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 
 # (ring, first D, last D, file suffix) of each frozen decay table.  The
-# D = 11..12 and D = 13 tables were first frozen by the full ell^(2D) bitmap
-# build, before pair deduplication and streamed counts respectively.
+# D = 11..12 tables were first frozen before pair deduplication, the D = 13
+# tables before the minimal sawyer table and the w walk.
 DECAY_TABLES = (
     (power_series_ring(2), 2, 10, "fq2"),
     (padic_ring(2), 2, 10, "zp2"),

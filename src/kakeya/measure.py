@@ -1,35 +1,33 @@
 """Finite-depth covering-measure estimation of constructed sets.
 
 Everything here is exhaustive and exact: every depth-D residue cell a set
-touches is enumerated, never sampled.  The covering
-estimate (hit cells / total cells) is therefore a true upper bound for the
-measure of the set inside the unit window R^d x R^(n-d), and refining D can
-only shrink it.  Decay of the estimate with D is the desk-scale shadow of
-the measure-zero property; the decay tables are frozen as regression
-fixtures, not asserted against a rate.
+touches is enumerated, never sampled.  The covering estimate (hit cells /
+total cells) is therefore a true upper bound for the measure of the set
+inside the unit window R^d x R^(n-d), and refining D can only shrink it.
+Decay of the estimate with D is the desk-scale shadow of the measure-zero
+property; the decay tables are frozen as regression fixtures, not asserted
+against a rate.
 
 Enumeration cost is governed by an explicit budget, checked before any
 array is built; exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
-with the exact counts.  Cells count what is stored (a :class:`CellSet`'s
-bitmap, or the one w column a decay row reuses), pairs what is evaluated
-(:func:`_pair_bound` entries per w cell).
+with the exact counts.  Cells count the :class:`CellSet` bitmap, pairs what
+is evaluated (:func:`_pair_bound` entries per w cell).
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
-build, the decay counts and the cross-sections consume; the
-direction-coverage audit reads only its direction cells.  It has two
-routes: the built-in line families carry a packed-residue fast path
-evaluated with numpy; families without one fall back to element-level
-evaluation.  Both routes are exact and the tests require them to produce
-identical cell sets, cross-sections and coverage reports.  The z-cell of
-f(x, phi(x), w) depends on x only through the pair (x mod ell^D,
-phi(x) mod ell^D), so the packed route prepares the distinct pairs once
-per enumeration and evaluates each of them once per w; the element route
-keeps one entry per x as the independent oracle.  Both routes walk every
-w cell exactly once: the packed walk steps z incrementally per w (zp, and
-fq at ell = 2) or takes w blocks (fq at ell >= 3), the element route takes
-blocks.  The hit-set build sets each step's cells in its bitmap;
-:func:`decay_report` needs only counts, so it counts each step in one
-reused column bitmap and never holds the ell^(2D) set.
+build and the cross-sections consume; the direction-coverage audit reads
+only its direction cells.  It has two routes: the built-in line families
+carry a packed-residue fast path evaluated with numpy; families without one
+fall back to element-level evaluation.  Both routes are exact and the tests
+require them to produce identical cell sets, cross-sections and coverage
+reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
+(x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
+pairs once per enumeration and evaluates each of them once per w; the
+element route keeps one entry per x as the independent oracle.  Both routes
+walk every w cell exactly once: the packed walk steps z incrementally per w
+(zp, and fq at ell = 2) or takes w blocks (fq at ell >= 3), the element
+route takes blocks.  The hit-set build sets each step's cells in its
+bitmap, and :func:`decay_report` reads the hit count of one build per
+depth.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ class CellSet:
 
     @property
     def hit_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def estimate(self) -> Fraction:
         return Fraction(self.hit_count, self.total_cells)
@@ -134,15 +132,33 @@ def _packed(fam: FamilyDescriptor) -> bool:
             and fam.d_dim == 1)
 
 
-def _pair_bound(fam: FamilyDescriptor, variant: PhiVariant, D: int,
-                n_x: int) -> int:
-    """Entries evaluated per w cell: the ``n_x`` x cells on the element
-    route; on the packed route at most the distinct pairs, ell^D for sawyer
-    (see :func:`_pairs`) and ell^(D+1) for dh."""
-    if not _packed(fam):
-        return n_x
-    extra = 0 if variant is PhiVariant.SAWYER else 1
-    return min(n_x, fam.ring.ell ** (D + extra))
+def _minimal_table(variant: PhiVariant, D: int, X: int, ell: int) -> bool:
+    """Whether :func:`_pairs` builds the phi table on the ell^D codes alone:
+    sawyer at its default input depth."""
+    return variant is PhiVariant.SAWYER and X == _input_depth(variant, D, ell)
+
+
+def _pair_bound(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+                x_cells=None) -> int:
+    """Entries evaluated per w cell: ell^D distinct pairs where the packed
+    route builds the minimal sawyer table, else one per x cell (at most the
+    full table's distinct pairs; dh at its default X has ell^(D+1))."""
+    ell = fam.ring.ell
+    if x_cells is not None:
+        return len(x_cells)
+    if _packed(fam) and _minimal_table(variant, D, X, ell):
+        return ell ** D
+    return ell ** (fam.p_dim * X)
+
+
+def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+                 x_cells, budget_cells: int, budget_pairs: int):
+    """Budget and int64 headroom of one depth-D build, before any array."""
+    ell = fam.ring.ell
+    _check_budget(ell ** ((fam.d_dim + fam.out_dim) * D),
+                  _pair_bound(fam, variant, D, X, x_cells)
+                  * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
+    _check_headroom(ell, D)
 
 
 @functools.lru_cache(maxsize=4)
@@ -159,8 +175,7 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
     tables are built through the module-level ``variant_residue_table``."""
     m = ring.ell ** D
     cfg = PhiConfig(ring, 1, 1)
-    if variant is PhiVariant.SAWYER and X == _input_depth(variant, D,
-                                                            ring.ell):
+    if _minimal_table(variant, D, X, ring.ell):
         y_res = variant_residue_table(variant, cfg, D, X, cells=m)
         x_res = np.arange(m, dtype=np.int64)
         x_res.setflags(write=False)
@@ -247,18 +262,19 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
         phi_variant, D, ell)
-    nd = fam.out_dim
-    total_cells = ell ** ((fam.d_dim + nd) * D)
-    n_x = ell ** (fam.p_dim * X) if x_cells is None else len(x_cells)
-    _check_budget(total_cells, _pair_bound(fam, phi_variant, D, n_x)
-                  * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
+    _check_build(fam, phi_variant, D, X, x_cells, budget_cells, budget_pairs)
 
     _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
-    zc = ell ** (nd * D)
-    bits = np.zeros(total_cells, dtype=bool)
+    zc = ell ** (fam.out_dim * D)
+    bits = np.zeros(ell ** (fam.d_dim * D) * zc, dtype=bool)
+    rows = bits.reshape(-1, zc)
     for w, z in walk():
-        bits[w[:, None] * zc + z] = True
-    return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=nd, bits=bits)
+        if len(w) == 1:  # one w: write its row in place
+            rows[w[0]][z[0]] = True
+        else:
+            bits[w[:, None] * zc + z] = True
+    return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
+                   bits=bits)
 
 
 def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
@@ -275,8 +291,7 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     X = _input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
-    _check_budget(total, _pair_bound(fam, phi_variant, D,
-                                     ell ** (fam.p_dim * X)),
+    _check_budget(total, _pair_bound(fam, phi_variant, D, X),
                   budget_cells, budget_pairs)
 
     zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
@@ -315,11 +330,10 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                  D_min: int, D_max: int, *,
                  budget_cells: int = DEFAULT_CELL_BUDGET,
                  budget_pairs: int = DEFAULT_PAIR_BUDGET) -> DecayReport:
-    """The exact hit count of the depth-D set for each D in [D_min, D_max].
+    """One exact hit-set per depth in [D_min, D_max], each set by
+    :func:`build_set_cells` from one walk over the w cells.
 
-    Each depth is streamed by :func:`_count_hits`, never built as a
-    :class:`CellSet`, so memory is one ell^D column, not ell^(2D); the
-    budget of every depth is checked before any work.  The refinement
+    The budget of every depth is checked before any work.  The refinement
     property (estimates non-increasing in D) is a theorem for exact
     hit-sets, so it is checked here as an internal tripwire: a rise raises
     :class:`~kakeya.errors.InvariantViolated`."""
@@ -329,45 +343,22 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     depths = {D: _input_depth(phi_variant, D, ell)
               for D in range(D_min, D_max + 1)}
     for D, X in depths.items():  # fail fast before any work
-        _check_budget(ell ** (fam.out_dim * D),
-                      _pair_bound(fam, phi_variant, D, ell ** (fam.p_dim * X))
-                      * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
-        _check_headroom(ell, D)
+        _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs)
     rows = []
     prev = None
     for D, X in depths.items():
         t0 = time.perf_counter()
-        hits = _count_hits(fam, phi_variant, D, X)
+        cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
+                             budget_pairs=budget_pairs)
         dt = time.perf_counter() - t0
-        total = ell ** ((fam.d_dim + fam.out_dim) * D)
-        est = Fraction(hits, total)
+        est = cs.estimate()
         if prev is not None and est > prev:
             raise InvariantViolated(
                 f"refinement violated: estimate rose from {prev} to {est} "
                 f"at depth {D}")
         prev = est
-        rows.append(DecayRow(D, hits, total, est, X, dt))
+        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, est, X, dt))
     return DecayReport(fam.name, phi_variant.value, str(fam.ring), tuple(rows))
-
-
-def _count_hits(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
-                X: int) -> int:
-    """Hit cells of the depth-D set: each walk step's z rows are set in a
-    reused buffer of one z column per w of the step, counted, cleared."""
-    _, (_, walk) = _hits(fam, phi_variant, D, X)
-    zc = fam.ring.ell ** (fam.out_dim * D)
-    seen = np.zeros(zc, dtype=bool)
-    hits = 0
-    for w, z in walk():
-        size = len(w) * zc
-        if size > zc:  # a block: one column per w
-            if seen.size < size:
-                seen = np.zeros(size, dtype=bool)
-            z = z + np.arange(0, size, zc, dtype=np.int64)[:, None]
-        seen[z] = True
-        hits += int(np.count_nonzero(seen[:size]))
-        seen[:size] = False
-    return hits
 
 
 def _decimal6(x: Fraction) -> str:
@@ -437,13 +428,15 @@ def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
     """Re-build with input depth X + extra and compare cell sets.
 
     Exactness of the hit-set means deepening the x enumeration must change
-    nothing."""
+    nothing.  The deeper build, which reads the full ell^(X + extra) table,
+    goes first, so its budget is checked before any table is built."""
     X = _input_depth(phi_variant, D, fam.ring.ell)
-    a = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
-                        budget_pairs=budget_pairs)
-    b = build_set_cells(fam, phi_variant, D, input_depth=X + extra,
-                        budget_cells=budget_cells, budget_pairs=budget_pairs)
-    return a == b
+    deep = build_set_cells(fam, phi_variant, D, input_depth=X + extra,
+                           budget_cells=budget_cells,
+                           budget_pairs=budget_pairs)
+    return deep == build_set_cells(fam, phi_variant, D,
+                                   budget_cells=budget_cells,
+                                   budget_pairs=budget_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +480,7 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     X = _input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
-    _check_budget(n_dirs * n_w, _pair_bound(fam, phi_variant, D,
-                                            ell ** (fam.p_dim * X)) * n_w,
+    _check_budget(n_dirs * n_w, _pair_bound(fam, phi_variant, D, X) * n_w,
                   budget_cells, budget_pairs)
     dirs, _ = _hits(fam, phi_variant, D, X)
     presence = np.zeros((n_dirs, n_w), dtype=bool)

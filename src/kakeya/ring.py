@@ -694,7 +694,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             for k in range(1, m):
                 if fq:
                     z ^= shifted[(k & -k).bit_length() - 1]
-                elif ring.ell == 2:
+                elif ring.ell == 2:  # a mask is 3-5x cheaper than %
                     z += a
                     z &= m - 1
                 else:

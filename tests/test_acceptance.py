@@ -288,8 +288,9 @@ def test_criterion_09_measure_decay_digit_shift_phi():
 def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
     """The decay tables beyond criteria 08 and 09 (the padic ring, and
     D = 11..13 on both rings) replay their frozen fixtures exactly; they
-    were frozen by full ell^(2D) bitmap builds (D <= 12 by the per-x
-    enumeration, before pair deduplication), not by streamed counts."""
+    were frozen by earlier builds: D <= 12 by the per-x enumeration, before
+    pair deduplication, and D = 13 from the full ell^X sawyer table,
+    before the minimal table and the w walk."""
     rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
     name = f"decay_kakeya_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \

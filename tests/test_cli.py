@@ -5,6 +5,7 @@ import os
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 from kakeya import cli, measure
@@ -128,17 +129,18 @@ class TestMeasure:
         assert normalized() == normalized()
 
     def test_refinement_violation_exit4(self, capsys, monkeypatch):
-        def rising(fam, phi_variant, D, X):
+        def rising(fam, phi_variant, D, **kw):
             # empty at depth 2, full at depth 3: the estimate rises
-            return 2 ** (2 * D) if D > 2 else 0
-        monkeypatch.setattr(measure, "_count_hits", rising)
+            bits = np.full(2 ** (2 * D), D > 2)
+            return measure.CellSet(depth=D, ell=2, w_dim=1, z_dim=1,
+                                   bits=bits)
+        monkeypatch.setattr(measure, "build_set_cells", rising)
         code, out, err = run(capsys, "measure", "--dmin", "2", "--dmax", "3")
         assert code == 4 and out == ""
         assert err.startswith("error: refinement violated")
 
     def test_env_budget_override(self, capsys, monkeypatch):
-        # a decay row stores one column of 2^D cells: 8 > 4 at D = 3
-        monkeypatch.setenv("KAKEYA_BUDGET_CELLS", "4")
+        monkeypatch.setenv("KAKEYA_BUDGET_CELLS", "10")
         code, _, err = run(capsys, "measure", "--dmin", "2", "--dmax", "3")
         assert code == 2 and "cells" in err
         # explicit flag beats the environment

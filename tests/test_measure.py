@@ -214,9 +214,30 @@ class TestExactness:
         X = max(D, phi_input_depth(SAW, D, ell))
         fam = kakeya_line_family(ring)
         assert input_depth_sufficiency(fam, SAW, D)
-        assert sizes == [(X, ell ** D), (X + 2, ell ** (X + 2))]
+        assert sizes == [(X + 2, ell ** (X + 2)), (X, ell ** D)]
         build_set_cells(fam, SAW, D, x_cells=[1, 2])
         assert sizes[-1] == (X, ell ** X)
+        measure._pairs.cache_clear()
+
+    def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
+        """The X + 2 re-check reads all ell^(X + 2) x cells, and its
+        budget counts them: a pair budget that admits the minimal sawyer
+        route (ell^D pairs per w) refuses the re-check before any phi table
+        is built."""
+        def no_table(*args, **kwargs):
+            raise AssertionError("phi table built before the budget check")
+        monkeypatch.setattr(measure, "variant_residue_table", no_table)
+        measure._pairs.cache_clear()
+        fam = kakeya_line_family(F3)
+        D = 3
+        X = max(D, phi_input_depth(SAW, D, 3))
+        budget = 3 ** (2 * D)  # the default route's ell^D pairs x ell^D w
+        with pytest.raises(BudgetExceeded) as ei:
+            input_depth_sufficiency(fam, SAW, D, budget_pairs=budget)
+        assert ei.value.pairs_needed == 3 ** (X + 2) * 3 ** D
+        with pytest.raises(BudgetExceeded):
+            build_set_cells(fam, SAW, D, input_depth=X, x_cells=range(10),
+                            budget_pairs=9 * 3 ** D)
         measure._pairs.cache_clear()
 
 
@@ -280,26 +301,6 @@ class TestDecay:
         assert set(doc["rows"][0]) == {"D", "hit_cells", "total_cells",
                                        "estimate_rational", "estimate_decimal",
                                        "input_depth", "seconds"}
-
-    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
-                             ids=("kakeya", "nikodym"))
-    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
-    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
-    def test_streamed_counts_equal_built_sets(self, make, variant, ring):
-        """Streamed decay rows count exactly the cells of the built set,
-        on the packed route and, at small D, on the element route."""
-        fam = make(ring)
-        generic = dataclasses.replace(fam, cells_eval=None)
-        D_max = {2: 4, 3: 3}.get(ring.ell, 2)
-        rep = decay_report(fam, variant, 1, D_max)
-        for row in rep.rows:
-            cs = build_set_cells(fam, variant, row.depth)
-            assert (row.hit_cells, row.total_cells) == \
-                (cs.hit_count, cs.total_cells)
-        D_generic = 2 if ring.ell <= 5 else 1
-        for row in decay_report(generic, variant, 1, D_generic).rows:
-            assert row == dataclasses.replace(rep.rows[row.depth - 1],
-                                              seconds=row.seconds)
 
     def test_deterministic_modulo_timing(self):
         fam = kakeya_line_family(F2)
