@@ -72,15 +72,13 @@ class DigitSampler:
         self.state = (self._A * self.state + self._C) % self._M
         return (self.state >> 33) % ell
 
-    def element(self, ring: RingSpec, depth: int, valuation: int = 0,
-                in_R: bool = True) -> Element:
+    def element(self, ring: RingSpec, depth: int,
+                valuation: int = 0) -> Element:
         """A random element of exact valuation ``valuation`` (unit digit
         forced nonzero), known to the given depth."""
         ell = ring.ell
         lead = 1 + self.digit(ell - 1) if ell > 2 else 1
         ds = [lead] + [self.digit(ell) for _ in range(depth - valuation - 1)]
-        if not in_R and valuation < 0:
-            raise ValueError("negative valuations are field elements")
         return element_from_digits(ds, valuation, ring, depth)
 
     def r_element(self, ring: RingSpec, depth: int) -> Element:
@@ -344,18 +342,9 @@ def vsd_defect(fn: Callable[[Element], Element],
     at that scale and its margin over (1 + a) * s.  Margins staying bounded
     below witness failure of the strengthened differentiability; margins
     growing without bound support it."""
-    sampler = DigitSampler(spec.seed)
-    rows = []
-    for s in sorted(spec.scales):
-        worst = INF
-        for _ in range(spec.samples_per_scale):
-            x = sampler.r_element(spec.ring, spec.depth)
-            h = sampler.element(spec.ring, spec.depth, valuation=s)
-            defect = sub(sub(fn(add(x, h)), fn(x)), mul(fn_prime(x), h))
-            worst = min(worst, defect.valuation)
-        margin = INF if worst == INF else Fraction(worst) - (1 + alpha_exp) * s
-        rows.append(DefectRow(s, worst, margin))
-    return DefectReport("vsd", alpha_exp, tuple(rows))
+    return DefectReport("vsd", alpha_exp, _defect_rows(
+        spec, 1 + alpha_exp,
+        lambda x, h: sub(sub(fn(add(x, h)), fn(x)), mul(fn_prime(x), h))))
 
 
 def holder_defect(fn_prime: Callable[[Element], Element],
@@ -365,6 +354,15 @@ def holder_defect(fn_prime: Callable[[Element], Element],
     Nonnegative margins at every scale witness the Hoelder condition of
     order a that derivatives of very strongly differentiable functions
     satisfy."""
+    return DefectReport("holder", alpha_exp, _defect_rows(
+        spec, alpha_exp, lambda x, h: sub(fn_prime(add(x, h)), fn_prime(x))))
+
+
+def _defect_rows(spec: SampleSpec, slope: Fraction,
+                 defect: Callable[[Element, Element], Element]
+                 ) -> tuple[DefectRow, ...]:
+    """One row per scale s: the least valuation of ``defect(x, h)`` over
+    the sampled (x, h) with v(h) = s, and its margin over slope * s."""
     sampler = DigitSampler(spec.seed)
     rows = []
     for s in sorted(spec.scales):
@@ -372,11 +370,10 @@ def holder_defect(fn_prime: Callable[[Element], Element],
         for _ in range(spec.samples_per_scale):
             x = sampler.r_element(spec.ring, spec.depth)
             h = sampler.element(spec.ring, spec.depth, valuation=s)
-            delta = sub(fn_prime(add(x, h)), fn_prime(x))
-            worst = min(worst, delta.valuation)
-        margin = INF if worst == INF else Fraction(worst) - alpha_exp * s
+            worst = min(worst, defect(x, h).valuation)
+        margin = INF if worst == INF else Fraction(worst) - slope * s
         rows.append(DefectRow(s, worst, margin))
-    return DefectReport("holder", alpha_exp, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

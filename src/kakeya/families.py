@@ -55,9 +55,10 @@ class FamilyDescriptor:
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
     ``(z_codes, walk)``: ``z_codes`` is a function from a 1-D array of w
     codes to the (len(w), len(pairs)) array of z codes, and ``walk()``
-    yields (w codes, z rows) over every depth-D w cell once (see
-    :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
-    depend on w is done once, in the call that prepares them.
+    visits every depth-D w cell once, yielding one ``(w, z)`` per step: the
+    int w code and its 1-D row of z codes, which the next step may
+    overwrite (see :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work
+    that does not depend on w is done once, in the call that prepares them.
     """
 
     name: str

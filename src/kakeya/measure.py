@@ -8,10 +8,11 @@ Decay of the estimate with D is the desk-scale shadow of the measure-zero
 property; the decay tables are frozen as regression fixtures, not asserted
 against a rate.
 
-Enumeration cost is governed by an explicit budget, checked before any
-array is built; exceeding it raises :class:`~kakeya.errors.BudgetExceeded`
-with the exact counts.  Cells count the :class:`CellSet` bitmap, pairs what
-is evaluated (:func:`_pair_bound` entries per w cell).
+Enumeration cost is governed by an explicit budget, checked by
+:func:`_check_build` before any array is built; exceeding it raises
+:class:`~kakeya.errors.BudgetExceeded` with the exact counts.  Cells count
+what is stored, pairs what is evaluated per w cell; on the packed route
+that is the :func:`_table_cells` x codes the phi table covers.
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
 build and the cross-sections consume; the direction-coverage audit reads
@@ -23,11 +24,11 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  Both routes
-walk every w cell exactly once: the packed walk steps z incrementally per w
-(zp, and fq at ell = 2) or takes w blocks (fq at ell >= 3), the element
-route takes blocks.  The hit-set build sets each step's cells in its
-bitmap, and :func:`decay_report` reads the hit count of one build per
-depth.
+walk every w cell exactly once, one w per step, as (w code, z row): the
+packed walk steps z incrementally (zp, and fq at ell = 2) or reads the rows
+of w blocks (fq at ell >= 3), the element route evaluates each w in turn.
+The hit-set build sets each step's row in its bitmap, and
+:func:`decay_report` reads the hit count of one build per depth.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, _w_blocks, cell_index, element_from_cell
+from .ring import ElementVector, cell_index, element_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
@@ -94,11 +95,6 @@ class CellSet:
                 and np.array_equal(self.bits, other.bits))
 
 
-def _check_budget(cells: int, pairs: int, budget_cells: int, budget_pairs: int):
-    if cells > budget_cells or pairs > budget_pairs:
-        raise BudgetExceeded(cells, pairs, budget_cells, budget_pairs)
-
-
 def _check_headroom(ell: int, D: int):
     """Packed int64 codes join two depth-D codes: the pair key, the zp
     product before its reduction and the (w, z) bitmap index."""
@@ -132,32 +128,45 @@ def _packed(fam: FamilyDescriptor) -> bool:
             and fam.d_dim == 1)
 
 
-def _minimal_table(variant: PhiVariant, D: int, X: int, ell: int) -> bool:
-    """Whether :func:`_pairs` builds the phi table on the ell^D codes alone:
-    sawyer at its default input depth."""
-    return variant is PhiVariant.SAWYER and X == _input_depth(variant, D, ell)
-
-
-def _pair_bound(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
-                x_cells=None) -> int:
-    """Entries evaluated per w cell: ell^D distinct pairs where the packed
-    route builds the minimal sawyer table, else one per x cell (at most the
-    full table's distinct pairs; dh at its default X has ell^(D+1))."""
-    ell = fam.ring.ell
-    if x_cells is not None:
-        return len(x_cells)
-    if _packed(fam) and _minimal_table(variant, D, X, ell):
+def _table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
+    """How many x codes the packed route tabulates phi on: ell^D for sawyer
+    at its default input depth (phi(x) mod ell^D depends only on x mod
+    ell^D, see :func:`~kakeya.phi.phi_residue_table`), every depth-X code
+    otherwise.  The input-depth re-check thus reads the full table, an
+    independent route."""
+    if variant is PhiVariant.SAWYER and X == _input_depth(variant, D, ell):
         return ell ** D
-    return ell ** (fam.p_dim * X)
+    return ell ** X
 
 
 def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
-                 x_cells, budget_cells: int, budget_pairs: int):
-    """Budget and int64 headroom of one depth-D build, before any array."""
+                 x_cells, budget_cells: int, budget_pairs: int, *,
+                 cells: int | None = None, n_w: int | None = None):
+    """Range of ``x_cells``, budget and int64 headroom of one depth-D
+    enumeration, before any array is built.
+
+    ``cells`` is what the caller stores (default: every cell of the
+    hit-set) and ``n_w`` the w cells it visits (default: every one).  Each
+    w is charged the entries evaluated for it: ``len(x_cells)`` when given,
+    the :func:`_table_cells` entries on the packed route, every depth-X x
+    cell on the element route."""
     ell = fam.ring.ell
-    _check_budget(ell ** ((fam.d_dim + fam.out_dim) * D),
-                  _pair_bound(fam, variant, D, X, x_cells)
-                  * ell ** (fam.d_dim * D), budget_cells, budget_pairs)
+    n_x = ell ** (fam.p_dim * X)
+    if x_cells is not None:
+        bad = [c for c in x_cells if not 0 <= c < n_x]
+        if bad:
+            raise BadIndex(f"x cells {bad[:3]} outside [0, {n_x})")
+        per_w = len(x_cells)
+    elif _packed(fam):
+        per_w = _table_cells(variant, D, X, ell)
+    else:
+        per_w = n_x
+    if n_w is None:
+        n_w = ell ** (fam.d_dim * D)
+    if cells is None:
+        cells = n_w * ell ** (fam.out_dim * D)
+    if cells > budget_cells or per_w * n_w > budget_pairs:
+        raise BudgetExceeded(cells, per_w * n_w, budget_cells, budget_pairs)
     _check_headroom(ell, D)
 
 
@@ -166,25 +175,21 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
     """The sorted distinct pairs (x mod ell^D, phi(x) mod ell^D) of every
     depth-X x cell, kept for reuse.
 
-    At the default sawyer X, phi(x) mod ell^D is a function of x mod ell^D
-    (see :func:`~kakeya.phi.phi_residue_table`), so the table is built on
-    the ell^D codes alone and the pairs are (arange(ell^D), table): sorted
-    and distinct.  dh (whose X = D + 1 table is already minimal) and an
-    overridden X (the input-depth re-check, which must stay an independent
-    route) deduplicate the full ell^X table.  Only the pairs are kept;
-    tables are built through the module-level ``variant_residue_table``."""
+    The phi table covers the :func:`_table_cells` x codes; at ell^D of them
+    the pairs are (arange(ell^D), table), already sorted and distinct.
+    Only the pairs are kept; tables are built through the module-level
+    ``variant_residue_table``."""
     m = ring.ell ** D
-    cfg = PhiConfig(ring, 1, 1)
-    if _minimal_table(variant, D, X, ring.ell):
-        y_res = variant_residue_table(variant, cfg, D, X, cells=m)
-        x_res = np.arange(m, dtype=np.int64)
-        x_res.setflags(write=False)
-        y_res.setflags(write=False)
-        return x_res, y_res
+    n = _table_cells(variant, D, X, ring.ell)
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
-    tab = variant_residue_table(variant, cfg, D, X)
-    return _distinct_pairs(m, np.arange(ring.ell ** X, dtype=np.int64), tab)
+    tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)
+    if n == m:
+        x_res = np.arange(m, dtype=np.int64)
+        x_res.setflags(write=False)
+        tab.setflags(write=False)
+        return x_res, tab
+    return _distinct_pairs(m, np.arange(n, dtype=np.int64), tab)
 
 
 def _distinct_pairs(mod: int, x: np.ndarray, y: np.ndarray):
@@ -204,21 +209,20 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
           x_cells=None):
     """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
 
-    Covers every depth-X x cell, or the given combined codes ``x_cells``.
-    Returns ``(dirs, (z_codes, walk))``.  ``dirs`` holds the depth-D
-    direction cell of each enumerated entry.  ``z_codes`` maps a 1-D array
-    of depth-D w cell codes to one row per w of the entries' depth-D z-cell
-    codes, in the order of ``dirs``; ``walk()`` yields (w codes, z rows) in
-    that layout over every w cell once, and may overwrite a step's rows at
-    the next.  Families with ``cells_eval`` and p = q = d = 1 take the
-    packed-residue route: one phi table, reduced to the distinct pairs
-    (x mod ell^D, phi(x) mod ell^D), and one ``cells_eval`` call that
-    prepares them and returns both functions.  All others take the element
-    route, with one entry per x: each x and phi(x) built once, then ``eval``
-    per x and w, walked in blocks of w cells.
+    Covers every depth-X x cell, or the given combined codes ``x_cells``;
+    the caller has passed :func:`_check_build`.  Returns ``(dirs, (z_codes,
+    walk))``.  ``dirs`` holds the depth-D direction cell of each enumerated
+    entry.  ``z_codes`` maps a 1-D array of depth-D w cell codes to one row
+    per w of the entries' depth-D z-cell codes, in the order of ``dirs``;
+    ``walk()`` visits every w cell once and yields one ``(w, z)`` per step,
+    the int w code and its 1-D row, which the next step may overwrite.
+    Families with ``cells_eval`` and p = q = d = 1 take the packed-residue
+    route: one phi table, reduced to the distinct pairs (x mod ell^D,
+    phi(x) mod ell^D), and one ``cells_eval`` call that prepares them and
+    returns both functions.  All others take the element route, with one
+    entry per x: each x and phi(x) built once, then ``eval`` per x and w.
     """
     ell = fam.ring.ell
-    _check_headroom(ell, D)
     if _packed(fam):
         if x_cells is None:
             x_res, y_res = _pairs(fam.ring, variant, D, X)
@@ -240,9 +244,12 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
                             for x, y in zip(xs, ys)] for w in ws],
                           dtype=np.int64).reshape(len(ws), len(xs))
 
+    def walk():
+        for w in range(ell ** (fam.d_dim * D)):
+            yield w, z_codes(np.asarray([w]))[0]
+
     dirs = np.asarray([_vector_cell_code(x, D) for x in xs], dtype=np.int64)
-    n_w = ell ** (fam.d_dim * D)
-    return dirs, (z_codes, lambda: _w_blocks(z_codes, n_w, len(xs)))
+    return dirs, (z_codes, walk)
 
 
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
@@ -257,7 +264,9 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     depth-X combined codes (diagnostic use); ``input_depth`` overrides X
     (used by the input-depth sufficiency re-check).  The packed route
     prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
-    step of the enumeration's walk over the w cells sets its (w, z) cells.
+    step (w, z) of the enumeration's walk over the w cells sets the cells
+    z of row w.  An ``x_cells`` code outside [0, ell^(p X)) raises
+    :class:`~kakeya.errors.BadIndex` before any table is built.
     """
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
@@ -269,10 +278,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     bits = np.zeros(ell ** (fam.d_dim * D) * zc, dtype=bool)
     rows = bits.reshape(-1, zc)
     for w, z in walk():
-        if len(w) == 1:  # one w: write its row in place
-            rows[w[0]][z[0]] = True
-        else:
-            bits[w[:, None] * zc + z] = True
+        rows[w][z] = True
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
                    bits=bits)
 
@@ -291,8 +297,8 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     X = _input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
-    _check_budget(total, _pair_bound(fam, phi_variant, D, X),
-                  budget_cells, budget_pairs)
+    _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
+                 cells=total, n_w=1)
 
     zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
     y0 = phi_for_family(fam, phi_variant, zero_x, D)
@@ -422,16 +428,16 @@ def strip_timing(text: str, fmt: str) -> str:
 
 
 def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
-                            D: int, *, extra: int = 2,
+                            D: int, *,
                             budget_cells: int = DEFAULT_CELL_BUDGET,
                             budget_pairs: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Re-build with input depth X + extra and compare cell sets.
+    """Re-build with input depth X + 2 and compare cell sets.
 
     Exactness of the hit-set means deepening the x enumeration must change
-    nothing.  The deeper build, which reads the full ell^(X + extra) table,
+    nothing.  The deeper build, which reads the full ell^(X + 2) table,
     goes first, so its budget is checked before any table is built."""
     X = _input_depth(phi_variant, D, fam.ring.ell)
-    deep = build_set_cells(fam, phi_variant, D, input_depth=X + extra,
+    deep = build_set_cells(fam, phi_variant, D, input_depth=X + 2,
                            budget_cells=budget_cells,
                            budget_pairs=budget_pairs)
     return deep == build_set_cells(fam, phi_variant, D,
@@ -480,8 +486,8 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     X = _input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
-    _check_budget(n_dirs * n_w, _pair_bound(fam, phi_variant, D, X) * n_w,
-                  budget_cells, budget_pairs)
+    _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
+                 cells=n_dirs * n_w)
     dirs, _ = _hits(fam, phi_variant, D, X)
     presence = np.zeros((n_dirs, n_w), dtype=bool)
     presence[dirs, :] = True

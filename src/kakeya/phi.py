@@ -189,7 +189,7 @@ class MatrixFn:
         if e is None:
             e = sk_element_at(self.k_block, self.cfg.ring,
                               self.value_index(row, col, cell))
-            self._values[key] = e  # idempotent fill; safe under concurrent reads
+            self._values[key] = e
         if W is not None and W != e.depth:
             return Element(e.ring, e.lowest_degree, e.sig, W)
         return e
@@ -304,14 +304,7 @@ def phi_eval(x: ElementVector, cfg: PhiConfig, D_out: int) -> ElementVector:
     need = alpha(K + 1)
     if x.depth < need:
         raise InsufficientDepth(need, x.depth, f"phi input for D_out={D_out}")
-    xr = ElementVector(tuple(reduce_to_R(e) for e in x))
-    acc = ElementVector(tuple(zero(cfg.ring, D_out) for _ in range(cfg.q_dim)))
-    for k in range(K + 1):
-        r = decode_matrix_fn(k, cfg)
-        M = matrix_fn_eval(r, xr)
-        pk = projection(xr, k)
-        acc = acc + mat_vec(M, pk)
-    return acc
+    return _series(x, cfg, K + 1, D_out)
 
 
 def phi_partial(x: ElementVector, cfg: PhiConfig, N: int) -> ElementVector:
@@ -320,13 +313,18 @@ def phi_partial(x: ElementVector, cfg: PhiConfig, N: int) -> ElementVector:
         raise ValueError(f"expected dim {cfg.p_dim}, got {x.dim}")
     if N > 0 and x.depth < alpha(N):
         raise InsufficientDepth(alpha(N), x.depth, f"phi_partial N={N}")
+    return _series(x, cfg, N, x.depth)
+
+
+def _series(x: ElementVector, cfg: PhiConfig, n_terms: int,
+            W: int) -> ElementVector:
+    """sum_{k < n_terms} r_k(x) p_k(x) over x reduced to R, accumulated
+    from zero at depth W."""
     xr = ElementVector(tuple(reduce_to_R(e) for e in x))
-    acc = ElementVector(tuple(zero(cfg.ring, x.depth) for _ in range(cfg.q_dim)))
-    for k in range(N):
-        r = decode_matrix_fn(k, cfg)
-        M = matrix_fn_eval(r, xr)
-        pk = projection(xr, k)
-        acc = acc + mat_vec(M, pk)
+    acc = ElementVector(tuple(zero(cfg.ring, W) for _ in range(cfg.q_dim)))
+    for k in range(n_terms):
+        M = matrix_fn_eval(decode_matrix_fn(k, cfg), xr)
+        acc = acc + mat_vec(M, projection(xr, k))
     return acc
 
 
@@ -430,12 +428,15 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int,
     return acc
 
 
-def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int) -> np.ndarray:
-    """Digit-shift rule applied to every depth-``input_depth`` cell code."""
+def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int,
+                     cells: int | None = None) -> np.ndarray:
+    """Digit-shift rule applied to every depth-``input_depth`` cell code
+    below ``cells`` (default: all ell^input_depth of them)."""
     if input_depth < D_out + 1:
         raise InsufficientDepth(D_out + 1, input_depth, "digit-shift table")
     ell = ring.ell
-    codes = np.arange(ell ** input_depth, dtype=np.int64)
+    codes = np.arange(ell ** input_depth if cells is None else cells,
+                      dtype=np.int64)
     out = np.zeros_like(codes)
     for j in range(D_out):
         if _is_power_of_two(j + 2):
@@ -447,10 +448,8 @@ def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int) -> np.ndarray
 def variant_residue_table(variant: PhiVariant, cfg: PhiConfig,
                           D_out: int, input_depth: int,
                           cells: int | None = None) -> np.ndarray:
-    """The variant's phi table.  ``cells`` limits the sawyer table to the
-    codes below it (see :func:`phi_residue_table`); the dh table reads x
-    only below digit D_out + 1, its least input depth, and is always
-    built whole."""
+    """The variant's phi table on the depth-``input_depth`` codes below
+    ``cells`` (default: all of them)."""
     if variant is PhiVariant.SAWYER:
         return phi_residue_table(cfg, D_out, input_depth, cells)
-    return dh_residue_table(cfg.ring, D_out, input_depth)
+    return dh_residue_table(cfg.ring, D_out, input_depth, cells)

@@ -588,33 +588,28 @@ def _int_if_scalar(result, *operands):
     return result
 
 
-def residue_add(ring: RingSpec, D: int, a, b):
+def _signed_add(ring: RingSpec, D: int, a, b, sign: int):
+    """Depth-D a + sign * b of packed codes, sign = +1 or -1."""
     if ring.mode is RingMode.PADIC:
-        return (a + b) % ring.ell ** D
+        return (a + b if sign > 0 else a - b) % ring.ell ** D
     if ring.ell == 2:
         return a ^ b
     da = _unpack_digits(ring, a, D)
     db = _unpack_digits(ring, b, D)
-    return _int_if_scalar(_pack_digits(ring, (da + db) % ring.ell), a, b)
+    return _int_if_scalar(_pack_digits(ring, (da + sign * db) % ring.ell),
+                          a, b)
+
+
+def residue_add(ring: RingSpec, D: int, a, b):
+    return _signed_add(ring, D, a, b, 1)
 
 
 def residue_neg(ring: RingSpec, D: int, a):
-    if ring.mode is RingMode.PADIC:
-        return (-a) % ring.ell ** D
-    if ring.ell == 2:
-        return a
-    da = _unpack_digits(ring, a, D)
-    return _int_if_scalar(_pack_digits(ring, (-da) % ring.ell), a)
+    return _signed_add(ring, D, 0, a, -1)
 
 
 def residue_sub(ring: RingSpec, D: int, a, b):
-    if ring.mode is RingMode.PADIC:
-        return (a - b) % ring.ell ** D
-    if ring.ell == 2:
-        return a ^ b
-    da = _unpack_digits(ring, a, D)
-    db = _unpack_digits(ring, b, D)
-    return _int_if_scalar(_pack_digits(ring, (da - db) % ring.ell), a, b)
+    return _signed_add(ring, D, a, b, -1)
 
 
 def residue_mul(ring: RingSpec, D: int, a, b):
@@ -649,18 +644,9 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
-# Pair evaluations per block of a blocked w walk: bounds the temporaries of
-# one ``z_codes`` call to about this many elements.
+# Pair evaluations per w block of the fq ell >= 3 walk: bounds the
+# temporaries of one ``z_codes`` call to about this many elements.
 W_BLOCK_EVALS = 2 ** 14
-
-
-def _w_blocks(z_codes, n_w: int, evals_per_w: int):
-    """Every w code below ``n_w`` once, as (w block, z_codes(w block)), in
-    blocks of about W_BLOCK_EVALS evaluations."""
-    step = max(1, W_BLOCK_EVALS // max(evals_per_w, 1))
-    for w0 in range(0, n_w, step):
-        w = np.arange(w0, min(w0 + step, n_w), dtype=np.int64)
-        yield w, z_codes(w)
 
 
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
@@ -668,15 +654,16 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
 
     Returns ``(z_codes, walk)``.  ``z_codes`` maps a 1-D array of w codes
     to the (len(w), len(a)) depth-D codes of a*w - c.  ``walk()`` visits
-    every depth-D w code exactly once and yields (w codes, z rows) in the
-    same layout; a step's rows may be overwritten by the next step.
+    every depth-D w code exactly once and yields one ``(w, z)`` per step:
+    the int code w and the 1-D row ``z_codes([w])[0]``, which the next step
+    may overwrite.
 
-    * PADIC steps w by 1: z += a mod ell^D, one w per step.
+    * PADIC steps w by 1: z += a mod ell^D.
     * POWER_SERIES at ell = 2 walks w in Gray order k ^ (k >> 1): step k
-      flips bit i = ctz(k) of w, so z ^= (a << i) & mask, one w per step.
+      flips bit i = ctz(k) of w, so z ^= (a << i) & mask.
     * POWER_SERIES at ell >= 3 unpacks the distinct a codes and c once;
       ``z_codes`` does one integer matmul per w block, and the walk yields
-      blocks of ``z_codes``.
+      the rows of each block.
     """
     m = ring.ell ** D
     if ring.mode is RingMode.PADIC or ring.ell == 2:
@@ -685,12 +672,10 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
 
         def walk():
             fq = ring.mode is RingMode.POWER_SERIES
-            order = np.arange(m, dtype=np.int64)
             if fq:
-                order ^= order >> 1
                 shifted = [(a << i) & (m - 1) for i in range(D)]
             z = np.array(residue_neg(ring, D, c), dtype=np.int64)  # w = 0
-            yield order[:1], z[None]
+            yield 0, z
             for k in range(1, m):
                 if fq:
                     z ^= shifted[(k & -k).bit_length() - 1]
@@ -700,7 +685,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
                 else:
                     z += a
                     z %= m
-                yield order[k:k + 1], z[None]
+                yield (k ^ (k >> 1) if fq else k), z
 
         return z_codes, walk
     a_codes, inverse = np.unique(a, return_inverse=True)
@@ -713,7 +698,13 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         z %= ring.ell
         return _pack_digits(ring, z)
 
-    return z_codes, lambda: _w_blocks(z_codes, m, len(a) * D)
+    def walk():
+        step = max(1, W_BLOCK_EVALS // max(len(a) * D, 1))
+        for w0 in range(0, m, step):
+            w = np.arange(w0, min(w0 + step, m), dtype=np.int64)
+            yield from enumerate(z_codes(w), w0)
+
+    return z_codes, walk
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -31,6 +31,7 @@ from kakeya.phi import (
     phi_residue_table,
     required_phi_input_depth,
     tail_cutoff,
+    variant_residue_table,
 )
 from kakeya.ring import cell_index, element_from_cell, neg, one, vector, zero
 
@@ -365,6 +366,64 @@ class TestBudget:
         fam = kakeya_line_family(F3)
         with pytest.raises(BudgetExceeded):
             decay_report(fam, SAW, 2, 30)
+
+    @pytest.mark.parametrize("ring", (F2, Z3, F5), ids=str)
+    def test_pairs_charged_per_w_are_the_table_built(self, ring, monkeypatch):
+        """Each w is charged exactly the entries of the phi table the
+        packed route asks for: sawyer and dh at their default input depth,
+        the X + 2 re-check and an ``x_cells`` build over every x cell."""
+        sizes = []
+
+        def spy(variant, cfg, D, X, cells=None):
+            tab = variant_residue_table(variant, cfg, D, X, cells)
+            sizes.append(len(tab))
+            return tab
+        monkeypatch.setattr(measure, "variant_residue_table", spy)
+        fam = kakeya_line_family(ring)
+        ell, D = ring.ell, 2
+        X = max(D, phi_input_depth(SAW, D, ell))
+        assert X > D
+        runs = {
+            "sawyer": lambda **b: build_set_cells(fam, SAW, D, **b),
+            "dh": lambda **b: build_set_cells(fam, DH, D, **b),
+            "recheck": lambda **b: input_depth_sufficiency(fam, SAW, D, **b),
+            "x_cells": lambda **b: build_set_cells(
+                fam, SAW, D, x_cells=range(ell ** X), **b),
+        }
+        want = {"sawyer": ell ** D, "dh": ell ** (D + 1),
+                "recheck": ell ** (X + 2), "x_cells": ell ** X}
+        for name, run in runs.items():
+            measure._pairs.cache_clear()
+            with pytest.raises(BudgetExceeded) as ei:
+                run(budget_pairs=1)
+            assert sizes == []
+            run()
+            assert ei.value.pairs_needed == sizes[0] * ell ** D, name
+            assert sizes[0] == want[name], name
+            sizes.clear()
+        measure._pairs.cache_clear()
+
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    def test_x_cells_outside_range_raise(self, packed, monkeypatch):
+        """At F2 sawyer D = 3 the x codes are [0, 2^6).  A code past the
+        end would index past the phi table (packed) or alias a cell below
+        it (element), and -1 would wrap to the last cell: each raises
+        BadIndex before any table is built."""
+        fam = kakeya_line_family(F2)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        D = 3
+        assert phi_input_depth(SAW, D, 2) == 6
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("phi built before the x cells were checked")
+        with monkeypatch.context() as m:
+            m.setattr(measure, "variant_residue_table", no_table)
+            m.setattr(measure, "phi_for_family", no_table)
+            for cells in ([65], [64], [-1], [0, -1], [63, 2 ** 70]):
+                with pytest.raises(BadIndex):
+                    build_set_cells(fam, SAW, D, x_cells=cells)
+        assert build_set_cells(fam, SAW, D, x_cells=[0, 63]).hit_count > 0
 
 
 class TestCellSet:

@@ -342,13 +342,14 @@ class TestResidueLayer:
 
     @staticmethod
     def _check_walk(ring, D, a, z_codes, walk):
-        """The walk visits every depth-D w code exactly once, and each
-        step's rows are ``z_codes`` of its w codes."""
+        """The walk visits every depth-D w code exactly once, one per step,
+        and each step's row is ``z_codes`` at its w."""
         seen = []
         for w, z in walk():
-            assert z.shape == (len(w), len(a))
-            assert np.array_equal(z, z_codes(w))
-            seen += w.tolist()
+            assert isinstance(w, int)
+            assert z.shape == (len(a),)
+            assert np.array_equal(z, z_codes(np.asarray([w]))[0])
+            seen.append(w)
         assert sorted(seen) == list(range(ring.ell ** D))
 
     @staticmethod
