@@ -44,7 +44,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 # (ring, first D, last D, file suffix) of each frozen decay table.  The
 # D = 11..12 tables were first frozen before pair deduplication, the D = 13
-# tables before the minimal sawyer table and the w walk.
+# tables before the minimal sawyer table and the w walk, the ell = 3 tables
+# by the w-block matmul, before the ell-ary Gray walk of fq.
 DECAY_TABLES = (
     (power_series_ring(2), 2, 10, "fq2"),
     (padic_ring(2), 2, 10, "zp2"),
@@ -52,6 +53,8 @@ DECAY_TABLES = (
     (padic_ring(2), 11, 12, "zp2_deep"),
     (power_series_ring(2), 13, 13, "fq2_d13"),
     (padic_ring(2), 13, 13, "zp2_d13"),
+    (power_series_ring(3), 2, 7, "fq3"),
+    (padic_ring(3), 2, 7, "zp3"),
 )
 
 

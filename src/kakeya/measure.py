@@ -25,8 +25,10 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  Both routes
 walk every w cell exactly once, one w per step, as (w code, z row): the
-packed walk steps z incrementally (zp, and fq at ell = 2) or reads the rows
-of w blocks (fq at ell >= 3), the element route evaluates each w in turn.
+packed walk steps z incrementally (by +a on zp, a Gray-code XOR on fq at
+ell = 2, and on fq at ell >= 3 an ell-ary Gray walk that adds a*t^i to the
+two half-codes of z through one ell^h x ell^h carry-free addition table,
+h = ceil(D/2)), the element route evaluates each w in turn.
 The hit-set build sets each step's row in its bitmap, and
 :func:`decay_report` reads the hit count of one build per depth.
 """
@@ -147,9 +149,9 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 
     ``cells`` is what the caller stores (default: every cell of the
     hit-set) and ``n_w`` the w cells it visits (default: every one).  Each
-    w is charged the entries evaluated for it: ``len(x_cells)`` when given,
-    the :func:`_table_cells` entries on the packed route, every depth-X x
-    cell on the element route."""
+    w is charged the entries evaluated for it: ``len(x_cells)`` when given
+    (each code once), the :func:`_table_cells` entries on the packed
+    route, every depth-X x cell on the element route."""
     ell = fam.ring.ell
     n_x = ell ** (fam.p_dim * X)
     if x_cells is not None:
@@ -209,13 +211,14 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
           x_cells=None):
     """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
 
-    Covers every depth-X x cell, or the given combined codes ``x_cells``;
-    the caller has passed :func:`_check_build`.  Returns ``(dirs, (z_codes,
-    walk))``.  ``dirs`` holds the depth-D direction cell of each enumerated
-    entry.  ``z_codes`` maps a 1-D array of depth-D w cell codes to one row
-    per w of the entries' depth-D z-cell codes, in the order of ``dirs``;
-    ``walk()`` visits every w cell once and yields one ``(w, z)`` per step,
-    the int w code and its 1-D row, which the next step may overwrite.
+    Covers every depth-X x cell, or the given sorted distinct combined
+    codes ``x_cells``; the caller has passed :func:`_check_build`.
+    Returns ``(dirs, (z_codes, walk))``.  ``dirs`` holds the depth-D
+    direction cell of each enumerated entry.  ``z_codes`` maps a 1-D array
+    of depth-D w cell codes to one row per w of the entries' depth-D z-cell
+    codes, in the order of ``dirs``; ``walk()`` visits every w cell once
+    and yields one ``(w, z)`` per step, the int w code and its 1-D row,
+    which the next step may overwrite.
     Families with ``cells_eval`` and p = q = d = 1 take the packed-residue
     route: one phi table, reduced to the distinct pairs (x mod ell^D,
     phi(x) mod ell^D), and one ``cells_eval`` call that prepares them and
@@ -229,12 +232,12 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
         else:
             tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
                                         D, X)
-            codes = np.asarray(sorted(x_cells), dtype=np.int64)
+            codes = np.asarray(x_cells, dtype=np.int64)
             x_res, y_res = _distinct_pairs(ell ** D, codes, tab[codes])
         return x_res, fam.cells_eval(fam.ring, D, x_res, y_res)
 
     n_x = ell ** (fam.p_dim * X)
-    codes = range(n_x) if x_cells is None else sorted(x_cells)
+    codes = range(n_x) if x_cells is None else x_cells
     xs = [_element_vector(fam.ring, xc, X, fam.p_dim) for xc in codes]
     ys = [phi_for_family(fam, variant, x, D) for x in xs]
 
@@ -265,12 +268,15 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     (used by the input-depth sufficiency re-check).  The packed route
     prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
     step (w, z) of the enumeration's walk over the w cells sets the cells
-    z of row w.  An ``x_cells`` code outside [0, ell^(p X)) raises
+    z of row w.  Repeated ``x_cells`` codes are enumerated and charged
+    once; a code outside [0, ell^(p X)) raises
     :class:`~kakeya.errors.BadIndex` before any table is built.
     """
     ell = fam.ring.ell
     X = input_depth if input_depth is not None else _input_depth(
         phi_variant, D, ell)
+    if x_cells is not None:
+        x_cells = sorted(set(x_cells))
     _check_build(fam, phi_variant, D, X, x_cells, budget_cells, budget_pairs)
 
     _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
@@ -478,14 +484,19 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     (direction, w) pair with no x is reported as missing.  Errors of the phi
     table or of the element-level phi evaluation still surface.
     ``drop_direction_cell`` deletes one direction's row from the record
-    afterwards (fault injection for tests).  The vertical line w = const is
-    not a member of the family and is reported as excluded by design, never
-    as a failure.
+    afterwards (fault injection for tests); a cell outside [0, ell^(p D))
+    raises :class:`~kakeya.errors.BadIndex` before any table is built.  The
+    vertical line w = const is not a member of the family and is reported
+    as excluded by design, never as a failure.
     """
     ell = fam.ring.ell
     X = _input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
+    if drop_direction_cell is not None and not (
+            0 <= drop_direction_cell < n_dirs):
+        raise BadIndex(f"direction cell {drop_direction_cell} outside "
+                       f"[0, {n_dirs})")
     _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
                  cells=n_dirs * n_w)
     dirs, _ = _hits(fam, phi_variant, D, X)

@@ -644,11 +644,6 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
-# Pair evaluations per w block of the fq ell >= 3 walk: bounds the
-# temporaries of one ``z_codes`` call to about this many elements.
-W_BLOCK_EVALS = 2 ** 14
-
-
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """Prepare w -> a*w - c for the 1-D code arrays ``a`` and ``c``.
 
@@ -661,9 +656,15 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     * PADIC steps w by 1: z += a mod ell^D.
     * POWER_SERIES at ell = 2 walks w in Gray order k ^ (k >> 1): step k
       flips bit i = ctz(k) of w, so z ^= (a << i) & mask.
-    * POWER_SERIES at ell >= 3 unpacks the distinct a codes and c once;
-      ``z_codes`` does one integer matmul per w block, and the walk yields
-      the rows of each block.
+    * POWER_SERIES at ell >= 3 walks w in the ell-ary (modular) Gray
+      order: step k raises digit i = v_ell(k) of w by 1 mod ell, so z
+      gains the carry-free a*t^i, precomputed for each i.  z is held as a
+      low half of h = ceil(D/2) digits and a high half of D - h digits;
+      each half is added with one ``take`` from the ell^h x ell^h
+      carry-free addition table, which the walk builds (so ``z_codes``
+      alone never allocates it), and a step with i >= h changes only the
+      high half.  ``z_codes`` multiplies the distinct a codes by the
+      Toeplitz matrices of the w codes, one integer matmul.
     """
     m = ring.ell ** D
     if ring.mode is RingMode.PADIC or ring.ell == 2:
@@ -699,10 +700,35 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         return _pack_digits(ring, z)
 
     def walk():
-        step = max(1, W_BLOCK_EVALS // max(len(a) * D, 1))
-        for w0 in range(0, m, step):
-            w = np.arange(w0, min(w0 + step, m), dtype=np.int64)
-            yield from enumerate(z_codes(w), w0)
+        ell, h = ring.ell, (D + 1) // 2
+        half = ell ** h
+        u = np.arange(half, dtype=np.int64)
+        table = residue_add(ring, h, u[:, None], u[None, :]).ravel()
+        # (high, low) halves of a*t^i; the addends are scaled to pick the
+        # table row, the current half picks the column.
+        adds = [np.divmod(residue_mul(ring, D, a, ell ** i), half)
+                for i in range(D)]
+        hi_add = [ah * half for ah, _ in adds]
+        lo_add = [al * half for _, al in adds[:h]]
+        hi, lo = np.divmod(np.asarray(residue_neg(ring, D, c)), half)
+        idx = np.empty_like(lo)  # in range, so mode="clip" takes unbuffered
+        z = hi * half + lo  # w = 0
+        yield 0, z
+        w, wd = 0, [0] * D
+        for k in range(1, m):
+            i = 0
+            while k % ell ** (i + 1) == 0:
+                i += 1
+            wd[i] = (wd[i] + 1) % ell
+            w += ell ** i if wd[i] else -(ell - 1) * ell ** i
+            if i < h:
+                np.add(lo_add[i], lo, out=idx)
+                table.take(idx, out=lo, mode="clip")
+            np.add(hi_add[i], hi, out=idx)
+            table.take(idx, out=hi, mode="clip")
+            np.multiply(hi, half, out=z)
+            z += lo
+            yield w, z
 
     return z_codes, walk
 

@@ -282,15 +282,18 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     (Z2, 11, 12, "zp2_deep"),
     (F2, 13, 13, "fq2_d13"),
     (Z2, 13, 13, "zp2_d13"),
-), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13"))
+    (F3, 2, 7, "fq3"),
+    (Z3, 2, 7, "zp3"),
+), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq3", "zp3"))
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
 def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
-    """The decay tables beyond criteria 08 and 09 (the padic ring, and
-    D = 11..13 on both rings) replay their frozen fixtures exactly; they
-    were frozen by earlier builds: D <= 12 by the per-x enumeration, before
-    pair deduplication, and D = 13 from the full ell^X sawyer table,
-    before the minimal table and the w walk."""
+    """The decay tables beyond criteria 08 and 09 (the padic ring,
+    D = 11..13 on both rings, and ell = 3 at D = 2..7) replay their frozen
+    fixtures exactly; they were frozen by earlier builds: D <= 12 by the
+    per-x enumeration, before pair deduplication, D = 13 from the full
+    ell^X sawyer table, before the minimal table and the w walk, and
+    ell = 3 by the w-block matmul, before the ell-ary Gray walk of fq."""
     rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
     name = f"decay_kakeya_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \

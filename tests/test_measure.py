@@ -162,6 +162,17 @@ class TestBuildSetCells:
             for w in range(2 ** D):
                 assert cs.contains(w, 0)
 
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    def test_repeated_x_cells_charged_once(self, packed):
+        """200 copies of one x code evaluate one pair per w, so a pair
+        budget of 1000 admits them at F2 sawyer D = 3 (8 w cells)."""
+        fam = kakeya_line_family(F2)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        assert build_set_cells(fam, SAW, 3, x_cells=[0] * 200,
+                               budget_pairs=1000) == \
+            build_set_cells(fam, SAW, 3, x_cells=[0])
+
     def test_estimate_bounded_by_one(self):
         fam = nikodym_line_family(F2)
         for D in (1, 2, 3, 4):
@@ -330,6 +341,21 @@ class TestCoverage:
             rep = direction_coverage(fam, SAW, D, drop_direction_cell=1)
             assert rep.missing_count == 2 ** D
             assert all(d == 1 for d, _ in rep.missing)
+
+    def test_fault_injection_cell_outside_raises(self, monkeypatch):
+        """-1 would wrap to the last direction and 2^D would index past
+        the record: both raise BadIndex before any table is built."""
+        fam = kakeya_line_family(F2)
+        D = 3
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("phi built before the cell was checked")
+        monkeypatch.setattr(measure, "variant_residue_table", no_table)
+        measure._pairs.cache_clear()
+        for cell in (-1, 2 ** D):
+            with pytest.raises(BadIndex):
+                direction_coverage(fam, SAW, D, drop_direction_cell=cell)
+        measure._pairs.cache_clear()
 
 
 class TestBudget:

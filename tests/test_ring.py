@@ -373,8 +373,10 @@ class TestResidueLayer:
                 assert got[i, j] == cell_index(want, D)
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
-    @pytest.mark.parametrize("D", (1, 3))
+    @pytest.mark.parametrize("D", (1, 2, 3, 4))
     def test_mul_sub_matches_residue_ops_and_elements(self, ring, D):
+        """Even and odd D: the fq ell >= 3 walk splits z into equal or
+        unequal halves."""
         m = ring.ell ** D
         rnd = random.Random(10 * ring.ell + D)
         a = [rnd.randrange(m) for _ in range(12)]
