@@ -45,7 +45,11 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 # (ring, first D, last D, file suffix) of each frozen decay table.  The
 # D = 11..12 tables were first frozen before pair deduplication, the D = 13
 # tables before the minimal sawyer table and the w walk, the ell = 3 tables
-# by the w-block matmul, before the ell-ary Gray walk of fq.
+# at D <= 7 by the w-block matmul, before the ell-ary Gray walk of fq, and
+# the ell = 3 tables at D = 8 (the deepest the default cell budget admits)
+# and the ell = 5 tables by the low-digit-first Gray walk and the %
+# reduction of zp, before the high-digit-first order and the division-free
+# zp step.
 DECAY_TABLES = (
     (power_series_ring(2), 2, 10, "fq2"),
     (padic_ring(2), 2, 10, "zp2"),
@@ -55,6 +59,10 @@ DECAY_TABLES = (
     (padic_ring(2), 13, 13, "zp2_d13"),
     (power_series_ring(3), 2, 7, "fq3"),
     (padic_ring(3), 2, 7, "zp3"),
+    (power_series_ring(3), 8, 8, "fq3_d8"),
+    (padic_ring(3), 8, 8, "zp3_d8"),
+    (power_series_ring(5), 2, 5, "fq5"),
+    (padic_ring(5), 2, 5, "zp5"),
 )
 
 

@@ -25,10 +25,13 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  Both routes
 walk every w cell exactly once, one w per step, as (w code, z row): the
-packed walk steps z incrementally (by +a on zp, a Gray-code XOR on fq at
-ell = 2, and on fq at ell >= 3 an ell-ary Gray walk that adds a*t^i to the
-two half-codes of z through one ell^h x ell^h carry-free addition table,
-h = ceil(D/2)), the element route evaluates each w in turn.
+packed walk steps z incrementally, with no division (by +a on zp, reduced
+by a mask at ell = 2 and by one conditional subtraction at ell >= 3; a
+Gray-code XOR on fq at ell = 2; and on fq at ell >= 3 an ell-ary Gray walk,
+highest digit first, that adds a*t^i to the two half-codes of z through
+one ell^h x ell^h carry-free addition table, h = ceil(D/2), so that all
+but about ell^-(D-h) of the steps touch only the high half), the element
+route evaluates each w in turn.
 The hit-set build sets each step's row in its bitmap, and
 :func:`decay_report` reads the hit count of one build per depth.
 """

@@ -645,7 +645,8 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
 
 
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
-    """Prepare w -> a*w - c for the 1-D code arrays ``a`` and ``c``.
+    """Prepare w -> a*w - c for the 1-D arrays ``a`` and ``c`` of depth-D
+    codes (each in [0, ell^D)).
 
     Returns ``(z_codes, walk)``.  ``z_codes`` maps a 1-D array of w codes
     to the (len(w), len(a)) depth-D codes of a*w - c.  ``walk()`` visits
@@ -653,18 +654,22 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     the int code w and the 1-D row ``z_codes([w])[0]``, which the next step
     may overwrite.
 
-    * PADIC steps w by 1: z += a mod ell^D.
+    * PADIC steps w by 1: z += a mod ell^D.  At ell = 2 a mask reduces;
+      at ell >= 3 z + a < 2 ell^D, so one conditional subtraction does,
+      taken as the unsigned minimum of z and z - ell^D into a reused
+      scratch row: no division.
     * POWER_SERIES at ell = 2 walks w in Gray order k ^ (k >> 1): step k
       flips bit i = ctz(k) of w, so z ^= (a << i) & mask.
-    * POWER_SERIES at ell >= 3 walks w in the ell-ary (modular) Gray
-      order: step k raises digit i = v_ell(k) of w by 1 mod ell, so z
-      gains the carry-free a*t^i, precomputed for each i.  z is held as a
-      low half of h = ceil(D/2) digits and a high half of D - h digits;
-      each half is added with one ``take`` from the ell^h x ell^h
-      carry-free addition table, which the walk builds (so ``z_codes``
-      alone never allocates it), and a step with i >= h changes only the
-      high half.  ``z_codes`` multiplies the distinct a codes by the
-      Toeplitz matrices of the w codes, one integer matmul.
+    * POWER_SERIES at ell >= 3 walks w in an ell-ary (modular) Gray order,
+      highest digit first: step k raises digit i = D - 1 - v_ell(k) of w
+      by 1 mod ell, so z gains the carry-free a*t^i, precomputed for each
+      i.  z is held as a low half of h = ceil(D/2) digits and a high half
+      of D - h digits; each half is added with one ``take`` from the
+      ell^h x ell^h carry-free addition table, which the walk builds (so
+      ``z_codes`` alone never allocates it).  A step with i >= h changes
+      only the high half, and only about ell^-(D-h) of the steps have
+      i < h.  ``z_codes`` multiplies the distinct a codes by the Toeplitz
+      matrices of the w codes, one integer matmul.
     """
     m = ring.ell ** D
     if ring.mode is RingMode.PADIC or ring.ell == 2:
@@ -676,6 +681,11 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             if fq:
                 shifted = [(a << i) & (m - 1) for i in range(D)]
             z = np.array(residue_neg(ring, D, c), dtype=np.int64)  # w = 0
+            if not fq and ring.ell > 2:
+                # z + a < 2m; z - m wraps above z as uint64 exactly when
+                # z < m, so an unsigned min is the reduction, with no %.
+                t = np.empty_like(z)
+                zu, tu = z.view(np.uint64), t.view(np.uint64)
             yield 0, z
             for k in range(1, m):
                 if fq:
@@ -685,7 +695,8 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
                     z &= m - 1
                 else:
                     z += a
-                    z %= m
+                    np.subtract(z, m, out=t)
+                    np.minimum(zu, tu, out=zu)
                 yield (k ^ (k >> 1) if fq else k), z
 
         return z_codes, walk
@@ -704,30 +715,34 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         half = ell ** h
         u = np.arange(half, dtype=np.int64)
         table = residue_add(ring, h, u[:, None], u[None, :]).ravel()
-        # (high, low) halves of a*t^i; the addends are scaled to pick the
-        # table row, the current half picks the column.
-        adds = [np.divmod(residue_mul(ring, D, a, ell ** i), half)
+        scaled = table * half
+        # (high, low) halves of a*t^i, which is a's code moved up i digits
+        # and cut to D.  The table is symmetric, so either operand may pick
+        # its row: the low addend is scaled to pick it, while z's high half
+        # is held scaled by ell^h, picks the row and is read back scaled
+        # from ``scaled``, making the row hi + lo.
+        adds = [np.divmod(a % ell ** (D - i) * ell ** i, half)
                 for i in range(D)]
-        hi_add = [ah * half for ah, _ in adds]
+        hi_add = [ah for ah, _ in adds]
         lo_add = [al * half for _, al in adds[:h]]
-        hi, lo = np.divmod(np.asarray(residue_neg(ring, D, c)), half)
+        z = np.asarray(residue_neg(ring, D, c))  # w = 0
+        lo = z % half
+        hi = z - lo
         idx = np.empty_like(lo)  # in range, so mode="clip" takes unbuffered
-        z = hi * half + lo  # w = 0
         yield 0, z
         w, wd = 0, [0] * D
         for k in range(1, m):
-            i = 0
-            while k % ell ** (i + 1) == 0:
-                i += 1
+            i = D - 1
+            while k % ell ** (D - i) == 0:
+                i -= 1
             wd[i] = (wd[i] + 1) % ell
             w += ell ** i if wd[i] else -(ell - 1) * ell ** i
             if i < h:
                 np.add(lo_add[i], lo, out=idx)
                 table.take(idx, out=lo, mode="clip")
             np.add(hi_add[i], hi, out=idx)
-            table.take(idx, out=hi, mode="clip")
-            np.multiply(hi, half, out=z)
-            z += lo
+            scaled.take(idx, out=hi, mode="clip")
+            np.add(hi, lo, out=z)
             yield w, z
 
     return z_codes, walk

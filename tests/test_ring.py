@@ -47,7 +47,7 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import ALL_RINGS, F2, F3, Z2, Z3, elements
+from conftest import ALL_RINGS, F2, F3, Z2, Z3, Z5, Z7, elements
 
 
 class TestConstruction:
@@ -358,7 +358,7 @@ class TestResidueLayer:
         one-element w blocks, and against Element sub(mul(...)); its walk
         (when ell^D is small) against ``z_codes``."""
         z_codes, walk = residue_mul_sub(ring, D, a, c)
-        if ring.ell ** D <= 7 ** 3:
+        if ring.ell ** D <= 5 ** 4:
             TestResidueLayer._check_walk(ring, D, a, z_codes, walk)
         got = z_codes(w)
         assert got.shape == (len(w), len(a))
@@ -386,6 +386,20 @@ class TestResidueLayer:
         w = np.asarray([0, 1, m - 1] + [rnd.randrange(m) for _ in range(4)],
                        dtype=np.int64)
         self._check_mul_sub(ring, D, a, c, w)
+
+    @pytest.mark.parametrize("ring", (Z3, Z5, Z7), ids=str)
+    @pytest.mark.parametrize("D", (1, 3))
+    def test_mul_sub_zp_walk_reduction_edges(self, ring, D):
+        """The zp walk reduces z + a by one conditional subtraction; on its
+        first step these pairs give z + a = m - 1, m and 2m - 2, the sums
+        just below, at and furthest above the modulus."""
+        m = ring.ell ** D
+        a = np.asarray([m - 1, 1, m - 1, m - 1, 1, 0], dtype=np.int64)
+        c = np.asarray([1, 1, m - 1, 0, 2, 0], dtype=np.int64)
+        first_sums = set(((-c) % m + a).tolist())
+        assert {m - 1, m, 2 * m - 2} <= first_sums
+        z_codes, walk = residue_mul_sub(ring, D, a, c)
+        self._check_walk(ring, D, a, z_codes, walk)
 
     def test_mul_sub_deep_fq3(self):
         """No lane-width limit: fq:3 at D = 19, the deepest depth whose
