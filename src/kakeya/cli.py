@@ -16,6 +16,7 @@ overrides the default cell budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ from .phi import (
     required_phi_input_depth,
 )
 from .ring import (
-    Element,
     ElementVector,
     RingMode,
     RingSpec,
@@ -129,9 +129,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, defaults: RunConfig) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence flags > config file > defaults."""
-    layered = dict(defaults.__dict__)
+    layered = dict(RunConfig().__dict__)
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
             if key not in layered:
@@ -184,18 +184,15 @@ def _parse_inputs(texts, ring: RingSpec, min_depth: int = 1) -> ElementVector:
     requested evaluation needs."""
     parsed = []
     for t in texts:
-        e = parse_element(t)
+        e = parse_element(t, min_depth)
         if e.ring != ring:
             raise ValueError(f"element {t!r} does not match --ring/--ell "
                              f"({ring})")
-        if e.depth < min_depth:
-            e = Element(ring, e.lowest_degree, e.sig, min_depth)
         parsed.append(e)
     return ElementVector(tuple(parsed))
 
 
-def cmd_phi_eval(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_phi_eval(args, cfg: RunConfig) -> int:
     ring = cfg.ring_spec()
     need = required_phi_input_depth(args.depth, ring.ell)
     x = _parse_inputs(args.x, ring, min_depth=need)
@@ -205,8 +202,7 @@ def cmd_phi_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_phi_dh_eval(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_phi_dh_eval(args, cfg: RunConfig) -> int:
     ring = cfg.ring_spec()
     x = _parse_inputs(args.x, ring, min_depth=args.depth + 1)
     out = phi_dh_eval(x[0], args.depth)
@@ -214,19 +210,12 @@ def cmd_phi_dh_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_measure(args, cfg: RunConfig) -> int:
     fam = BUILTIN_FAMILIES[cfg.family](cfg.ring_spec())
     report = decay_report(fam, cfg.variant(), cfg.dmin, cfg.dmax,
                           budget_cells=cfg.budget_cells,
                           budget_pairs=cfg.budget_pairs)
-    # The digit-shift rule over the carrying ring is a digit map, not a
-    # homomorphism; such runs are flagged so downstream readers know.
-    experimental = cfg.phi == "dh" and cfg.ring == "zp"
-    if cfg.format == "json":
-        rendered = decay_json(report, experimental=experimental)
-    else:
-        rendered = decay_csv(report)
+    rendered = (decay_json if cfg.format == "json" else decay_csv)(report)
     _emit(rendered, cfg.out)
     if cfg.fixture is not None:
         if not _fixture_check(rendered, cfg.fixture, cfg.format):
@@ -235,8 +224,7 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def cmd_coverage(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_coverage(args, cfg: RunConfig) -> int:
     fam = BUILTIN_FAMILIES[cfg.family](cfg.ring_spec())
     rep = direction_coverage(fam, cfg.variant(), args.depth,
                              budget_cells=cfg.budget_cells,
@@ -255,15 +243,13 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_certify(args, cfg: RunConfig) -> int:
     rep = certify_lemma_bounds(args.A, args.B, args.nmax, cfg.ell)
     _emit(certificate_csv(rep), cfg.out)
     return EXIT_OK
 
 
-def cmd_diff_example(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_diff_example(args, cfg: RunConfig) -> int:
     try:
         alpha_exp = Fraction(args.alpha)
     except ZeroDivisionError:
@@ -273,8 +259,7 @@ def cmd_diff_example(args) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    cfg = _merge_config(args, RunConfig())
+def cmd_decompose(args, cfg: RunConfig) -> int:
     ring = cfg.ring_spec()
     fam = BUILTIN_FAMILIES[cfg.family](ring)
     need = max(alpha(args.N + 1),
@@ -315,7 +300,9 @@ def _add_budget(sp: argparse.ArgumentParser):
     sp.add_argument("--budget-pairs", dest="budget_pairs", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every call."""
     p = argparse.ArgumentParser(
         prog="kakeya",
         description="Exact finite-depth experiments on thin Kakeya-type sets "
@@ -391,7 +378,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        return args.fn(args)
+        return args.fn(args, _merge_config(args))
     except BudgetExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BUDGET

@@ -55,10 +55,10 @@ class FamilyDescriptor:
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
     ``(z_codes, walk)``: ``z_codes`` is a function from a 1-D array of w
     codes to the (len(w), len(pairs)) array of z codes, and ``walk()``
-    visits every depth-D w cell once, yielding one ``(w, z)`` per step: the
-    int w code and its 1-D row of z codes, which the next step may
-    overwrite (see :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work
-    that does not depend on w is done once, in the call that prepares them.
+    yields one ``(w code, z row)`` per depth-D w cell, a row the next step
+    may overwrite (see :func:`~kakeya.ring.residue_mul_sub`).  Per-pair
+    work that does not depend on w is done once, in the call that prepares
+    them.
     """
 
     name: str
@@ -112,15 +112,11 @@ def invert_element(a: Element) -> Element:
     return element_from_digits(ds, -v, a.ring, out_depth)
 
 
-def _scalar(fn) -> ElementVector:
-    return vector(fn)
-
-
 def kakeya_line_family(ring: RingSpec) -> FamilyDescriptor:
     """f(x, y, w) = x*w - y: one line per direction x, translated by y."""
 
     def f_eval(x, y, w, depth):
-        return _scalar(sub(mul(x[0], w[0]), y[0]))
+        return vector(sub(mul(x[0], w[0]), y[0]))
 
     def f_dfdx(x, y, w, depth):
         return ElementMatrix(((w[0],),))
@@ -144,7 +140,7 @@ def nikodym_line_family(ring: RingSpec) -> FamilyDescriptor:
     nonzero w (and eats working depth proportional to v(w))."""
 
     def f_eval(x, y, w, depth):
-        return _scalar(sub(mul(y[0], w[0]), x[0]))
+        return vector(sub(mul(y[0], w[0]), x[0]))
 
     def f_dfdx(x, y, w, depth):
         return ElementMatrix(((neg(one(ring, depth)),),))

@@ -24,14 +24,8 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  Both routes
-walk every w cell exactly once, one w per step, as (w code, z row): the
-packed walk steps z incrementally, with no division (by +a on zp, reduced
-by a mask at ell = 2 and by one conditional subtraction at ell >= 3; a
-Gray-code XOR on fq at ell = 2; and on fq at ell >= 3 an ell-ary Gray walk,
-highest digit first, that adds a*t^i to the two half-codes of z through
-one ell^h x ell^h carry-free addition table, h = ceil(D/2), so that all
-but about ell^-(D-h) of the steps touch only the high half), the element
-route evaluates each w in turn.
+walk every w cell exactly once and yield one (w code, z row) per w cell;
+:func:`~kakeya.ring.residue_mul_sub` describes how the packed walk steps.
 The hit-set build sets each step's row in its bitmap, and
 :func:`decay_report` reads the hit count of one build per depth.
 """
@@ -49,7 +43,7 @@ import numpy as np
 from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, cell_index, element_from_cell
+from .ring import ElementVector, RingMode, cell_index, element_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
@@ -108,11 +102,6 @@ def _check_headroom(ell: int, D: int):
                        "for the packed int64 codes")
 
 
-def _input_depth(variant: PhiVariant, D: int, ell: int) -> int:
-    """Default x depth X: deep enough to fix every depth-D z-cell."""
-    return max(D, phi_input_depth(variant, D, ell))
-
-
 def _element_vector(ring, combined: int, depth: int, dim: int) -> ElementVector:
     base = ring.ell ** depth
     return ElementVector(tuple(
@@ -139,7 +128,7 @@ def _table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
     ell^D, see :func:`~kakeya.phi.phi_residue_table`), every depth-X code
     otherwise.  The input-depth re-check thus reads the full table, an
     independent route."""
-    if variant is PhiVariant.SAWYER and X == _input_depth(variant, D, ell):
+    if variant is PhiVariant.SAWYER and X == phi_input_depth(variant, D, ell):
         return ell ** D
     return ell ** X
 
@@ -178,7 +167,12 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 @functools.lru_cache(maxsize=4)
 def _pairs(ring, variant: PhiVariant, D: int, X: int):
     """The sorted distinct pairs (x mod ell^D, phi(x) mod ell^D) of every
-    depth-X x cell, kept for reuse.
+    depth-X x cell.
+
+    The cache serves the read-backs: every cross-section and coverage audit
+    on one (ring, phi, D) after the first, for either family and any w,
+    reuses one table.  A decay table asks for each of its depths once, so
+    it hits only when the same table was built just before.
 
     The phi table covers the :func:`_table_cells` x codes; at ell^D of them
     the pairs are (arange(ell^D), table), already sorted and distinct.
@@ -219,9 +213,8 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     Returns ``(dirs, (z_codes, walk))``.  ``dirs`` holds the depth-D
     direction cell of each enumerated entry.  ``z_codes`` maps a 1-D array
     of depth-D w cell codes to one row per w of the entries' depth-D z-cell
-    codes, in the order of ``dirs``; ``walk()`` visits every w cell once
-    and yields one ``(w, z)`` per step, the int w code and its 1-D row,
-    which the next step may overwrite.
+    codes, in the order of ``dirs``; ``walk()`` yields one ``(w code,
+    z row)`` per w cell, and the next step may overwrite the row.
     Families with ``cells_eval`` and p = q = d = 1 take the packed-residue
     route: one phi table, reduced to the distinct pairs (x mod ell^D,
     phi(x) mod ell^D), and one ``cells_eval`` call that prepares them and
@@ -264,10 +257,11 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
                     x_cells=None, input_depth: int | None = None) -> CellSet:
     """Exact hit-set of {(w, f(x, phi(x), w))} over the unit window.
 
-    Enumerates every x in R^p at depth X = max(D, depth the phi variant
-    needs) -- deep enough that the z-cell is fully determined -- and every w
-    in R^d at depth D.  ``x_cells`` restricts the x enumeration to the given
-    depth-X combined codes (diagnostic use); ``input_depth`` overrides X
+    Enumerates every x in R^p at the depth X >= D the phi variant needs
+    (:func:`~kakeya.phi.phi_input_depth`) -- deep enough that the z-cell is
+    fully determined -- and every w in R^d at depth D.  ``x_cells``
+    restricts the x enumeration to the given depth-X combined codes
+    (diagnostic use); ``input_depth`` overrides X
     (used by the input-depth sufficiency re-check).  The packed route
     prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
     step (w, z) of the enumeration's walk over the w cells sets the cells
@@ -276,7 +270,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     :class:`~kakeya.errors.BadIndex` before any table is built.
     """
     ell = fam.ring.ell
-    X = input_depth if input_depth is not None else _input_depth(
+    X = input_depth if input_depth is not None else phi_input_depth(
         phi_variant, D, ell)
     if x_cells is not None:
         x_cells = sorted(set(x_cells))
@@ -303,7 +297,7 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     as the descriptor's own error.
     """
     ell = fam.ring.ell
-    X = _input_depth(phi_variant, D, ell)
+    X = phi_input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
     _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
@@ -355,7 +349,7 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     if D_min > D_max or D_min < 1:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
     ell = fam.ring.ell
-    depths = {D: _input_depth(phi_variant, D, ell)
+    depths = {D: phi_input_depth(phi_variant, D, ell)
               for D in range(D_min, D_max + 1)}
     for D, X in depths.items():  # fail fast before any work
         _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs)
@@ -409,12 +403,17 @@ def decay_csv(report: DecayReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decay_json(report: DecayReport, experimental: bool = False) -> str:
+def decay_json(report: DecayReport) -> str:
+    """The decay table as JSON.  The digit-shift rule over the carrying
+    ring is a digit map, not a homomorphism, so its tables are flagged
+    ``experimental``."""
+    tag = report.ring.partition(":")[0]
     doc = {
         "family": report.family,
         "phi": report.variant,
         "ring": report.ring,
-        "experimental": experimental,
+        "experimental": (report.variant == PhiVariant.DH.value
+                         and tag == RingMode.PADIC.value),
         "rows": [_decay_fields(r) for r in report.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -445,7 +444,7 @@ def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
     Exactness of the hit-set means deepening the x enumeration must change
     nothing.  The deeper build, which reads the full ell^(X + 2) table,
     goes first, so its budget is checked before any table is built."""
-    X = _input_depth(phi_variant, D, fam.ring.ell)
+    X = phi_input_depth(phi_variant, D, fam.ring.ell)
     deep = build_set_cells(fam, phi_variant, D, input_depth=X + 2,
                            budget_cells=budget_cells,
                            budget_pairs=budget_pairs)
@@ -493,7 +492,7 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     as excluded by design, never as a failure.
     """
     ell = fam.ring.ell
-    X = _input_depth(phi_variant, D, ell)
+    X = phi_input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
     if drop_direction_cell is not None and not (

@@ -406,8 +406,12 @@ def format_element(a: Element) -> str:
     return f"{a.ring.tag}:{a.ring.ell}:{low}:{','.join(map(str, ds))}"
 
 
-def parse_element(text: str) -> Element:
-    """Inverse of :func:`format_element`; the digit count fixes the depth."""
+def parse_element(text: str, min_depth: int | None = None) -> Element:
+    """Inverse of :func:`format_element`; the digit count fixes the depth.
+
+    With ``min_depth`` the digit string is an exact finite expansion
+    instead: the digits past it are known zeros, and the element is known
+    to at least that depth, even when its digits all lie below degree 0."""
     parts = text.strip().split(":")
     if len(parts) != 4:
         raise ValueError(f"malformed element {text!r}: expected 4 ':'-separated "
@@ -424,7 +428,10 @@ def parse_element(text: str) -> Element:
     if not ds:
         raise ValueError(f"malformed element {text!r}: empty digit list")
     ring = RingSpec(ell, _TAGS[tag])
-    return element_from_digits(ds, low, ring, low + len(ds))
+    depth = low + len(ds)
+    if min_depth is not None:
+        depth = max(depth, min_depth)
+    return element_from_digits(ds, low, ring, depth)
 
 
 # ---------------------------------------------------------------------------

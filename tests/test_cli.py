@@ -43,13 +43,26 @@ class TestPhiEval:
 
     def test_short_digit_string_is_exact(self, capsys):
         # a digit string lists all nonzero digits, so evaluation at any
-        # depth succeeds and agrees with the zero-padded spelling
-        code, out, _ = run(capsys, "phi-eval", "--x", "fq:2:0:1,1",
-                           "--depth", "8")
-        code2, out2, _ = run(capsys, "phi-eval",
-                             "--x", "fq:2:0:1,1,0,0,0,0,0,0,0,0",
-                             "--depth", "8")
-        assert code == code2 == 0 and out == out2
+        # depth succeeds and agrees with the zero-padded spelling, also
+        # when every digit lies below degree 0
+        for short, padded, depth in (
+                ("fq:2:0:1,1", "fq:2:0:1,1,0,0,0,0,0,0,0,0", "8"),
+                ("fq:2:-3:1", "fq:2:-3:1,0,0,0", "3")):
+            code, out, _ = run(capsys, "phi-eval", "--x", short,
+                               "--depth", depth)
+            code2, out2, _ = run(capsys, "phi-eval", "--x", padded,
+                                 "--depth", depth)
+            assert code == code2 == 0 and out == out2
+
+    def test_digits_below_degree0_reach_the_rule_errors(self, capsys):
+        """An input that parses now fails where the evaluation is defined
+        on R only, with that evaluation's own error."""
+        code, out, err = run(capsys, "phi-dh-eval", "--x", "fq:2:-3:1",
+                             "--depth", "3")
+        assert code == 1 and out == "" and "defined on R only" in err
+        code, out, err = run(capsys, "decompose", "--x", "fq:2:-3:1",
+                             "--w", "fq:2:0:1,1", "--N", "3", "--depth", "12")
+        assert code == 1 and out == "" and "taken over R^p" in err
 
     def test_ring_mismatch_against_flags(self, capsys):
         code, _, err = run(capsys, "phi-eval", "--ring", "zp", "--ell", "3",
@@ -251,6 +264,38 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--x", x, "--w", w,
                            "--N", "3", "--depth", "12")
         assert code == 4 and "sum_identity:VIOLATED" in out
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no parsed value
+    of one call reaches the next."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_flags_do_not_accumulate(self, capsys):
+        x1 = "fq:2:0:1,0,1,1,0,1,0,0,1,1"
+        x2 = "fq:2:0:0,1,1,0,1,0,1,1,0,0"
+        code, out, _ = run(capsys, "phi-eval", "--x", x1, "--x", x2,
+                           "--depth", "4", "--q-dim", "2")
+        assert code == 0 and len(out.strip().splitlines()) == 2
+        code, out, _ = run(capsys, "phi-eval", "--x", x1, "--depth", "4")
+        assert code == 0 and len(out.strip().splitlines()) == 1
+
+    def test_format_falls_back_to_csv(self, capsys):
+        argv = ("measure", "--dmin", "2", "--dmax", "3")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["rows"][0]["D"] == 2
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("D,hit_cells")
+
+    def test_budget_falls_back_to_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("KAKEYA_BUDGET_CELLS", raising=False)
+        argv = ("measure", "--dmin", "2", "--dmax", "3")
+        code, out, err = run(capsys, *argv, "--budget-cells", "10")
+        assert code == 2 and out == "" and "cells" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("D,hit_cells")
 
 
 class TestUsage:

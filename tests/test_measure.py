@@ -1,6 +1,7 @@
 """Covering-measure estimation: exactness, decay, coverage, budgets."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,29 @@ class TestCrossSection:
             prev = est
 
 
+    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    def test_read_backs_share_one_pair_table(self, ring, monkeypatch):
+        """A cross-section at another w, or for the other family, on the
+        same (ring, phi, D) reuses the cached pairs and builds no table."""
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return variant_residue_table(*args, **kwargs)
+        monkeypatch.setattr(measure, "variant_residue_table", spy)
+        measure._pairs.cache_clear()
+        D = 4
+        first = vector(one(ring, D))
+        cross_section_cells(kakeya_line_family(ring), SAW, first, D)
+        assert len(built) == 1
+        for make in (kakeya_line_family, nikodym_line_family):
+            w = vector(element_from_cell(ring, 3, D, D))
+            cross_section_cells(make(ring), SAW, w, D)
+            cross_section_cells(make(ring), SAW, first, D)
+        assert len(built) == 1
+        measure._pairs.cache_clear()
+
+
 class TestDecay:
     def test_monotone_and_shape(self):
         fam = kakeya_line_family(F2)
@@ -304,11 +328,13 @@ class TestDecay:
         assert first[0] == "2" and first[3] == "5/8" and first[4] == "0.625000"
 
     def test_json_mirror(self):
+        """The serializer flags exactly the digit-shift rule over the
+        carrying ring as experimental."""
         import json
-        fam = kakeya_line_family(Z2)
-        rep = decay_report(fam, DH, 2, 3)
-        doc = json.loads(decay_json(rep, experimental=True))
-        assert doc["experimental"] is True
+        for ring, variant in itertools.product((F2, Z2), (SAW, DH)):
+            rep = decay_report(kakeya_line_family(ring), variant, 2, 3)
+            doc = json.loads(decay_json(rep))
+            assert doc["experimental"] is (variant is DH and ring == Z2)
         assert doc["rows"][0]["D"] == 2
         assert set(doc["rows"][0]) == {"D", "hit_cells", "total_cells",
                                        "estimate_rational", "estimate_decimal",

@@ -9,6 +9,7 @@ from kakeya.errors import BadIndex, InsufficientDepth, NotInSk
 from kakeya.phi import (
     MatrixFn,
     PhiConfig,
+    PhiVariant,
     alpha,
     block_offset,
     continuity_modulus,
@@ -20,6 +21,7 @@ from kakeya.phi import (
     omega_block_size,
     phi_dh_eval,
     phi_eval,
+    phi_input_depth,
     phi_partial,
     phi_residue_table,
     projection,
@@ -321,6 +323,15 @@ class TestRequiredDepth:
     def test_pinned_values(self):
         assert required_phi_input_depth(12, 2) == alpha(5)  # 15
         assert required_phi_input_depth(1, 2) == alpha(tail_cutoff(1, 2) + 1)
+
+    @pytest.mark.parametrize("ell", (2, 3, 5, 7))
+    @pytest.mark.parametrize("variant", tuple(PhiVariant), ids=str)
+    def test_input_depth_covers_output_depth(self, variant, ell):
+        """X >= D for both variants: sawyer's alpha(K + 1) is at least
+        alpha(K + 1) - lambda(K + 1) >= D by the cutoff, dh's is D + 1.  The
+        enumeration's x depth is phi_input_depth itself, with no max(D, .)."""
+        for D in range(1, 41):
+            assert phi_input_depth(variant, D, ell) >= D
 
     def test_smallest_exact_depth(self):
         """At the advertised depth the evaluation is already exact: deepening
