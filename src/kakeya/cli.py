@@ -203,6 +203,8 @@ def cmd_phi_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_phi_dh_eval(args, cfg: RunConfig) -> int:
+    if len(args.x) != 1:
+        raise ValueError("phi-dh-eval takes one --x: the rule is scalar-only")
     ring = cfg.ring_spec()
     x = _parse_inputs(args.x, ring, min_depth=args.depth + 1)
     out = phi_dh_eval(x[0], args.depth)

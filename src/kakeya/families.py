@@ -53,12 +53,11 @@ class FamilyDescriptor:
     residue codes and exists purely to accelerate exhaustive enumeration;
     the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
-    ``(z_codes, walk)``: ``z_codes`` is a function from a 1-D array of w
-    codes to the (len(w), len(pairs)) array of z codes, and ``walk()``
-    yields one ``(w code, z row)`` per depth-D w cell, a row the next step
-    may overwrite (see :func:`~kakeya.ring.residue_mul_sub`).  Per-pair
-    work that does not depend on w is done once, in the call that prepares
-    them.
+    ``(z_at, walk)``: ``z_at`` maps one int w code to the 1-D row of the
+    pairs' z codes, and ``walk()`` yields one ``(w code, z row)`` per
+    depth-D w cell, a row the next step may overwrite (see
+    :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
+    depend on w is done once, in the call that prepares them.
     """
 
     name: str

@@ -27,7 +27,8 @@ element route keeps one entry per x as the independent oracle.  Both routes
 walk every w cell exactly once and yield one (w code, z row) per w cell;
 :func:`~kakeya.ring.residue_mul_sub` describes how the packed walk steps.
 The hit-set build sets each step's row in its bitmap, and
-:func:`decay_report` reads the hit count of one build per depth.
+:func:`decay_report` reads the hit count of one build per depth; a
+cross-section reads the one row that the per-w evaluator gives at its w.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
+from .errors import (BadDepth, BadIndex, BudgetExceeded, InvariantViolated,
+                     RingMismatch)
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, RingMode, cell_index, element_from_cell
+from .ring import ElementVector, RingMode, element_from_cell, vector_cell_index
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
@@ -109,14 +111,6 @@ def _element_vector(ring, combined: int, depth: int, dim: int) -> ElementVector:
         for i in range(dim)))
 
 
-def _vector_cell_code(v: ElementVector, D: int) -> int:
-    base = v.ring.ell ** D
-    code = 0
-    for i in range(v.dim - 1, -1, -1):
-        code = code * base + cell_index(v[i], D)
-    return code
-
-
 def _packed(fam: FamilyDescriptor) -> bool:
     return (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
             and fam.d_dim == 1)
@@ -133,18 +127,24 @@ def _table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
     return ell ** X
 
 
-def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
                  x_cells, budget_cells: int, budget_pairs: int, *,
-                 cells: int | None = None, n_w: int | None = None):
-    """Range of ``x_cells``, budget and int64 headroom of one depth-D
-    enumeration, before any array is built.
+                 X: int | None = None, cells: int | None = None,
+                 n_w: int | None = None) -> int:
+    """Depth, range of ``x_cells``, budget and int64 headroom of one
+    depth-D enumeration, before any array is built.  Returns its input
+    depth: ``X``, or by default :func:`~kakeya.phi.phi_input_depth`.
 
     ``cells`` is what the caller stores (default: every cell of the
     hit-set) and ``n_w`` the w cells it visits (default: every one).  Each
     w is charged the entries evaluated for it: ``len(x_cells)`` when given
     (each code once), the :func:`_table_cells` entries on the packed
     route, every depth-X x cell on the element route."""
+    if D < 1:
+        raise BadDepth(f"depth {D} must be >= 1")
     ell = fam.ring.ell
+    if X is None:
+        X = phi_input_depth(variant, D, ell)
     n_x = ell ** (fam.p_dim * X)
     if x_cells is not None:
         bad = [c for c in x_cells if not 0 <= c < n_x]
@@ -162,6 +162,7 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     if cells > budget_cells or per_w * n_w > budget_pairs:
         raise BudgetExceeded(cells, per_w * n_w, budget_cells, budget_pairs)
     _check_headroom(ell, D)
+    return X
 
 
 @functools.lru_cache(maxsize=4)
@@ -210,11 +211,11 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 
     Covers every depth-X x cell, or the given sorted distinct combined
     codes ``x_cells``; the caller has passed :func:`_check_build`.
-    Returns ``(dirs, (z_codes, walk))``.  ``dirs`` holds the depth-D
-    direction cell of each enumerated entry.  ``z_codes`` maps a 1-D array
-    of depth-D w cell codes to one row per w of the entries' depth-D z-cell
-    codes, in the order of ``dirs``; ``walk()`` yields one ``(w code,
-    z row)`` per w cell, and the next step may overwrite the row.
+    Returns ``(dirs, (z_at, walk))``.  ``dirs`` holds the depth-D
+    direction cell of each enumerated entry.  ``z_at`` maps one depth-D w
+    cell code to the row of the entries' depth-D z-cell codes, in the
+    order of ``dirs``; ``walk()`` yields one ``(w code, z_at(w))`` per w
+    cell, a row the next step may overwrite.
     Families with ``cells_eval`` and p = q = d = 1 take the packed-residue
     route: one phi table, reduced to the distinct pairs (x mod ell^D,
     phi(x) mod ell^D), and one ``cells_eval`` call that prepares them and
@@ -237,18 +238,17 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     xs = [_element_vector(fam.ring, xc, X, fam.p_dim) for xc in codes]
     ys = [phi_for_family(fam, variant, x, D) for x in xs]
 
-    def z_codes(wcs: np.ndarray) -> np.ndarray:
-        ws = [_element_vector(fam.ring, int(wc), D, fam.d_dim) for wc in wcs]
-        return np.asarray([[_vector_cell_code(fam.eval(x, y, w, D), D)
-                            for x, y in zip(xs, ys)] for w in ws],
-                          dtype=np.int64).reshape(len(ws), len(xs))
+    def z_at(wc: int) -> np.ndarray:
+        w = _element_vector(fam.ring, wc, D, fam.d_dim)
+        return np.asarray([vector_cell_index(fam.eval(x, y, w, D), D)
+                           for x, y in zip(xs, ys)], dtype=np.int64)
 
     def walk():
         for w in range(ell ** (fam.d_dim * D)):
-            yield w, z_codes(np.asarray([w]))[0]
+            yield w, z_at(w)
 
-    dirs = np.asarray([_vector_cell_code(x, D) for x in xs], dtype=np.int64)
-    return dirs, (z_codes, walk)
+    dirs = np.asarray([vector_cell_index(x, D) for x in xs], dtype=np.int64)
+    return dirs, (z_at, walk)
 
 
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
@@ -267,14 +267,14 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     step (w, z) of the enumeration's walk over the w cells sets the cells
     z of row w.  Repeated ``x_cells`` codes are enumerated and charged
     once; a code outside [0, ell^(p X)) raises
-    :class:`~kakeya.errors.BadIndex` before any table is built.
+    :class:`~kakeya.errors.BadIndex` and a depth D < 1
+    :class:`~kakeya.errors.BadDepth`, before any table is built.
     """
     ell = fam.ring.ell
-    X = input_depth if input_depth is not None else phi_input_depth(
-        phi_variant, D, ell)
     if x_cells is not None:
         x_cells = sorted(set(x_cells))
-    _check_build(fam, phi_variant, D, X, x_cells, budget_cells, budget_pairs)
+    X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
+                     X=input_depth)
 
     _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (fam.out_dim * D)
@@ -292,24 +292,28 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
                         budget_pairs: int = DEFAULT_PAIR_BUDGET) -> CellSet:
     """Hit z-cells for one fixed w (the cross-section of the built set).
 
-    Only the depth-D cell of ``w`` enters the enumeration.  Probes the
-    descriptor's right inverse at this w first, so rank deficiency surfaces
-    as the descriptor's own error.
+    Only the depth-D cell of ``w`` enters the enumeration; a ``w`` over
+    another ring or with other than d entries is refused first.  Probes the
+    descriptor's right inverse at this w, so rank deficiency surfaces as
+    the descriptor's own error.
     """
+    if w.ring != fam.ring:
+        raise RingMismatch(f"w is over {w.ring}, the family over {fam.ring}")
+    if w.dim != fam.d_dim:
+        raise ValueError(f"w has {w.dim} entries, need d = {fam.d_dim}")
     ell = fam.ring.ell
-    X = phi_input_depth(phi_variant, D, ell)
     nd = fam.out_dim
     total = ell ** (nd * D)
-    _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
-                 cells=total, n_w=1)
+    X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
+                     cells=total, n_w=1)
 
     zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
     y0 = phi_for_family(fam, phi_variant, zero_x, D)
     fam.dfdy_right_inverse(zero_x, y0, w, D)  # rank probe; may raise
 
-    _, (z_codes, _) = _hits(fam, phi_variant, D, X)
+    _, (z_at, _) = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
-    bits[z_codes(np.asarray([_vector_cell_code(w, D)]))[0]] = True
+    bits[z_at(vector_cell_index(w, D))] = True
     return CellSet(depth=D, ell=ell, w_dim=0, z_dim=nd, bits=bits)
 
 
@@ -348,11 +352,9 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     :class:`~kakeya.errors.InvariantViolated`."""
     if D_min > D_max or D_min < 1:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
-    ell = fam.ring.ell
-    depths = {D: phi_input_depth(phi_variant, D, ell)
+    depths = {D: _check_build(fam, phi_variant, D, None, budget_cells,
+                              budget_pairs)  # fail fast before any work
               for D in range(D_min, D_max + 1)}
-    for D, X in depths.items():  # fail fast before any work
-        _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs)
     rows = []
     prev = None
     for D, X in depths.items():
@@ -492,15 +494,14 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     as excluded by design, never as a failure.
     """
     ell = fam.ring.ell
-    X = phi_input_depth(phi_variant, D, ell)
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
+    X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
+                     cells=n_dirs * n_w)
     if drop_direction_cell is not None and not (
             0 <= drop_direction_cell < n_dirs):
         raise BadIndex(f"direction cell {drop_direction_cell} outside "
                        f"[0, {n_dirs})")
-    _check_build(fam, phi_variant, D, X, None, budget_cells, budget_pairs,
-                 cells=n_dirs * n_w)
     dirs, _ = _hits(fam, phi_variant, D, X)
     presence = np.zeros((n_dirs, n_w), dtype=bool)
     presence[dirs, :] = True

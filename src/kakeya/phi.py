@@ -46,6 +46,7 @@ from .ring import (
     residue_add,
     residue_mul,
     truncate,
+    vector_cell_index,
     zero,
 )
 
@@ -257,10 +258,7 @@ def matrix_fn_eval(r: MatrixFn, x: ElementVector) -> ElementMatrix:
     k = r.k_block
     if x.depth < k:
         raise InsufficientDepth(k, x.depth, "matrix_fn_eval input")
-    cell = 0
-    base = cfg.ring.ell ** k
-    for i in range(cfg.p_dim - 1, -1, -1):
-        cell = cell * base + cell_index(x[i], k)
+    cell = vector_cell_index(x, k)
     W = max(x.depth, k + 1)
     rows = tuple(
         tuple(r.table_value(row, col, cell, W) for col in range(cfg.p_dim))

@@ -369,6 +369,16 @@ def cell_index(a: Element, D: int) -> int:
     return a.sig * ell ** a.lowest_degree % ell ** D
 
 
+def vector_cell_index(v: ElementVector, D: int) -> int:
+    """Combined code of the depth-D cell of a vector: the entries'
+    :func:`cell_index` codes as base-ell^D digits, the first entry lowest."""
+    base = v.ring.ell ** D
+    code = 0
+    for e in reversed(v.entries):
+        code = code * base + cell_index(e, D)
+    return code
+
+
 def element_from_cell(ring: RingSpec, code: int, D: int, W: int | None = None) -> Element:
     """Canonical representative of the depth-D cell with the given code."""
     if W is None:
@@ -655,11 +665,10 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """Prepare w -> a*w - c for the 1-D arrays ``a`` and ``c`` of depth-D
     codes (each in [0, ell^D)).
 
-    Returns ``(z_codes, walk)``.  ``z_codes`` maps a 1-D array of w codes
-    to the (len(w), len(a)) depth-D codes of a*w - c.  ``walk()`` visits
-    every depth-D w code exactly once and yields one ``(w, z)`` per step:
-    the int code w and the 1-D row ``z_codes([w])[0]``, which the next step
-    may overwrite.
+    Returns ``(z_at, walk)``.  ``z_at`` maps one int w code to the 1-D row
+    of depth-D codes of a*w - c.  ``walk()`` visits every depth-D w code
+    exactly once and yields one ``(w, z)`` per step: the int code w and the
+    row ``z_at(w)``, which the next step may overwrite.
 
     * PADIC steps w by 1: z += a mod ell^D.  At ell = 2 a mask reduces;
       at ell >= 3 z + a < 2 ell^D, so one conditional subtraction does,
@@ -673,16 +682,15 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       i.  z is held as a low half of h = ceil(D/2) digits and a high half
       of D - h digits; each half is added with one ``take`` from the
       ell^h x ell^h carry-free addition table, which the walk builds (so
-      ``z_codes`` alone never allocates it).  A step with i >= h changes
-      only the high half, and only about ell^-(D-h) of the steps have
-      i < h.  ``z_codes`` multiplies the distinct a codes by the Toeplitz
-      matrices of the w codes, one integer matmul.
+      ``z_at`` never allocates it).  A step with i >= h changes only the
+      high half, and only about ell^-(D-h) of the steps have i < h.
     """
     m = ring.ell ** D
-    if ring.mode is RingMode.PADIC or ring.ell == 2:
-        def z_codes(w: np.ndarray) -> np.ndarray:
-            return residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c)
 
+    def z_at(w: int) -> np.ndarray:
+        return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
+
+    if ring.mode is RingMode.PADIC or ring.ell == 2:
         def walk():
             fq = ring.mode is RingMode.POWER_SERIES
             if fq:
@@ -706,16 +714,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
                     np.minimum(zu, tu, out=zu)
                 yield (k ^ (k >> 1) if fq else k), z
 
-        return z_codes, walk
-    a_codes, inverse = np.unique(a, return_inverse=True)
-    da = _unpack_digits(ring, a_codes, D)
-    dc = _unpack_digits(ring, c, D)
-
-    def z_codes(w: np.ndarray) -> np.ndarray:
-        z = np.matmul(da, _toeplitz(ring, D, w)).take(inverse, axis=1)
-        z -= dc
-        z %= ring.ell
-        return _pack_digits(ring, z)
+        return z_at, walk
 
     def walk():
         ell, h = ring.ell, (D + 1) // 2
@@ -752,7 +751,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             np.add(hi, lo, out=z)
             yield w, z
 
-    return z_codes, walk
+    return z_at, walk
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -86,6 +86,14 @@ class TestPhiDhEval:
         e = parse_element(out.strip())
         assert [e.digit(j) for j in range(8)] == [0, 1, 0, 1, 1, 1, 0, 1]
 
+    def test_more_than_one_x_refused(self, capsys):
+        """The rule is scalar-only: a second --x is an error, not dropped."""
+        x = "fq:2:0:1,1,1,1,1,1,1,1,1"
+        code, out, err = run(capsys, "phi-dh-eval", "--x", x, "--x", x,
+                             "--depth", "8")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "one --x" in err
+
 
 class TestMeasure:
     def test_csv_row_count(self, capsys):
@@ -208,6 +216,16 @@ class TestCoverage:
         code, out, _ = run(capsys, "coverage", "--depth", "4",
                            "--family", "nikodym", "--phi", "dh")
         assert code == 0 and "missing:0" in out
+
+    def test_depth_below_one_exit1(self, capsys):
+        """Both phi variants refuse a depth below 1 with one error line and
+        no traceback."""
+        for phi in ("dh", "sawyer"):
+            for depth in ("0", "-1"):
+                code, out, err = run(capsys, "coverage", "--phi", phi,
+                                     "--depth", depth)
+                assert code == 1 and out == ""
+                assert err == f"error: depth {depth} must be >= 1\n"
 
 
 class TestCertify:

@@ -2,13 +2,20 @@
 
 import dataclasses
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kakeya import measure
-from kakeya.errors import BadDepth, BadIndex, BudgetExceeded, RankDeficient
+from kakeya.errors import (
+    BadDepth,
+    BadIndex,
+    BudgetExceeded,
+    RankDeficient,
+    RingMismatch,
+)
 from kakeya.families import (
     kakeya_line_family,
     nikodym_line_family,
@@ -39,6 +46,11 @@ from kakeya.ring import cell_index, element_from_cell, neg, one, vector, zero
 from conftest import ALL_RINGS, F2, F3, F5, Z2, Z3, Z5, Z7
 
 SAW, DH = PhiVariant.SAWYER, PhiVariant.DH
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("phi built before the arguments were checked")
 
 
 def brute_force_cells(fam, variant, D):
@@ -286,6 +298,19 @@ class TestCrossSection:
                 assert est <= prev
             prev = est
 
+    def test_wrong_w_refused_before_any_table(self, monkeypatch):
+        """A zp:2 w on an fq:2 family, or two entries on a d = 1 family,
+        has no cross-section: the enumeration would read only a cell code
+        and answer for some other w."""
+        D = 4
+        fam = kakeya_line_family(F2)
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        monkeypatch.setattr(measure, "phi_for_family", _no_table)
+        measure._pairs.cache_clear()
+        with pytest.raises(RingMismatch):
+            cross_section_cells(fam, SAW, vector(one(Z2, D)), D)
+        with pytest.raises(ValueError, match="2 entries"):
+            cross_section_cells(fam, SAW, vector(one(F2, D), one(F2, D)), D)
 
     @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
     def test_read_backs_share_one_pair_table(self, ring, monkeypatch):
@@ -347,6 +372,40 @@ class TestDecay:
         strip = lambda rep: [(r.depth, r.hit_cells, r.total_cells, r.estimate,
                               r.input_depth) for r in rep.rows]
         assert strip(a) == strip(b)
+
+
+class TestDhPlateauLaw:
+    """For kakeya under dh, H(D+1) = ell^2 H(D) unless D + 2 is a power of
+    two: digit D of z = x*w - S(x) holds -x_(D+1), which enters no lower
+    digit, except at the depths where the digit shift skips it.  The law
+    is scoped to kakeya: nikodym breaks it (fq:2 at D 5)."""
+
+    @staticmethod
+    def _check_law(ell, hits):
+        """The law on each pair of consecutive depths in ``hits`` ({D: hit
+        count}) that it covers; there must be one."""
+        lawful = [D for D in hits if D + 1 in hits and (D + 2) & (D + 1)]
+        assert lawful
+        for D in lawful:
+            assert hits[D + 1] == ell ** 2 * hits[D], D
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_law_at_small_depths(self, ring):
+        fam = kakeya_line_family(ring)
+        D_max = {2: 9, 3: 5, 5: 4, 7: 3}[ring.ell]
+        self._check_law(ring.ell, {D: build_set_cells(fam, DH, D).hit_count
+                                   for D in range(1, D_max + 1)})
+
+    def test_law_on_frozen_fixtures(self):
+        hits = {}
+        for path in FIXTURES.glob("decay_kakeya_dh_*.csv"):
+            tag = path.stem.split("_")[3]  # e.g. fq2
+            for row in path.read_text().splitlines()[1:]:
+                D, hit = row.split(",")[:2]
+                hits.setdefault(tag, {})[int(D)] = int(hit)
+        assert sorted(hits) == ["fq2", "fq3", "fq5", "zp2", "zp3", "zp5"]
+        for tag, by_depth in hits.items():
+            self._check_law(int(tag[2:]), by_depth)
 
 
 class TestCoverage:
@@ -413,6 +472,22 @@ class TestBudget:
             with pytest.raises(BadDepth, match=r"2\^63"):
                 call()
         measure._check_headroom(7, 11)  # 7^22 < 2^63
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("D", (0, -1))
+    def test_depth_below_one_refused(self, variant, D, monkeypatch):
+        """No depth-D cell exists for D < 1: every entry point raises the
+        same BadDepth for both variants, before any table is built."""
+        fam = kakeya_line_family(F2)
+        w = vector(one(F2, 3))
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        monkeypatch.setattr(measure, "phi_for_family", _no_table)
+        measure._pairs.cache_clear()
+        for call in (lambda: build_set_cells(fam, variant, D),
+                     lambda: direction_coverage(fam, variant, D),
+                     lambda: cross_section_cells(fam, variant, w, D)):
+            with pytest.raises(BadDepth, match=f"depth {D} must be >= 1"):
+                call()
 
     def test_decay_report_fails_fast(self):
         fam = kakeya_line_family(F3)

@@ -341,36 +341,42 @@ class TestResidueLayer:
                 assert va[i] == residue_add(ring, D, int(a[i]), b)
 
     @staticmethod
-    def _check_walk(ring, D, a, z_codes, walk):
+    def _oracle_row(ring, D, a, c, w):
+        """Element sub(mul(a, w), c) entry by entry, as depth-D cell codes."""
+        ew = element_from_cell(ring, w, D)
+        return [cell_index(sub(mul(element_from_cell(ring, ac, D), ew),
+                               element_from_cell(ring, cc, D)), D)
+                for ac, cc in zip(a.tolist(), c.tolist())]
+
+    @staticmethod
+    def _check_walk(ring, D, a, c, z_at, walk):
         """The walk visits every depth-D w code exactly once, one per step,
-        and each step's row is ``z_codes`` at its w."""
+        and each step's row is ``z_at`` at its w and the Element oracle's."""
         seen = []
         for w, z in walk():
             assert isinstance(w, int)
             assert z.shape == (len(a),)
-            assert np.array_equal(z, z_codes(np.asarray([w]))[0])
+            assert np.array_equal(z, z_at(w))
+            assert z.tolist() == TestResidueLayer._oracle_row(ring, D, a, c, w)
             seen.append(w)
         assert sorted(seen) == list(range(ring.ell ** D))
 
     @staticmethod
     def _check_mul_sub(ring, D, a, c, w):
-        """residue_mul_sub against residue_sub(residue_mul(...)), against
-        one-element w blocks, and against Element sub(mul(...)); its walk
-        (when ell^D is small) against ``z_codes``."""
-        z_codes, walk = residue_mul_sub(ring, D, a, c)
+        """``z_at`` of residue_mul_sub against Element sub(mul(...)) at
+        each w, and against the vectorized residue_sub(residue_mul(...))
+        over all of ``w`` at once; its walk (when ell^D is small) step by
+        step against ``z_at`` and the Element oracle."""
+        z_at, walk = residue_mul_sub(ring, D, a, c)
         if ring.ell ** D <= 5 ** 4:
-            TestResidueLayer._check_walk(ring, D, a, z_codes, walk)
-        got = z_codes(w)
-        assert got.shape == (len(w), len(a))
-        assert np.array_equal(
-            got, residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c))
+            TestResidueLayer._check_walk(ring, D, a, c, z_at, walk)
+        block = residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c)
         for i, wc in enumerate(w.tolist()):
-            assert np.array_equal(z_codes(w[i:i + 1]), got[i:i + 1])
-            ew = element_from_cell(ring, wc, D)
-            for j, (ac, cc) in enumerate(zip(a.tolist(), c.tolist())):
-                want = sub(mul(element_from_cell(ring, ac, D), ew),
-                           element_from_cell(ring, cc, D))
-                assert got[i, j] == cell_index(want, D)
+            got = z_at(wc)
+            assert got.shape == (len(a),)
+            assert np.array_equal(got, block[i])
+            assert got.tolist() == TestResidueLayer._oracle_row(ring, D, a, c,
+                                                                wc)
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     @pytest.mark.parametrize("D", (1, 2, 3, 4))
@@ -398,8 +404,8 @@ class TestResidueLayer:
         c = np.asarray([1, 1, m - 1, 0, 2, 0], dtype=np.int64)
         first_sums = set(((-c) % m + a).tolist())
         assert {m - 1, m, 2 * m - 2} <= first_sums
-        z_codes, walk = residue_mul_sub(ring, D, a, c)
-        self._check_walk(ring, D, a, z_codes, walk)
+        z_at, walk = residue_mul_sub(ring, D, a, c)
+        self._check_walk(ring, D, a, c, z_at, walk)
 
     def test_mul_sub_deep_fq3(self):
         """No lane-width limit: fq:3 at D = 19, the deepest depth whose
@@ -417,9 +423,9 @@ class TestResidueLayer:
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_empty_pairs(self, ring):
         empty = np.zeros(0, dtype=np.int64)
-        z_codes, walk = residue_mul_sub(ring, 3, empty, empty)
-        assert z_codes(np.arange(4, dtype=np.int64)).shape == (4, 0)
-        self._check_walk(ring, 3, empty, z_codes, walk)
+        z_at, walk = residue_mul_sub(ring, 3, empty, empty)
+        assert z_at(5).shape == (0,)
+        self._check_walk(ring, 3, empty, empty, z_at, walk)
 
 
 def _oracle(ring, op, a, b):
