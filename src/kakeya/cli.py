@@ -10,7 +10,7 @@ Configuration precedence is flags > config file > defaults; the config file
 is plain ``key=value`` lines keyed by long flag names.  Output is
 pipeline-stable (no colour, no TTY detection) and file writes are atomic
 (temp file + rename).  The environment variable ``KAKEYA_BUDGET_CELLS``
-overrides the default cell budget.
+replaces the default cell budget, so a config file or flag still beats it.
 """
 
 from __future__ import annotations
@@ -130,8 +130,10 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Apply precedence flags > config file > defaults."""
+    """Apply precedence flags > config file > env budget > defaults."""
     layered = dict(RunConfig().__dict__)
+    if "KAKEYA_BUDGET_CELLS" in os.environ:
+        layered["budget_cells"] = int(os.environ["KAKEYA_BUDGET_CELLS"])
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
             if key not in layered:
@@ -141,9 +143,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             layered[key] = flag_val
-    env_cells = os.environ.get("KAKEYA_BUDGET_CELLS")
-    if env_cells is not None and getattr(args, "budget_cells", None) is None:
-        layered["budget_cells"] = int(env_cells)
     return RunConfig(**layered).validate()
 
 

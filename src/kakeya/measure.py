@@ -11,8 +11,10 @@ against a rate.
 Enumeration cost is governed by an explicit budget, checked by
 :func:`_check_build` before any array is built; exceeding it raises
 :class:`~kakeya.errors.BudgetExceeded` with the exact counts.  Cells count
-what is stored, pairs what is evaluated per w cell; on the packed route
-that is the :func:`_table_cells` x codes the phi table covers.
+what is stored, save that the coverage audit keeps one flag per direction
+and is charged the direction x w cells its report can list; pairs count
+what is evaluated per w cell, on the packed route the :func:`_table_cells`
+x codes the phi table covers.
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
 build and the cross-sections consume; the direction-coverage audit reads
@@ -23,12 +25,9 @@ require them to produce identical cell sets, cross-sections and coverage
 reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
 pairs once per enumeration and evaluates each of them once per w; the
-element route keeps one entry per x as the independent oracle.  Both routes
-walk every w cell exactly once and yield one (w code, z row) per w cell;
-:func:`~kakeya.ring.residue_mul_sub` describes how the packed walk steps.
-The hit-set build sets each step's row in its bitmap, and
-:func:`decay_report` reads the hit count of one build per depth; a
-cross-section reads the one row that the per-w evaluator gives at its w.
+element route keeps one entry per x as the independent oracle.  A hit-set
+build sets the z row of every w cell (:func:`~kakeya.ring.residue_mul_sub`
+describes the packed walk); a cross-section reads only the row at its w.
 """
 
 from __future__ import annotations
@@ -216,11 +215,10 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     cell code to the row of the entries' depth-D z-cell codes, in the
     order of ``dirs``; ``walk()`` yields one ``(w code, z_at(w))`` per w
     cell, a row the next step may overwrite.
-    Families with ``cells_eval`` and p = q = d = 1 take the packed-residue
-    route: one phi table, reduced to the distinct pairs (x mod ell^D,
-    phi(x) mod ell^D), and one ``cells_eval`` call that prepares them and
-    returns both functions.  All others take the element route, with one
-    entry per x: each x and phi(x) built once, then ``eval`` per x and w.
+    Families with ``cells_eval`` and p = q = d = 1 take the packed route:
+    one phi table, reduced to the distinct pairs, and one ``cells_eval``
+    call that prepares them and returns both functions.  All others take
+    the element route: each x and phi(x) built once, then ``eval`` per x and w.
     """
     ell = fam.ring.ell
     if _packed(fam):
@@ -294,27 +292,27 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
 
     Only the depth-D cell of ``w`` enters the enumeration; a ``w`` over
     another ring or with other than d entries is refused first.  Probes the
-    descriptor's right inverse at this w, so rank deficiency surfaces as
-    the descriptor's own error.
+    descriptor's right inverse at (x, y) = (0, phi(0)) = (0, 0) and this w,
+    evaluating no phi; rank deficiency surfaces as the descriptor's error.
     """
     if w.ring != fam.ring:
         raise RingMismatch(f"w is over {w.ring}, the family over {fam.ring}")
     if w.dim != fam.d_dim:
         raise ValueError(f"w has {w.dim} entries, need d = {fam.d_dim}")
-    ell = fam.ring.ell
     nd = fam.out_dim
-    total = ell ** (nd * D)
+    total = fam.ring.ell ** (nd * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
                      cells=total, n_w=1)
 
     zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
-    y0 = phi_for_family(fam, phi_variant, zero_x, D)
-    fam.dfdy_right_inverse(zero_x, y0, w, D)  # rank probe; may raise
+    # phi(0) = 0: each sawyer summand has p_k(0) = 0; dh shifts 0 to 0
+    zero_y = _element_vector(fam.ring, 0, D, fam.q_dim)
+    fam.dfdy_right_inverse(zero_x, zero_y, w, D)  # rank probe; may raise
 
     _, (z_at, _) = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
     bits[z_at(vector_cell_index(w, D))] = True
-    return CellSet(depth=D, ell=ell, w_dim=0, z_dim=nd, bits=bits)
+    return CellSet(depth=D, ell=fam.ring.ell, w_dim=0, z_dim=nd, bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +348,7 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     property (estimates non-increasing in D) is a theorem for exact
     hit-sets, so it is checked here as an internal tripwire: a rise raises
     :class:`~kakeya.errors.InvariantViolated`."""
-    if D_min > D_max or D_min < 1:
+    if D_min > D_max:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
     depths = {D: _check_build(fam, phi_variant, D, None, budget_cells,
                               budget_pairs)  # fail fast before any work
@@ -446,6 +444,8 @@ def input_depth_sufficiency(fam: FamilyDescriptor, phi_variant: PhiVariant,
     Exactness of the hit-set means deepening the x enumeration must change
     nothing.  The deeper build, which reads the full ell^(X + 2) table,
     goes first, so its budget is checked before any table is built."""
+    if D < 1:
+        raise BadDepth(f"depth {D} must be >= 1")
     X = phi_input_depth(phi_variant, D, fam.ring.ell)
     deep = build_set_cells(fam, phi_variant, D, input_depth=X + 2,
                            budget_cells=budget_cells,
@@ -484,12 +484,13 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     x cell and every w cell, so each x contributes a point in every w
     column, and the direction cell of x is present in all of them.  The
     audit therefore runs the enumeration once, without the per-w points, and
-    checks that the x cells reach every depth-D direction cell; a
-    (direction, w) pair with no x is reported as missing.  Errors of the phi
-    table or of the element-level phi evaluation still surface.
-    ``drop_direction_cell`` deletes one direction's row from the record
-    afterwards (fault injection for tests); a cell outside [0, ell^(p D))
-    raises :class:`~kakeya.errors.BadIndex` before any table is built.  The
+    keeps one flag per depth-D direction cell, set when some x reaches it;
+    each unreached direction is missing with every w cell, in (direction,
+    w) order, so the ell^(p D) x ell^(d D) cells charged bound that list.
+    Errors of the phi table or of the element-level phi evaluation still
+    surface.  ``drop_direction_cell`` clears one direction's flag afterwards
+    (fault injection for tests); a cell outside [0, ell^(p D)) raises
+    :class:`~kakeya.errors.BadIndex` before any table is built.  The
     vertical line w = const is not a member of the family and is reported
     as excluded by design, never as a failure.
     """
@@ -503,11 +504,11 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
         raise BadIndex(f"direction cell {drop_direction_cell} outside "
                        f"[0, {n_dirs})")
     dirs, _ = _hits(fam, phi_variant, D, X)
-    presence = np.zeros((n_dirs, n_w), dtype=bool)
-    presence[dirs, :] = True
-
+    reached = np.zeros(n_dirs, dtype=bool)
+    reached[dirs] = True
     if drop_direction_cell is not None:
-        presence[drop_direction_cell, :] = False
-    missing = tuple((int(d), int(w)) for d, w in zip(*np.nonzero(~presence)))
+        reached[drop_direction_cell] = False
+    missing = tuple((int(d), w) for d in np.flatnonzero(~reached)
+                    for w in range(n_w))
     return CoverageReport(fam.name, phi_variant.value, D, n_dirs, n_w,
                           missing)

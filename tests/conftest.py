@@ -1,7 +1,9 @@
 """Shared strategies and helpers for the test suite."""
 
+import pytest
 from hypothesis import strategies as st
 
+from kakeya import measure
 from kakeya.ring import (
     RingSpec,
     element_from_digits,
@@ -19,6 +21,16 @@ Z7 = padic_ring(7)
 F7 = power_series_ring(7)
 
 ALL_RINGS = (Z2, F2, Z3, F3, Z5, F5, Z7, F7)
+
+
+@pytest.fixture(autouse=True)
+def fresh_pair_cache():
+    """Every test starts and ends with an empty ``measure._pairs`` cache, so
+    pairs built under a patched ``variant_residue_table`` never outlive the
+    test that patched it."""
+    measure._pairs.cache_clear()
+    yield
+    measure._pairs.cache_clear()
 
 
 @st.composite

@@ -191,6 +191,18 @@ class TestConfigFile:
         assert [l.split(",")[0] for l in out.strip().splitlines()[1:]] == \
             ["3", "4", "5"]
 
+    def test_file_budget_beats_env_budget(self, capsys, tmp_path,
+                                          monkeypatch):
+        """KAKEYA_BUDGET_CELLS replaces the default cell budget, so a
+        config file's budget beats it (and a flag beats both, see
+        test_env_budget_override)."""
+        monkeypatch.setenv("KAKEYA_BUDGET_CELLS", "10")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"budget_cells={2 ** 20}\n")
+        code, _, err = run(capsys, "measure", "--dmin", "2", "--dmax", "3",
+                           "--config", str(cfg))
+        assert code == 0, err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dminn=3\n")

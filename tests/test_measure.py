@@ -234,7 +234,6 @@ class TestExactness:
             sizes.append((X, len(tab)))
             return tab
         monkeypatch.setattr(measure, "variant_residue_table", spy)
-        measure._pairs.cache_clear()
         ell, D = ring.ell, 3
         X = max(D, phi_input_depth(SAW, D, ell))
         fam = kakeya_line_family(ring)
@@ -242,7 +241,6 @@ class TestExactness:
         assert sizes == [(X + 2, ell ** (X + 2)), (X, ell ** D)]
         build_set_cells(fam, SAW, D, x_cells=[1, 2])
         assert sizes[-1] == (X, ell ** X)
-        measure._pairs.cache_clear()
 
     def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
         """The X + 2 re-check reads all ell^(X + 2) x cells, and its
@@ -252,7 +250,6 @@ class TestExactness:
         def no_table(*args, **kwargs):
             raise AssertionError("phi table built before the budget check")
         monkeypatch.setattr(measure, "variant_residue_table", no_table)
-        measure._pairs.cache_clear()
         fam = kakeya_line_family(F3)
         D = 3
         X = max(D, phi_input_depth(SAW, D, 3))
@@ -263,7 +260,6 @@ class TestExactness:
         with pytest.raises(BudgetExceeded):
             build_set_cells(fam, SAW, D, input_depth=X, x_cells=range(10),
                             budget_pairs=9 * 3 ** D)
-        measure._pairs.cache_clear()
 
 
 class TestCrossSection:
@@ -306,11 +302,43 @@ class TestCrossSection:
         fam = kakeya_line_family(F2)
         monkeypatch.setattr(measure, "variant_residue_table", _no_table)
         monkeypatch.setattr(measure, "phi_for_family", _no_table)
-        measure._pairs.cache_clear()
         with pytest.raises(RingMismatch):
             cross_section_cells(fam, SAW, vector(one(Z2, D)), D)
         with pytest.raises(ValueError, match="2 entries"):
             cross_section_cells(fam, SAW, vector(one(F2, D), one(F2, D)), D)
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_phi_of_zero_is_the_probe_zero(self, ring, variant):
+        """The rank probe passes the depth-D zero vector as phi(0): both
+        variants return exactly that, in value and in depth."""
+        fam = kakeya_line_family(ring)
+        for D in range(1, 5):
+            X = phi_input_depth(variant, D, ring.ell)
+            zero_x = measure._element_vector(ring, 0, X, fam.p_dim)
+            want = measure._element_vector(ring, 0, D, fam.q_dim)
+            got = phi_for_family(fam, variant, zero_x, D)
+            assert got == want
+            assert [e.depth for e in got] == [e.depth for e in want] == [D]
+
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    def test_packed_route_evaluates_no_phi(self, make, variant, ring,
+                                           monkeypatch):
+        """A packed cross-section reads phi only through the residue table:
+        the rank probe and the enumeration evaluate no element-level phi."""
+        fam = make(ring)
+        D = 3
+        w = vector(element_from_cell(ring, 1, D, D))
+        want = cross_section_cells(fam, variant, w, D)
+
+        def no_phi(*args, **kwargs):
+            raise AssertionError("element-level phi evaluated")
+        monkeypatch.setattr(measure, "phi_for_family", no_phi)
+        measure._pairs.cache_clear()
+        assert cross_section_cells(fam, variant, w, D) == want
 
     @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
     def test_read_backs_share_one_pair_table(self, ring, monkeypatch):
@@ -322,7 +350,6 @@ class TestCrossSection:
             built.append(args)
             return variant_residue_table(*args, **kwargs)
         monkeypatch.setattr(measure, "variant_residue_table", spy)
-        measure._pairs.cache_clear()
         D = 4
         first = vector(one(ring, D))
         cross_section_cells(kakeya_line_family(ring), SAW, first, D)
@@ -332,7 +359,6 @@ class TestCrossSection:
             cross_section_cells(make(ring), SAW, w, D)
             cross_section_cells(make(ring), SAW, first, D)
         assert len(built) == 1
-        measure._pairs.cache_clear()
 
 
 class TestDecay:
@@ -427,6 +453,26 @@ class TestCoverage:
             assert rep.missing_count == 2 ** D
             assert all(d == 1 for d, _ in rep.missing)
 
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    def test_unreached_direction_detected(self, variant, packed, monkeypatch):
+        """A direction the enumeration never reaches is found by the audit
+        itself, not only injected after it: it is reported with every w
+        cell, and nothing else is."""
+        fam = kakeya_line_family(F2)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        D, lost = 3, 5
+        hits = measure._hits
+
+        def lossy(*args, **kwargs):
+            dirs, evaluators = hits(*args, **kwargs)
+            assert lost in dirs
+            return dirs[dirs != lost], evaluators
+        monkeypatch.setattr(measure, "_hits", lossy)
+        rep = direction_coverage(fam, variant, D)
+        assert rep.missing == tuple((lost, w) for w in range(2 ** D))
+
     def test_fault_injection_cell_outside_raises(self, monkeypatch):
         """-1 would wrap to the last direction and 2^D would index past
         the record: both raise BadIndex before any table is built."""
@@ -436,11 +482,9 @@ class TestCoverage:
         def no_table(*args, **kwargs):
             raise AssertionError("phi built before the cell was checked")
         monkeypatch.setattr(measure, "variant_residue_table", no_table)
-        measure._pairs.cache_clear()
         for cell in (-1, 2 ** D):
             with pytest.raises(BadIndex):
                 direction_coverage(fam, SAW, D, drop_direction_cell=cell)
-        measure._pairs.cache_clear()
 
 
 class TestBudget:
@@ -482,10 +526,11 @@ class TestBudget:
         w = vector(one(F2, 3))
         monkeypatch.setattr(measure, "variant_residue_table", _no_table)
         monkeypatch.setattr(measure, "phi_for_family", _no_table)
-        measure._pairs.cache_clear()
         for call in (lambda: build_set_cells(fam, variant, D),
                      lambda: direction_coverage(fam, variant, D),
-                     lambda: cross_section_cells(fam, variant, w, D)):
+                     lambda: cross_section_cells(fam, variant, w, D),
+                     lambda: input_depth_sufficiency(fam, variant, D),
+                     lambda: decay_report(fam, variant, D, 3)):
             with pytest.raises(BadDepth, match=f"depth {D} must be >= 1"):
                 call()
 
@@ -528,7 +573,6 @@ class TestBudget:
             assert ei.value.pairs_needed == sizes[0] * ell ** D, name
             assert sizes[0] == want[name], name
             sizes.clear()
-        measure._pairs.cache_clear()
 
     @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
     def test_x_cells_outside_range_raise(self, packed, monkeypatch):
