@@ -26,15 +26,17 @@ from .errors import BadIndex, InsufficientDepth, NegativeValuation
 from .families import FamilyDescriptor
 from .phi import (
     PhiConfig,
+    PhiVariant,
     alpha,
     decode_matrix_fn,
     input_partial,
     lambda_floor,
     matrix_fn_eval,
     phi_eval,
+    phi_input_depth,
     phi_partial,
     projection,
-    required_phi_input_depth,
+    summand_valuation_floor,
 )
 from .ring import (
     INF,
@@ -134,6 +136,13 @@ class TermDecomposition:
                    for a, b in zip(s, self.f_value))
 
 
+def decomposition_input_depth(N: int, D: int, ell: int) -> int:
+    """Input depth x needs for the decomposition at landmark N >= 1, depth D."""
+    if N < 1:
+        raise BadIndex(f"need N >= 1, got {N}")
+    return max(alpha(N + 1), phi_input_depth(PhiVariant.SAWYER, D, ell))
+
+
 def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
                        w: ElementVector, N: int, D: int) -> TermDecomposition:
     """Split f(x, phi(x), w) around the landmark (x^(N), phi^(N)(x)).
@@ -143,12 +152,10 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
     III the Jacobian offset between the landmark and the true point, IV the
     tail beyond slice N, V the slice-N cross term, and VI the landmark value.
     """
-    if N < 1:
-        raise BadIndex(f"need N >= 1, got {N}")
-    ell = fam.ring.ell
+    need = decomposition_input_depth(N, D, fam.ring.ell)
+    fam.check_w(w)
     if any(not e.is_zero and e.lowest_degree < 0 for e in x):
         raise NegativeValuation("decomposition is taken over R^p")
-    need = max(alpha(N + 1), required_phi_input_depth(D, ell))
     if x.depth < need:
         raise InsufficientDepth(need, x.depth, f"decomposition input (N={N})")
 
@@ -225,7 +232,7 @@ def _tail_floor(N: int, ell: int, window: int = 8) -> int:
     Each step adds (N + j) and lambda grows by at most 1, so the sequence
     strictly increases for N >= 1; the explicit window certifies that and
     pins the minimum at j = 1."""
-    vals = [alpha(N + j) - lambda_floor(N + j, ell)
+    vals = [summand_valuation_floor(N + j, ell)
             for j in range(1, window + 1)]
     if not all(b > a for a, b in zip(vals, vals[1:])):
         raise AssertionError("tail crossover violated")  # unreachable for N >= 1
@@ -242,7 +249,7 @@ def lemma_predicate(lemma: str, A: int, B: int, N: int, ell: int
     if lemma == "I":
         return a_n >= N, f"alpha({N})={a_n} >= {N}"
     if lemma in ("II", "III"):
-        s = a_n - lam_n
+        s = summand_valuation_floor(N, ell)
         cl = _ceil_log(s, ell)
         holds = s > N and cl >= lam_n
         return holds, (f"alpha({N})-lambda({N})={s} > {N} and "
@@ -270,6 +277,8 @@ def certify_lemma_bounds(A: int, B: int, n_max: int, ell: int
     holds (the scan itself is the oracle; results are frozen as fixtures)."""
     if A < 0 or B < 0:
         raise BadIndex("A and B must be >= 0")
+    if n_max < 1:
+        raise BadIndex(f"n_max must be >= 1, got {n_max}")
     minimal: dict[str, int | None] = {lem: None for lem in LEMMA_IDS}
     rows = []
     for lem in LEMMA_IDS:

@@ -26,6 +26,7 @@ from .analysis import (
     certificate_csv,
     certify_lemma_bounds,
     counterexample_scan_csv,
+    decomposition_input_depth,
     term_decomposition,
     vsd_counterexample_scan,
 )
@@ -48,10 +49,9 @@ from .measure import (
 from .phi import (
     PhiConfig,
     PhiVariant,
-    alpha,
     phi_dh_eval,
     phi_eval,
-    required_phi_input_depth,
+    phi_input_depth,
 )
 from .ring import (
     ElementVector,
@@ -192,22 +192,18 @@ def _parse_inputs(texts, ring: RingSpec, min_depth: int = 1) -> ElementVector:
 
 
 def cmd_phi_eval(args, cfg: RunConfig) -> int:
-    ring = cfg.ring_spec()
-    need = required_phi_input_depth(args.depth, ring.ell)
-    x = _parse_inputs(args.x, ring, min_depth=need)
-    pc = PhiConfig(ring, p_dim=len(args.x), q_dim=args.q_dim)
-    out = phi_eval(x, pc, args.depth)
-    _emit("".join(format_element(e) + "\n" for e in out), cfg.out)
-    return EXIT_OK
-
-
-def cmd_phi_dh_eval(args, cfg: RunConfig) -> int:
-    if len(args.x) != 1:
+    """phi-eval and phi-dh-eval: one phi variant at one x."""
+    dh = args.variant is PhiVariant.DH
+    if dh and len(args.x) != 1:
         raise ValueError("phi-dh-eval takes one --x: the rule is scalar-only")
     ring = cfg.ring_spec()
-    x = _parse_inputs(args.x, ring, min_depth=args.depth + 1)
-    out = phi_dh_eval(x[0], args.depth)
-    _emit(format_element(out) + "\n", cfg.out)
+    need = phi_input_depth(args.variant, args.depth, ring.ell)
+    x = _parse_inputs(args.x, ring, min_depth=need)
+    if dh:
+        out = [phi_dh_eval(x[0], args.depth)]
+    else:
+        out = phi_eval(x, PhiConfig(ring, len(args.x), args.q_dim), args.depth)
+    _emit("".join(format_element(e) + "\n" for e in out), cfg.out)
     return EXIT_OK
 
 
@@ -263,8 +259,7 @@ def cmd_diff_example(args, cfg: RunConfig) -> int:
 def cmd_decompose(args, cfg: RunConfig) -> int:
     ring = cfg.ring_spec()
     fam = BUILTIN_FAMILIES[cfg.family](ring)
-    need = max(alpha(args.N + 1),
-               required_phi_input_depth(args.depth, ring.ell))
+    need = decomposition_input_depth(args.N, args.depth, ring.ell)
     x = _parse_inputs(args.x, ring, min_depth=need)
     w = _parse_inputs(args.w, ring, min_depth=args.depth)
     td = term_decomposition(fam, x, w, args.N, args.depth)
@@ -317,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "repeat for higher dimensions")
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--q-dim", dest="q_dim", type=int, default=1)
-    sp.set_defaults(fn=cmd_phi_eval)
+    sp.set_defaults(fn=cmd_phi_eval, variant=PhiVariant.SAWYER)
 
     sp = sub.add_parser("phi-dh-eval", help="evaluate the digit-shift rule")
     _add_common(sp)
     sp.add_argument("--x", action="append", required=True)
     sp.add_argument("--depth", type=int, required=True)
-    sp.set_defaults(fn=cmd_phi_dh_eval)
+    sp.set_defaults(fn=cmd_phi_eval, variant=PhiVariant.DH)
 
     sp = sub.add_parser("measure", help="covering-measure decay table")
     _add_common(sp)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InsufficientDepth, RankDeficient
+from .errors import InsufficientDepth, RankDeficient, RingMismatch
 from .phi import PhiConfig, PhiVariant, phi_dh_eval, phi_eval
 from .ring import (
     Element,
@@ -83,6 +83,13 @@ class FamilyDescriptor:
     @property
     def out_dim(self) -> int:
         return self.n_dim - self.d_dim
+
+    def check_w(self, w: ElementVector):
+        """Refuse a ``w`` over another ring or with other than d entries."""
+        if w.ring != self.ring:
+            raise RingMismatch(f"w is over {w.ring}, the family over {self.ring}")
+        if w.dim != self.d_dim:
+            raise ValueError(f"w has {w.dim} entries, need d = {self.d_dim}")
 
 
 def invert_element(a: Element) -> Element:
@@ -182,6 +189,7 @@ def family_point(fam: FamilyDescriptor, phi_variant: PhiVariant,
                  x: ElementVector, w: ElementVector,
                  D: int) -> tuple[ElementVector, ElementVector]:
     """The surface point (w, z) with z = f(x, phi(x), w), exact to D digits."""
+    fam.check_w(w)
     y = phi_for_family(fam, phi_variant, x, D)
     z = fam.eval(x, y, w, D)
     if z.depth < D:

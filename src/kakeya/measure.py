@@ -40,11 +40,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BadDepth, BadIndex, BudgetExceeded, InvariantViolated,
-                     RingMismatch)
+from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
-from .ring import ElementVector, RingMode, element_from_cell, vector_cell_index
+from .ring import ElementVector, RingMode, vector_cell_index, vector_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
 DEFAULT_PAIR_BUDGET = 2 ** 28
@@ -101,13 +100,6 @@ def _check_headroom(ell: int, D: int):
     if ell ** (2 * D) >= 2 ** 63:
         raise BadDepth(f"depth {D} at ell = {ell} needs ell^(2D) < 2^63 "
                        "for the packed int64 codes")
-
-
-def _element_vector(ring, combined: int, depth: int, dim: int) -> ElementVector:
-    base = ring.ell ** depth
-    return ElementVector(tuple(
-        element_from_cell(ring, (combined // base ** i) % base, depth, depth)
-        for i in range(dim)))
 
 
 def _packed(fam: FamilyDescriptor) -> bool:
@@ -233,11 +225,11 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 
     n_x = ell ** (fam.p_dim * X)
     codes = range(n_x) if x_cells is None else x_cells
-    xs = [_element_vector(fam.ring, xc, X, fam.p_dim) for xc in codes]
+    xs = [vector_from_cell(fam.ring, xc, X, fam.p_dim) for xc in codes]
     ys = [phi_for_family(fam, variant, x, D) for x in xs]
 
     def z_at(wc: int) -> np.ndarray:
-        w = _element_vector(fam.ring, wc, D, fam.d_dim)
+        w = vector_from_cell(fam.ring, wc, D, fam.d_dim)
         return np.asarray([vector_cell_index(fam.eval(x, y, w, D), D)
                            for x, y in zip(xs, ys)], dtype=np.int64)
 
@@ -295,18 +287,15 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     descriptor's right inverse at (x, y) = (0, phi(0)) = (0, 0) and this w,
     evaluating no phi; rank deficiency surfaces as the descriptor's error.
     """
-    if w.ring != fam.ring:
-        raise RingMismatch(f"w is over {w.ring}, the family over {fam.ring}")
-    if w.dim != fam.d_dim:
-        raise ValueError(f"w has {w.dim} entries, need d = {fam.d_dim}")
+    fam.check_w(w)
     nd = fam.out_dim
     total = fam.ring.ell ** (nd * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
                      cells=total, n_w=1)
 
-    zero_x = _element_vector(fam.ring, 0, X, fam.p_dim)
+    zero_x = vector_from_cell(fam.ring, 0, X, fam.p_dim)
     # phi(0) = 0: each sawyer summand has p_k(0) = 0; dh shifts 0 to 0
-    zero_y = _element_vector(fam.ring, 0, D, fam.q_dim)
+    zero_y = vector_from_cell(fam.ring, 0, D, fam.q_dim)
     fam.dfdy_right_inverse(zero_x, zero_y, w, D)  # rank probe; may raise
 
     _, (z_at, _) = _hits(fam, phi_variant, D, X)
@@ -476,8 +465,7 @@ class CoverageReport:
 
 def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
                        *, budget_cells: int = DEFAULT_CELL_BUDGET,
-                       budget_pairs: int = DEFAULT_PAIR_BUDGET,
-                       drop_direction_cell: int | None = None) -> CoverageReport:
+                       budget_pairs: int = DEFAULT_PAIR_BUDGET) -> CoverageReport:
     """Audit that the built set contains a full line for every direction.
 
     The set is built from the points (w, f(x, phi(x), w)) of every depth-X
@@ -488,26 +476,17 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     each unreached direction is missing with every w cell, in (direction,
     w) order, so the ell^(p D) x ell^(d D) cells charged bound that list.
     Errors of the phi table or of the element-level phi evaluation still
-    surface.  ``drop_direction_cell`` clears one direction's flag afterwards
-    (fault injection for tests); a cell outside [0, ell^(p D)) raises
-    :class:`~kakeya.errors.BadIndex` before any table is built.  The
-    vertical line w = const is not a member of the family and is reported
-    as excluded by design, never as a failure.
+    surface.  The vertical line w = const is not a member of the family and
+    is reported as excluded by design, never as a failure.
     """
     ell = fam.ring.ell
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
                      cells=n_dirs * n_w)
-    if drop_direction_cell is not None and not (
-            0 <= drop_direction_cell < n_dirs):
-        raise BadIndex(f"direction cell {drop_direction_cell} outside "
-                       f"[0, {n_dirs})")
     dirs, _ = _hits(fam, phi_variant, D, X)
     reached = np.zeros(n_dirs, dtype=bool)
     reached[dirs] = True
-    if drop_direction_cell is not None:
-        reached[drop_direction_cell] = False
     missing = tuple((int(d), w) for d in np.flatnonzero(~reached)
                     for w in range(n_w))
     return CoverageReport(fam.name, phi_variant.value, D, n_dirs, n_w,

@@ -289,6 +289,15 @@ def required_phi_input_depth(D_out: int, ell: int = 2) -> int:
     return alpha(tail_cutoff(D_out, ell) + 1)
 
 
+def phi_input_depth(variant: PhiVariant, D_out: int, ell: int) -> int:
+    """Input depth a variant needs for exact output at depth D_out >= 1."""
+    if variant is PhiVariant.SAWYER:
+        return required_phi_input_depth(D_out, ell)
+    if D_out < 1:
+        raise BadIndex(f"output depth must be >= 1, got {D_out}")
+    return D_out + 1
+
+
 def phi_eval(x: ElementVector, cfg: PhiConfig, D_out: int) -> ElementVector:
     """Evaluate phi at x in K^p, exact to D_out output digits.
 
@@ -332,18 +341,15 @@ def input_partial(x: ElementVector, N: int) -> ElementVector:
 
 
 def continuity_modulus(A: int, cfg: PhiConfig) -> int:
-    """Input agreement depth that forces output agreement to depth A.
+    """Input agreement depth that forces output agreement to depth A: the
+    input depth phi_eval needs at A.
 
-    If x and y agree on all digits below the returned depth (componentwise
-    valuation of x - y at least it), then phi(x) - phi(y) has componentwise
-    valuation at least A.
+    If x and y agree on all digits below it, then phi(x) - phi(y) has
+    componentwise valuation at least A.
     """
     if A < 1:
         raise BadIndex(f"continuity_modulus needs A >= 1, got {A}")
-    n = 0
-    while summand_valuation_floor(n, cfg.ring.ell) < A:
-        n += 1
-    return alpha(n)
+    return required_phi_input_depth(A, cfg.ring.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +369,9 @@ def phi_dh_eval(a: Element, D_out: int) -> Element:
     """
     if not a.is_zero and a.lowest_degree < 0:
         raise NegativeValuation("digit-shift rule is defined on R only")
-    if a.depth < D_out + 1:
-        raise InsufficientDepth(D_out + 1, a.depth, "digit-shift input")
+    need = phi_input_depth(PhiVariant.DH, D_out, a.ring.ell)
+    if a.depth < need:
+        raise InsufficientDepth(need, a.depth, "digit-shift input")
     ds = [0 if _is_power_of_two(j + 2) else a.digit(j + 1)
           for j in range(D_out)]
     return element_from_digits(ds, 0, a.ring, D_out)
@@ -373,13 +380,6 @@ def phi_dh_eval(a: Element, D_out: int) -> Element:
 # ---------------------------------------------------------------------------
 # Vectorized residue-table twins (p = q = 1), used by the measure module
 # ---------------------------------------------------------------------------
-
-def phi_input_depth(variant: PhiVariant, D_out: int, ell: int) -> int:
-    """Input depth each variant needs for exact depth-D_out output."""
-    if variant is PhiVariant.SAWYER:
-        return required_phi_input_depth(D_out, ell)
-    return D_out + 1
-
 
 def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int,
                       cells: int | None = None) -> np.ndarray:
@@ -430,9 +430,10 @@ def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int,
                      cells: int | None = None) -> np.ndarray:
     """Digit-shift rule applied to every depth-``input_depth`` cell code
     below ``cells`` (default: all ell^input_depth of them)."""
-    if input_depth < D_out + 1:
-        raise InsufficientDepth(D_out + 1, input_depth, "digit-shift table")
     ell = ring.ell
+    need = phi_input_depth(PhiVariant.DH, D_out, ell)
+    if input_depth < need:
+        raise InsufficientDepth(need, input_depth, "digit-shift table")
     codes = np.arange(ell ** input_depth if cells is None else cells,
                       dtype=np.int64)
     out = np.zeros_like(codes)

@@ -388,6 +388,13 @@ def element_from_cell(ring: RingSpec, code: int, D: int, W: int | None = None) -
     return _canonical(ring, 0, int(code) % ring.ell ** D, W)
 
 
+def vector_from_cell(ring: RingSpec, code: int, D: int, dim: int) -> ElementVector:
+    """Inverse of :func:`vector_cell_index`: canonical entry representatives."""
+    base = ring.ell ** D
+    return ElementVector(tuple(element_from_cell(ring, code // base ** i, D)
+                               for i in range(dim)))
+
+
 def enumerate_residues(ring: RingSpec, D: int) -> Iterator[Element]:
     """All ell^D depth-D cell representatives, ordered by cell_index.
 

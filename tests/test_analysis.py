@@ -82,6 +82,8 @@ class TestTermDecomposition:
             term_decomposition(fam, x, w, 0, 8)
         with pytest.raises(InsufficientDepth):
             term_decomposition(fam, vector(one(F2, 4)), w, 2, 8)
+        with pytest.raises(ValueError, match="w has 2 entries, need d = 1"):
+            term_decomposition(fam, x, vector(w[0], w[0]), 3, 12)
 
 
 class TestCertificates:
@@ -114,6 +116,11 @@ class TestCertificates:
                 if seen:
                     assert holds, (lem, N)
                 seen = seen or holds
+
+    def test_nmax_below_one_refused(self):
+        for n_max in (0, -5):
+            with pytest.raises(BadIndex, match="n_max must be >= 1"):
+                certify_lemma_bounds(0, 0, n_max, 2)
 
     def test_csv_shape(self):
         rep = certify_lemma_bounds(1, 0, 100, 2)

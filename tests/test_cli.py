@@ -94,6 +94,16 @@ class TestPhiDhEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "one --x" in err
 
+    def test_depth_below_one_same_error_as_phi_eval(self, capsys):
+        """Both evaluators take their input depth from one rule, which
+        refuses an output depth below 1 before any input is parsed."""
+        x = "fq:2:0:1,1,1"
+        for depth in ("0", "-2"):
+            dh = run(capsys, "phi-dh-eval", "--x", x, "--depth", depth)
+            sawyer = run(capsys, "phi-eval", "--x", x, "--depth", depth)
+            assert dh == sawyer == (
+                1, "", f"error: output depth must be >= 1, got {depth}\n")
+
 
 class TestMeasure:
     def test_csv_row_count(self, capsys):
@@ -250,6 +260,14 @@ class TestCertify:
         got = {l.split(",")[0]: int(l.split(",")[3]) for l in lines[1:]}
         assert got == {"I": 1, "II": 3, "III": 3, "IV": 2, "V": 1}
 
+    def test_nmax_below_one_exit1(self, capsys):
+        """An empty scan is refused, not reported as five failed rows."""
+        for nmax in ("0", "-5"):
+            code, out, err = run(capsys, "certify", "--A", "0", "--B", "0",
+                                 "--nmax", nmax)
+            assert (code, out) == (1, "")
+            assert err == f"error: n_max must be >= 1, got {nmax}\n"
+
 
 class TestDiffExample:
     def test_table(self, capsys):
@@ -294,6 +312,20 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--x", x, "--w", w,
                            "--N", "3", "--depth", "12")
         assert code == 4 and "sum_identity:VIOLATED" in out
+
+    def test_landmark_below_one_exit1(self, capsys):
+        code, out, err = run(capsys, "decompose", "--x", "fq:2:0:1",
+                             "--w", "fq:2:0:1", "--N", "-3", "--depth", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: need N >= 1, got -3\n"
+
+    def test_w_with_more_than_d_entries_exit1(self, capsys):
+        """A second --w is refused, not silently dropped."""
+        code, out, err = run(capsys, "decompose", "--x", "fq:2:0:1",
+                             "--w", "fq:2:0:1", "--w", "fq:2:0:1",
+                             "--N", "1", "--depth", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: w has 2 entries, need d = 1\n"
 
 
 class TestParserReuse:

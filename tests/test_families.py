@@ -171,6 +171,13 @@ class TestFamilyPoint:
         expect = truncate(sub(mul(x[0], w[0]), phi_dh_eval(x[0], D)), D)
         assert z[0] == expect
 
+    def test_w_with_more_than_d_entries_refused(self):
+        fam = kakeya_line_family(F2)
+        x = vector(one(F2, 30))
+        with pytest.raises(ValueError, match="w has 2 entries, need d = 1"):
+            family_point(fam, PhiVariant.SAWYER, x,
+                         vector(one(F2, 8), one(F2, 8)), 8)
+
     def test_insufficient_depth_propagates(self):
         fam = kakeya_line_family(F2)
         with pytest.raises(InsufficientDepth):

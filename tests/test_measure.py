@@ -41,7 +41,8 @@ from kakeya.phi import (
     tail_cutoff,
     variant_residue_table,
 )
-from kakeya.ring import cell_index, element_from_cell, neg, one, vector, zero
+from kakeya.ring import (cell_index, element_from_cell, neg, one, vector,
+                         vector_from_cell, zero)
 
 from conftest import ALL_RINGS, F2, F3, F5, Z2, Z3, Z5, Z7
 
@@ -108,9 +109,8 @@ class TestBuildSetCells:
         for D in Ds:
             assert build_set_cells(fam, variant, D) == \
                 build_set_cells(generic, variant, D)
-            assert direction_coverage(fam, variant, D,
-                                      drop_direction_cell=1) == \
-                direction_coverage(generic, variant, D, drop_direction_cell=1)
+            assert direction_coverage(fam, variant, D) == \
+                direction_coverage(generic, variant, D)
             # every nonzero w cell for ell <= 3; for ell >= 5 some units, a
             # valuation-1 cell and the top cell
             wcs = (range(1, ell ** D) if ell <= 3 else
@@ -315,8 +315,8 @@ class TestCrossSection:
         fam = kakeya_line_family(ring)
         for D in range(1, 5):
             X = phi_input_depth(variant, D, ring.ell)
-            zero_x = measure._element_vector(ring, 0, X, fam.p_dim)
-            want = measure._element_vector(ring, 0, D, fam.q_dim)
+            zero_x = vector_from_cell(ring, 0, X, fam.p_dim)
+            want = vector_from_cell(ring, 0, D, fam.q_dim)
             got = phi_for_family(fam, variant, zero_x, D)
             assert got == want
             assert [e.depth for e in got] == [e.depth for e in want] == [D]
@@ -446,19 +446,11 @@ class TestCoverage:
             assert rep.vertical_excluded
             assert rep.direction_cells == 2 ** D and rep.w_cells == 2 ** D
 
-    def test_fault_injection_exact_count(self):
-        fam = kakeya_line_family(F2)
-        for D in (2, 4):
-            rep = direction_coverage(fam, SAW, D, drop_direction_cell=1)
-            assert rep.missing_count == 2 ** D
-            assert all(d == 1 for d, _ in rep.missing)
-
     @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     def test_unreached_direction_detected(self, variant, packed, monkeypatch):
         """A direction the enumeration never reaches is found by the audit
-        itself, not only injected after it: it is reported with every w
-        cell, and nothing else is."""
+        itself: it is reported with every w cell, and nothing else is."""
         fam = kakeya_line_family(F2)
         if not packed:
             fam = dataclasses.replace(fam, cells_eval=None)
@@ -472,19 +464,6 @@ class TestCoverage:
         monkeypatch.setattr(measure, "_hits", lossy)
         rep = direction_coverage(fam, variant, D)
         assert rep.missing == tuple((lost, w) for w in range(2 ** D))
-
-    def test_fault_injection_cell_outside_raises(self, monkeypatch):
-        """-1 would wrap to the last direction and 2^D would index past
-        the record: both raise BadIndex before any table is built."""
-        fam = kakeya_line_family(F2)
-        D = 3
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("phi built before the cell was checked")
-        monkeypatch.setattr(measure, "variant_residue_table", no_table)
-        for cell in (-1, 2 ** D):
-            with pytest.raises(BadIndex):
-                direction_coverage(fam, SAW, D, drop_direction_cell=cell)
 
 
 class TestBudget:

@@ -333,6 +333,13 @@ class TestRequiredDepth:
         for D in range(1, 41):
             assert phi_input_depth(variant, D, ell) >= D
 
+    @pytest.mark.parametrize("variant", tuple(PhiVariant), ids=str)
+    def test_input_depth_refuses_output_depth_below_one(self, variant):
+        """Both variants refuse D_out < 1 with the same error."""
+        for D in (0, -1):
+            with pytest.raises(BadIndex, match="output depth must be >= 1"):
+                phi_input_depth(variant, D, 2)
+
     def test_smallest_exact_depth(self):
         """At the advertised depth the evaluation is already exact: deepening
         the input never changes the output (the prefix oracle)."""
@@ -351,6 +358,18 @@ class TestContinuityModulus:
     def test_monotone(self):
         vals = [continuity_modulus(a, CFG_F2) for a in range(1, 12)]
         assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_equals_phi_input_depth(self, ring):
+        """The modulus is phi_eval's input depth at A: alpha(n) for the
+        least n >= 1 with alpha(n) - lambda(n) >= A, found here by search."""
+        cfg = PhiConfig(ring)
+        for A in range(1, 61):
+            n = 1
+            while summand_valuation_floor(n, ring.ell) < A:
+                n += 1
+            assert continuity_modulus(A, cfg) == alpha(n) == \
+                required_phi_input_depth(A, ring.ell)
 
     @pytest.mark.parametrize("A", (1, 2, 3))
     def test_contract_exhaustive(self, A):

@@ -44,6 +44,8 @@ from kakeya.ring import (
     sub,
     truncate,
     vector,
+    vector_cell_index,
+    vector_from_cell,
     zero,
 )
 
@@ -245,6 +247,20 @@ class TestCells:
         first = [cell_index(e, 2) for e in enumerate_residues(F2, 2)]
         second = [cell_index(e, 2) for e in enumerate_residues(F2, 2)]
         assert first == second
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_vector_from_cell_round_trip(self, ring, dim):
+        """The combined-code decoder inverts vector_cell_index on every
+        depth-D code, and each entry is the canonical depth-D cell
+        representative, first entry lowest."""
+        for D in (1, 2) if ring.ell > 3 else (1, 2, 3):
+            base = ring.ell ** D
+            for code in range(base ** dim):
+                v = vector_from_cell(ring, code, D, dim)
+                assert v.dim == dim and v.depth == D
+                assert vector_cell_index(v, D) == code
+                assert v[0] == element_from_cell(ring, code % base, D)
 
 
 class TestReduceToR:
