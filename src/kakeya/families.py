@@ -54,8 +54,9 @@ class FamilyDescriptor:
     the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
     ``(z_at, walk)``: ``z_at`` maps one int w code to the 1-D row of the
-    pairs' z codes, and ``walk()`` yields one ``(w code, z row)`` per
-    depth-D w cell, a row the next step may overwrite (see
+    pairs' z codes, and ``walk()`` visits every depth-D w cell once in
+    blocks ``(w0, Z)``: row r of the 2-D ``Z`` is ``z_at(w0 + r)``, and the
+    next step may overwrite the block (see
     :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
     depend on w is done once, in the call that prepares them.
     """

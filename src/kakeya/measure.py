@@ -6,7 +6,10 @@ total cells) is therefore a true upper bound for the measure of the set
 inside the unit window R^d x R^(n-d), and refining D can only shrink it.
 Decay of the estimate with D is the desk-scale shadow of the measure-zero
 property; the decay tables are frozen as regression fixtures, not asserted
-against a rate.
+against a rate.  A decay table builds one hit-set, at its deepest depth,
+and reads each shallower row by projection: a depth-D cell is hit iff one
+of its sub-cells is.  One independent build at the shallowest depth checks
+the projections.
 
 Enumeration cost is governed by an explicit budget, checked by
 :func:`_check_build` before any array is built; exceeding it raises
@@ -26,8 +29,9 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  A hit-set
-build sets the z row of every w cell (:func:`~kakeya.ring.residue_mul_sub`
-describes the packed walk); a cross-section reads only the row at its w.
+build walks the w cells in blocks of rows and sets each block's cells with
+one assignment (:func:`~kakeya.ring.residue_mul_sub` describes the packed
+walk); a cross-section reads only the row at its w.
 """
 
 from __future__ import annotations
@@ -163,8 +167,9 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
 
     The cache serves the read-backs: every cross-section and coverage audit
     on one (ring, phi, D) after the first, for either family and any w,
-    reuses one table.  A decay table asks for each of its depths once, so
-    it hits only when the same table was built just before.
+    reuses one table.  A decay table asks for two keys, its D_max and its
+    D_min (the check build), once each, so it hits only when the same table
+    was built just before.
 
     The phi table covers the :func:`_table_cells` x codes; at ell^D of them
     the pairs are (arange(ell^D), table), already sorted and distinct.
@@ -205,8 +210,9 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     Returns ``(dirs, (z_at, walk))``.  ``dirs`` holds the depth-D
     direction cell of each enumerated entry.  ``z_at`` maps one depth-D w
     cell code to the row of the entries' depth-D z-cell codes, in the
-    order of ``dirs``; ``walk()`` yields one ``(w code, z_at(w))`` per w
-    cell, a row the next step may overwrite.
+    order of ``dirs``; ``walk()`` visits every w cell once in blocks
+    ``(w0, Z)``, row r of the 2-D ``Z`` being ``z_at(w0 + r)``, a block the
+    next step may overwrite.  The element route yields one-row blocks.
     Families with ``cells_eval`` and p = q = d = 1 take the packed route:
     one phi table, reduced to the distinct pairs, and one ``cells_eval``
     call that prepares them and returns both functions.  All others take
@@ -235,7 +241,7 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 
     def walk():
         for w in range(ell ** (fam.d_dim * D)):
-            yield w, z_at(w)
+            yield w, z_at(w)[None, :]
 
     dirs = np.asarray([vector_cell_index(x, D) for x in xs], dtype=np.int64)
     return dirs, (z_at, walk)
@@ -254,8 +260,10 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     (diagnostic use); ``input_depth`` overrides X
     (used by the input-depth sufficiency re-check).  The packed route
     prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
-    step (w, z) of the enumeration's walk over the w cells sets the cells
-    z of row w.  Repeated ``x_cells`` codes are enumerated and charged
+    block (w0, Z) of the enumeration's walk sets the cells of rows w0 ..
+    w0 + len(Z) - 1 with one assignment at the combined (w, z) indices.
+    :func:`decay_report` calls it once at D_max and once at D_min per
+    table.  Repeated ``x_cells`` codes are enumerated and charged
     once; a code outside [0, ell^(p X)) raises
     :class:`~kakeya.errors.BadIndex` and a depth D < 1
     :class:`~kakeya.errors.BadDepth`, before any table is built.
@@ -269,9 +277,13 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
     zc = ell ** (fam.out_dim * D)
     bits = np.zeros(ell ** (fam.d_dim * D) * zc, dtype=bool)
-    rows = bits.reshape(-1, zc)
-    for w, z in walk():
-        rows[w][z] = True
+    offsets = np.empty((0, 0), dtype=np.int64)
+    for w0, Z in walk():
+        if offsets.shape != Z.shape:  # row r of Z sets bitmap row w0 + r
+            # materialized: adding a broadcast column took 2.5x as long
+            offsets = np.broadcast_to(np.arange(0, len(Z) * zc, zc)[:, None],
+                                      Z.shape).copy()
+        bits[w0 * zc:(w0 + len(Z)) * zc][Z + offsets] = True
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
                    bits=bits)
 
@@ -330,33 +342,51 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                  D_min: int, D_max: int, *,
                  budget_cells: int = DEFAULT_CELL_BUDGET,
                  budget_pairs: int = DEFAULT_PAIR_BUDGET) -> DecayReport:
-    """One exact hit-set per depth in [D_min, D_max], each set by
-    :func:`build_set_cells` from one walk over the w cells.
+    """The exact hit-sets at every depth in [D_min, D_max] from one build.
 
-    The budget of every depth is checked before any work.  The refinement
-    property (estimates non-increasing in D) is a theorem for exact
-    hit-sets, so it is checked here as an internal tripwire: a rise raises
-    :class:`~kakeya.errors.InvariantViolated`."""
+    Only D_max is built (:func:`build_set_cells`); each shallower row is
+    :func:`_project` of the row below it, exact because a depth-D cell is
+    hit iff one of its sub-cells is.  One independent build at D_min must
+    equal its projection, else :class:`~kakeya.errors.InvariantViolated`
+    is raised.  Both builds' budgets are checked before any work.  A row's
+    ``seconds`` is its build at D_max, its projection otherwise, and the
+    D_min row also carries the check."""
     if D_min > D_max:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
-    depths = {D: _check_build(fam, phi_variant, D, None, budget_cells,
-                              budget_pairs)  # fail fast before any work
-              for D in range(D_min, D_max + 1)}
+    for D in (D_min, D_max):  # fail fast before any work
+        _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs)
+    build = functools.partial(build_set_cells, fam, phi_variant,
+                              budget_cells=budget_cells,
+                              budget_pairs=budget_pairs)
     rows = []
-    prev = None
-    for D, X in depths.items():
-        t0 = time.perf_counter()
-        cs = build_set_cells(fam, phi_variant, D, budget_cells=budget_cells,
-                             budget_pairs=budget_pairs)
-        dt = time.perf_counter() - t0
-        est = cs.estimate()
-        if prev is not None and est > prev:
+    t0 = time.perf_counter()
+    cs = build(D_max)
+    for D in range(D_max, D_min - 1, -1):
+        if D < D_max:
+            cs = _project(cs)
+        if D == D_min < D_max and build(D) != cs:
             raise InvariantViolated(
-                f"refinement violated: estimate rose from {prev} to {est} "
-                f"at depth {D}")
-        prev = est
-        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, est, X, dt))
-    return DecayReport(fam.name, phi_variant.value, str(fam.ring), tuple(rows))
+                f"refinement violated: the depth-{D} build differs from the "
+                f"projection of depth {D_max}")
+        X = phi_input_depth(phi_variant, D, fam.ring.ell)
+        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, cs.estimate(),
+                             X, time.perf_counter() - t0))
+        t0 = time.perf_counter()
+    return DecayReport(fam.name, phi_variant.value, str(fam.ring),
+                       tuple(reversed(rows)))
+
+
+def _project(cs: CellSet) -> CellSet:
+    """The depth-(D - 1) cells under the depth-D ``cs``: a cell is hit iff
+    one of its ell^k sub-cells is, k = w_dim + z_dim.  Each entry's
+    depth-D code splits into its top digit and the depth-(D - 1) code, so
+    the bits reshape to (ell, ell^(D-1)) per entry and the top-digit axes
+    are or-reduced."""
+    ell, k = cs.ell, cs.w_dim + cs.z_dim
+    split = cs.bits.reshape((ell, ell ** (cs.depth - 1)) * k)
+    bits = np.logical_or.reduce(split, axis=tuple(range(0, 2 * k, 2)))
+    return CellSet(depth=cs.depth - 1, ell=ell, w_dim=cs.w_dim,
+                   z_dim=cs.z_dim, bits=bits.ravel())
 
 
 def _decimal6(x: Fraction) -> str:

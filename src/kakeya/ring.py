@@ -668,97 +668,136 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
+# Most int64 entries in one block of walk rows (see residue_mul_sub).  Each
+# walk step moves a whole block with a few numpy calls, so a block must be
+# large enough to amortize the Python step and small enough to stay in
+# cache.  BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast,
+# and 2^14 holds the least memory.
+WALK_BLOCK_ENTRIES = 2 ** 14
+
+
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """Prepare w -> a*w - c for the 1-D arrays ``a`` and ``c`` of depth-D
     codes (each in [0, ell^D)).
 
     Returns ``(z_at, walk)``.  ``z_at`` maps one int w code to the 1-D row
     of depth-D codes of a*w - c.  ``walk()`` visits every depth-D w code
-    exactly once and yields one ``(w, z)`` per step: the int code w and the
-    row ``z_at(w)``, which the next step may overwrite.
+    exactly once and yields one ``(w0, Z)`` per step: ``Z`` is a 2-D block
+    whose row r is ``z_at(w0 + r)``, so a block covers the contiguous run
+    w0 .. w0 + len(Z) - 1.  The next step may overwrite ``Z``.
 
-    * PADIC steps w by 1: z += a mod ell^D.  At ell = 2 a mask reduces;
-      at ell >= 3 z + a < 2 ell^D, so one conditional subtraction does,
-      taken as the unsigned minimum of z and z - ell^D into a reused
-      scratch row: no division.
-    * POWER_SERIES at ell = 2 walks w in Gray order k ^ (k >> 1): step k
-      flips bit i = ctz(k) of w, so z ^= (a << i) & mask.
-    * POWER_SERIES at ell >= 3 walks w in an ell-ary (modular) Gray order,
-      highest digit first: step k raises digit i = D - 1 - v_ell(k) of w
-      by 1 mod ell, so z gains the carry-free a*t^i, precomputed for each
-      i.  z is held as a low half of h = ceil(D/2) digits and a high half
-      of D - h digits; each half is added with one ``take`` from the
+    A block holds the B = ell^J rows of the J low digits of w, J the largest
+    (at most D) with B * len(a) <= ``WALK_BLOCK_ENTRIES``; a longer ``a``
+    gets one-row blocks.  Raising digit i of w adds a*t^i, whose code is
+    a*ell^i mod ell^D in either ring.  The first block (w0 = 0) is filled
+    by ell-ary doubling from the row -c: rows k*ell^j + r are rows
+    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
+    Each later step raises one digit i >= J of w0 and adds a*t^i to the
+    whole block:
+
+    * PADIC steps w0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
+      at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
+      taken as the unsigned minimum of Z and Z - ell^D into a reused
+      scratch block: no division.
+    * POWER_SERIES walks the high digits in an ell-ary (modular) Gray
+      order, highest digit first: step k raises digit i = D - 1 - v_ell(k)
+      of w0 by 1 mod ell.  At ell = 2 the step is Z ^= a*t^i.  At
+      ell >= 3 Z is held as a low half of h = ceil(D/2) digits and a high
+      half of D - h digits; each half is added with one ``take`` from the
       ell^h x ell^h carry-free addition table, which the walk builds (so
       ``z_at`` never allocates it).  A step with i >= h changes only the
-      high half, and only about ell^-(D-h) of the steps have i < h.
+      high half.
     """
-    m = ring.ell ** D
+    ell, m = ring.ell, ring.ell ** D
 
     def z_at(w: int) -> np.ndarray:
         return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
 
-    if ring.mode is RingMode.PADIC or ring.ell == 2:
-        def walk():
-            fq = ring.mode is RingMode.POWER_SERIES
-            if fq:
-                shifted = [(a << i) & (m - 1) for i in range(D)]
-            z = np.array(residue_neg(ring, D, c), dtype=np.int64)  # w = 0
-            if not fq and ring.ell > 2:
-                # z + a < 2m; z - m wraps above z as uint64 exactly when
-                # z < m, so an unsigned min is the reduction, with no %.
-                t = np.empty_like(z)
-                zu, tu = z.view(np.uint64), t.view(np.uint64)
-            yield 0, z
-            for k in range(1, m):
-                if fq:
-                    z ^= shifted[(k & -k).bit_length() - 1]
-                elif ring.ell == 2:  # a mask is 3-5x cheaper than %
-                    z += a
-                    z &= m - 1
-                else:
-                    z += a
-                    np.subtract(z, m, out=t)
-                    np.minimum(zu, tu, out=zu)
-                yield (k ^ (k >> 1) if fq else k), z
-
-        return z_at, walk
-
     def walk():
-        ell, h = ring.ell, (D + 1) // 2
+        J = 0
+        while J < D and ell ** (J + 1) * len(a) <= WALK_BLOCK_ENTRIES:
+            J += 1
+        B = ell ** J
+        step, block = _walk_steps(ring, D, a, residue_neg(ring, D, c), B)
+        for j in range(J):
+            s = ell ** j
+            for k in range(1, ell):
+                step(slice((k - 1) * s, k * s), slice(k * s, (k + 1) * s), j)
+        yield 0, block()
+        w, wd, every = 0, [0] * D, slice(None)
+        for k in range(1, m // B):
+            if ring.mode is RingMode.PADIC:
+                i, w = J, w + B
+            else:
+                i = D - 1
+                while k % ell ** (D - i) == 0:
+                    i -= 1
+                wd[i] = (wd[i] + 1) % ell
+                w += ell ** i if wd[i] else -(ell - 1) * ell ** i
+            step(every, every, i)
+            yield w, block()
+
+    return z_at, walk
+
+
+def _walk_steps(ring: RingSpec, D: int, a: np.ndarray, z0, B: int):
+    """The step of one :func:`residue_mul_sub` walk over a block of B rows,
+    row 0 set to the codes ``z0``.
+
+    Returns ``(step, block)``: ``step(src, dst, i)`` sets the rows ``dst``
+    (a slice) to the rows ``src`` plus a*t^i, and ``block()`` returns the
+    block as codes."""
+    ell, m = ring.ell, ring.ell ** D
+    adds = [a * ell ** i % m for i in range(D)]
+    z = np.empty((B, len(a)), dtype=np.int64)
+    if ring.mode is RingMode.POWER_SERIES and ell > 2:
+        h = (D + 1) // 2
         half = ell ** h
         u = np.arange(half, dtype=np.int64)
         table = residue_add(ring, h, u[:, None], u[None, :]).ravel()
         scaled = table * half
-        # (high, low) halves of a*t^i, which is a's code moved up i digits
-        # and cut to D.  The table is symmetric, so either operand may pick
-        # its row: the low addend is scaled to pick it, while z's high half
-        # is held scaled by ell^h, picks the row and is read back scaled
-        # from ``scaled``, making the row hi + lo.
-        adds = [np.divmod(a % ell ** (D - i) * ell ** i, half)
-                for i in range(D)]
-        hi_add = [ah for ah, _ in adds]
-        lo_add = [al * half for _, al in adds[:h]]
-        z = np.asarray(residue_neg(ring, D, c))  # w = 0
-        lo = z % half
-        hi = z - lo
-        idx = np.empty_like(lo)  # in range, so mode="clip" takes unbuffered
-        yield 0, z
-        w, wd = 0, [0] * D
-        for k in range(1, m):
-            i = D - 1
-            while k % ell ** (D - i) == 0:
-                i -= 1
-            wd[i] = (wd[i] + 1) % ell
-            w += ell ** i if wd[i] else -(ell - 1) * ell ** i
-            if i < h:
-                np.add(lo_add[i], lo, out=idx)
-                table.take(idx, out=lo, mode="clip")
-            np.add(hi_add[i], hi, out=idx)
-            scaled.take(idx, out=hi, mode="clip")
-            np.add(hi, lo, out=z)
-            yield w, z
+        # The table is symmetric, so either operand may pick its row: the
+        # low addend is scaled to pick it, while z's high half is held
+        # scaled by ell^h, picks the row and is read back scaled from
+        # ``scaled``, making the row hi + lo.
+        hi_add = [x // half for x in adds]
+        lo_add = [x % half * half for x in adds[:h]]
+        lo, hi = np.empty_like(z), np.empty_like(z)
+        lo[0] = z0 % half
+        hi[0] = z0 - lo[0]
+        idx = np.empty_like(z)  # in range, so mode="clip" takes unbuffered
 
-    return z_at, walk
+        def step(src, dst, i):
+            if i < h:
+                np.add(lo_add[i], lo[src], out=idx[dst])
+                table.take(idx[dst], out=lo[dst], mode="clip")
+            elif src != dst:
+                lo[dst] = lo[src]
+            np.add(hi_add[i], hi[src], out=idx[dst])
+            scaled.take(idx[dst], out=hi[dst], mode="clip")
+
+        return step, lambda: np.add(hi, lo, out=z)
+
+    z[0] = z0
+    if ring.mode is RingMode.POWER_SERIES:
+        def step(src, dst, i):
+            np.bitwise_xor(z[src], adds[i], out=z[dst])
+    elif ell == 2:  # a mask is 3-5x cheaper than %
+        def step(src, dst, i):
+            np.add(z[src], adds[i], out=z[dst])
+            np.bitwise_and(z[dst], m - 1, out=z[dst])
+    else:
+        # z + a*ell^i < 2m; z - m wraps above z as uint64 exactly when
+        # z < m, so an unsigned min is the reduction, with no %.
+        t = np.empty_like(z)
+        zu, tu = z.view(np.uint64), t.view(np.uint64)
+
+        def step(src, dst, i):
+            np.add(z[src], adds[i], out=z[dst])
+            np.subtract(z[dst], m, out=t[dst])
+            np.minimum(zu[dst], tu[dst], out=zu[dst])
+
+    return step, lambda: z
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -13,10 +13,12 @@ from kakeya.errors import (
     BadDepth,
     BadIndex,
     BudgetExceeded,
+    InvariantViolated,
     RankDeficient,
     RingMismatch,
 )
 from kakeya.families import (
+    FamilyDescriptor,
     kakeya_line_family,
     nikodym_line_family,
     phi_for_family,
@@ -41,8 +43,8 @@ from kakeya.phi import (
     tail_cutoff,
     variant_residue_table,
 )
-from kakeya.ring import (cell_index, element_from_cell, neg, one, vector,
-                         vector_from_cell, zero)
+from kakeya.ring import (cell_index, element_from_cell, mul, neg, one, sub,
+                         vector, vector_from_cell, zero)
 
 from conftest import ALL_RINGS, F2, F3, F5, Z2, Z3, Z5, Z7
 
@@ -390,6 +392,84 @@ class TestDecay:
         assert set(doc["rows"][0]) == {"D", "hit_cells", "total_cells",
                                        "estimate_rational", "estimate_decimal",
                                        "input_depth", "seconds"}
+
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_rows_equal_independent_builds(self, ring, variant, make, packed):
+        """Every row projected from the one D_max build equals
+        build_set_cells at its depth.  The element route stops shallower:
+        its build at ell = 7, dh, D = 3 takes about 10 s."""
+        fam = make(ring)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        D_max = {2: 6, 3: 4, 5: 3, 7: 3}[ring.ell] - (0 if packed else 1)
+        rep = decay_report(fam, variant, 1, D_max)
+        assert [r.depth for r in rep.rows] == list(range(1, D_max + 1))
+        for r in rep.rows:
+            cs = build_set_cells(fam, variant, r.depth)
+            assert (r.hit_cells, r.total_cells, r.estimate, r.input_depth) \
+                == (cs.hit_count, cs.total_cells, cs.estimate(),
+                    phi_input_depth(variant, r.depth, ring.ell))
+
+    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    def test_projection_of_a_plane_family(self, ring):
+        """One w and two z entries: the bits reshape to three (ell,
+        ell^(D-1)) entry pairs, and the projection of each depth equals the
+        build one depth up.  Element route (no cells_eval)."""
+        def f_eval(x, y, w, depth):
+            return vector(sub(mul(x[0], w[0]), y[0]),
+                          sub(mul(y[1], w[0]), x[0]))
+
+        def unused(*args):
+            raise AssertionError("not needed to build a hit-set")
+        fam = FamilyDescriptor("plane", ring, p_dim=1, q_dim=2, d_dim=1,
+                               n_dim=3, eval=f_eval, dfdx=unused, dfdy=unused,
+                               dfdy_right_inverse=unused)
+        sets = [build_set_cells(fam, SAW, D) for D in (1, 2, 3)]
+        assert sets[0].total_cells == ring.ell ** 3
+        for shallow, deep in zip(sets, sets[1:]):
+            assert measure._project(deep) == shallow
+        rep = decay_report(fam, SAW, 1, 3)
+        assert [r.hit_cells for r in rep.rows] == [s.hit_count for s in sets]
+
+    def test_one_build_per_table(self, monkeypatch):
+        """A table builds phi tables only for D_max and its D_min check."""
+        built = []
+
+        def spy(variant, cfg, D, X, cells=None):
+            built.append(D)
+            return variant_residue_table(variant, cfg, D, X, cells)
+        monkeypatch.setattr(measure, "variant_residue_table", spy)
+        decay_report(kakeya_line_family(F2), DH, 2, 7)
+        assert built == [7, 2]
+        built.clear()
+        decay_report(kakeya_line_family(Z3), SAW, 3, 3)
+        assert built == [3]
+
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    def test_d_min_build_differing_from_projection_raises(self, packed,
+                                                          monkeypatch):
+        """The independent D_min build is the table's check: one cell it
+        does not share with the projection raises InvariantViolated."""
+        fam = kakeya_line_family(F2)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        build = measure.build_set_cells
+
+        def off_by_one_cell(fam, variant, D, **kw):
+            cs = build(fam, variant, D, **kw)
+            if D > 2:
+                return cs
+            bits = cs.bits.copy()
+            bits[-1] = not bits[-1]
+            return CellSet(cs.depth, cs.ell, cs.w_dim, cs.z_dim, bits)
+        monkeypatch.setattr(measure, "build_set_cells", off_by_one_cell)
+        with pytest.raises(InvariantViolated, match="^refinement violated"):
+            decay_report(fam, SAW, 2, 4)
+        assert len(decay_report(fam, SAW, 2, 2).rows) == 1  # nothing to check
 
     def test_deterministic_modulo_timing(self):
         fam = kakeya_line_family(F2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeya import ring as ring_module
 from kakeya.errors import (
     BadDepth,
     DigitOutOfRange,
@@ -16,6 +17,7 @@ from kakeya.errors import (
 )
 from kakeya.ring import (
     INF,
+    WALK_BLOCK_ENTRIES,
     ElementMatrix,
     ElementVector,
     RingSpec,
@@ -358,34 +360,62 @@ class TestResidueLayer:
 
     @staticmethod
     def _oracle_row(ring, D, a, c, w):
-        """Element sub(mul(a, w), c) entry by entry, as depth-D cell codes."""
+        """Element sub(mul(a, w), c) entry by entry, as depth-D cell codes;
+        each distinct (a, c) pair is evaluated once."""
         ew = element_from_cell(ring, w, D)
-        return [cell_index(sub(mul(element_from_cell(ring, ac, D), ew),
-                               element_from_cell(ring, cc, D)), D)
-                for ac, cc in zip(a.tolist(), c.tolist())]
+        pairs = list(zip(a.tolist(), c.tolist()))
+        code = {(ac, cc): cell_index(sub(mul(element_from_cell(ring, ac, D),
+                                             ew),
+                                         element_from_cell(ring, cc, D)), D)
+                for ac, cc in set(pairs)}
+        return [code[p] for p in pairs]
 
     @staticmethod
-    def _check_walk(ring, D, a, c, z_at, walk):
-        """The walk visits every depth-D w code exactly once, one per step,
-        and each step's row is ``z_at`` at its w and the Element oracle's."""
-        seen = []
-        for w, z in walk():
-            assert isinstance(w, int)
-            assert z.shape == (len(a),)
-            assert np.array_equal(z, z_at(w))
-            assert z.tolist() == TestResidueLayer._oracle_row(ring, D, a, c, w)
-            seen.append(w)
+    def _walk_blocks(ring, D, a, c, cap, oracle):
+        """Walk a*w - c with blocks capped at ``cap`` entries: every depth-D
+        w code is visited exactly once, each block covers the contiguous
+        run w0 .. w0 + len(Z) - 1, and each row is ``z_at`` at its w and
+        the Element oracle's (memoized per w in ``oracle``).  Returns the
+        block lengths."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
+            z_at, walk = residue_mul_sub(ring, D, a, c)
+            seen, lengths = [], set()
+            for w0, Z in walk():
+                assert isinstance(w0, int)
+                assert Z.ndim == 2 and Z.shape[1] == len(a)
+                lengths.add(len(Z))
+                for w, z in enumerate(Z, start=w0):
+                    assert np.array_equal(z, z_at(w))
+                    if w not in oracle:
+                        oracle[w] = TestResidueLayer._oracle_row(ring, D, a,
+                                                                 c, w)
+                    assert z.tolist() == oracle[w]
+                    seen.append(w)
         assert sorted(seen) == list(range(ring.ell ** D))
+        return lengths
+
+    @staticmethod
+    def _check_walk(ring, D, a, c):
+        """The walk under every block size a cap can give: ell^J rows for
+        each J <= D, and one-row blocks when ``a`` is longer than the cap.
+        Only blocks of J < D rows take the high-digit steps."""
+        assert len(a)
+        oracle = {}
+        for J in range(D + 1):
+            cap = len(a) * ring.ell ** J if J else len(a) - 1
+            assert TestResidueLayer._walk_blocks(ring, D, a, c, cap,
+                                                 oracle) == {ring.ell ** J}
 
     @staticmethod
     def _check_mul_sub(ring, D, a, c, w):
         """``z_at`` of residue_mul_sub against Element sub(mul(...)) at
         each w, and against the vectorized residue_sub(residue_mul(...))
-        over all of ``w`` at once; its walk (when ell^D is small) step by
-        step against ``z_at`` and the Element oracle."""
-        z_at, walk = residue_mul_sub(ring, D, a, c)
+        over all of ``w`` at once; its walk (when ell^D is small) block by
+        block against ``z_at`` and the Element oracle."""
+        z_at, _ = residue_mul_sub(ring, D, a, c)
         if ring.ell ** D <= 5 ** 4:
-            TestResidueLayer._check_walk(ring, D, a, c, z_at, walk)
+            TestResidueLayer._check_walk(ring, D, a, c)
         block = residue_sub(ring, D, residue_mul(ring, D, a, w[:, None]), c)
         for i, wc in enumerate(w.tolist()):
             got = z_at(wc)
@@ -420,8 +450,7 @@ class TestResidueLayer:
         c = np.asarray([1, 1, m - 1, 0, 2, 0], dtype=np.int64)
         first_sums = set(((-c) % m + a).tolist())
         assert {m - 1, m, 2 * m - 2} <= first_sums
-        z_at, walk = residue_mul_sub(ring, D, a, c)
-        self._check_walk(ring, D, a, c, z_at, walk)
+        self._check_walk(ring, D, a, c)
 
     def test_mul_sub_deep_fq3(self):
         """No lane-width limit: fq:3 at D = 19, the deepest depth whose
@@ -438,10 +467,29 @@ class TestResidueLayer:
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_empty_pairs(self, ring):
+        """No pairs: one block of every w, each row empty."""
         empty = np.zeros(0, dtype=np.int64)
-        z_at, walk = residue_mul_sub(ring, 3, empty, empty)
+        z_at, _ = residue_mul_sub(ring, 3, empty, empty)
         assert z_at(5).shape == (0,)
-        self._check_walk(ring, 3, empty, empty, z_at, walk)
+        assert self._walk_blocks(ring, 3, empty, empty, WALK_BLOCK_ENTRIES,
+                                 {}) == {ring.ell ** 3}
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_mul_sub_block_sizes_at_the_cap(self, ring):
+        """Under the module cap: a short pair array fits the whole depth-2
+        table in one block, one longer than the cap gets one-row blocks.
+        The long array repeats 22 pairs, so the oracle stays cheap."""
+        D = 2
+        m = ring.ell ** D
+        rnd = random.Random(ring.ell)
+        a = np.asarray([rnd.randrange(m) for _ in range(20)] + [0, m - 1],
+                       dtype=np.int64)
+        c = np.asarray([rnd.randrange(m) for _ in a], dtype=np.int64)
+        assert self._walk_blocks(ring, D, a, c, WALK_BLOCK_ENTRIES,
+                                 {}) == {m}
+        n = WALK_BLOCK_ENTRIES + 1
+        assert self._walk_blocks(ring, D, np.resize(a, n), np.resize(c, n),
+                                 WALK_BLOCK_ENTRIES, {}) == {1}
 
 
 def _oracle(ring, op, a, b):
