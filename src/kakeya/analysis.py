@@ -162,11 +162,11 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
     cfg = PhiConfig(fam.ring, p_dim=fam.p_dim, q_dim=fam.q_dim)
     phi = phi_eval(x, cfg, D)
     phi_n = phi_partial(x, cfg, N)
-    phi_n1 = phi_partial(x, cfg, N + 1)
     x_n = input_partial(x, N)
     x_n1 = input_partial(x, N + 1)
     p_n = projection(x, N)
-    r_n = matrix_fn_eval(decode_matrix_fn(N, cfg), x)
+    slice_n = mat_vec(matrix_fn_eval(decode_matrix_fn(N, cfg), x), p_n)
+    phi_n1 = phi_n + slice_n  # the series' own step to phi^(N+1)
 
     dx = fam.dfdx(x, phi, w, D)
     dy = fam.dfdy(x, phi, w, D)
@@ -180,7 +180,7 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
     term_ii = f_xn - f_landmark - mat_vec(dy_at_landmark, phi - phi_n)
     term_iii = mat_vec(dy_at_landmark - dy, phi - phi_n)
     term_iv = mat_vec(dy, phi - phi_n1) + mat_vec(dx, x - x_n1)
-    term_v = mat_vec(dy, mat_vec(r_n, p_n)) + mat_vec(dx, p_n)
+    term_v = mat_vec(dy, slice_n) + mat_vec(dx, p_n)
 
     def cut(v: ElementVector) -> ElementVector:
         return ElementVector(tuple(truncate(e, D) for e in v))

@@ -3,8 +3,8 @@
 Subcommands: phi-eval, phi-dh-eval, measure, coverage, certify,
 diff-example, decompose.  Exit codes: 0 ok, 1 usage or parse error (or a
 depth past the int64 code limit), 2 budget exceeded (or insufficient digit
-depth), 3 fixture mismatch, 4 an exact invariant violated (decay
-refinement, six-term identity).
+depth, or out of memory, as raised budgets allow), 3 fixture mismatch, 4
+an exact invariant violated (decay refinement, six-term identity).
 
 Configuration precedence is flags > config file > defaults; the config file
 is plain ``key=value`` lines keyed by long flag names.  Output is
@@ -375,8 +375,8 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return args.fn(args, _merge_config(args))
-    except BudgetExceeded as e:
-        sys.stderr.write(f"error: {e}\n")
+    except (BudgetExceeded, MemoryError) as e:
+        sys.stderr.write(f"error: {str(e) or 'out of memory'}\n")
         return EXIT_BUDGET
     except InsufficientDepth as e:
         sys.stderr.write(f"error: {e} (required depth {e.required})\n")

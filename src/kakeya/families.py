@@ -58,7 +58,9 @@ class FamilyDescriptor:
     blocks ``(w0, Z)``: row r of the 2-D ``Z`` is ``z_at(w0 + r)``, and the
     next step may overwrite the block (see
     :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
-    depend on w is done once, in the call that prepares them.
+    depend on w is done once, in the call that prepares them.  Those
+    scalar codes exist only for p = q = d = 1, so a ``cells_eval`` on
+    other dimensions is refused with ``ValueError``.
     """
 
     name: str
@@ -80,6 +82,9 @@ class FamilyDescriptor:
             raise ValueError(
                 f"need p <= n-d <= q, got p={self.p_dim}, n-d={out}, "
                 f"q={self.q_dim}")
+        dims = (self.p_dim, self.q_dim, self.d_dim)
+        if self.cells_eval is not None and dims != (1, 1, 1):
+            raise ValueError(f"cells_eval needs p = q = d = 1, got {dims}")
 
     @property
     def out_dim(self) -> int:

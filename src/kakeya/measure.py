@@ -106,11 +106,6 @@ def _check_headroom(ell: int, D: int):
                        "for the packed int64 codes")
 
 
-def _packed(fam: FamilyDescriptor) -> bool:
-    return (fam.cells_eval is not None and fam.p_dim == 1 and fam.q_dim == 1
-            and fam.d_dim == 1)
-
-
 def _table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
     """How many x codes the packed route tabulates phi on: ell^D for sawyer
     at its default input depth (phi(x) mod ell^D depends only on x mod
@@ -146,7 +141,7 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
         if bad:
             raise BadIndex(f"x cells {bad[:3]} outside [0, {n_x})")
         per_w = len(x_cells)
-    elif _packed(fam):
+    elif fam.cells_eval is not None:
         per_w = _table_cells(variant, D, X, ell)
     else:
         per_w = n_x
@@ -181,6 +176,8 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
     # took 1.7x the page faults over the D = 2..10 decay tables.
     tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)
     if n == m:
+        # Kept apart: the first np.unique in a process costs ~1.8 MB of RSS;
+        # without it, coverage peak RSS went 35.45 -> 36.3 MB (6 of 6 runs).
         x_res = np.arange(m, dtype=np.int64)
         x_res.setflags(write=False)
         tab.setflags(write=False)
@@ -213,13 +210,13 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     order of ``dirs``; ``walk()`` visits every w cell once in blocks
     ``(w0, Z)``, row r of the 2-D ``Z`` being ``z_at(w0 + r)``, a block the
     next step may overwrite.  The element route yields one-row blocks.
-    Families with ``cells_eval`` and p = q = d = 1 take the packed route:
+    Families with ``cells_eval`` (p = q = d = 1) take the packed route:
     one phi table, reduced to the distinct pairs, and one ``cells_eval``
     call that prepares them and returns both functions.  All others take
     the element route: each x and phi(x) built once, then ``eval`` per x and w.
     """
     ell = fam.ring.ell
-    if _packed(fam):
+    if fam.cells_eval is not None:
         if x_cells is None:
             x_res, y_res = _pairs(fam.ring, variant, D, X)
         else:
@@ -257,14 +254,10 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     (:func:`~kakeya.phi.phi_input_depth`) -- deep enough that the z-cell is
     fully determined -- and every w in R^d at depth D.  ``x_cells``
     restricts the x enumeration to the given depth-X combined codes
-    (diagnostic use); ``input_depth`` overrides X
-    (used by the input-depth sufficiency re-check).  The packed route
-    prepares the distinct pairs (x mod ell^D, phi(x) mod ell^D) once; each
-    block (w0, Z) of the enumeration's walk sets the cells of rows w0 ..
-    w0 + len(Z) - 1 with one assignment at the combined (w, z) indices.
-    :func:`decay_report` calls it once at D_max and once at D_min per
-    table.  Repeated ``x_cells`` codes are enumerated and charged
-    once; a code outside [0, ell^(p X)) raises
+    (diagnostic use); ``input_depth`` overrides X (used by the input-depth
+    sufficiency re-check).  Each block (w0, Z) of the enumeration's walk
+    sets its rows' cells with one assignment.  Repeated ``x_cells`` codes
+    are enumerated and charged once; a code outside [0, ell^(p X)) raises
     :class:`~kakeya.errors.BadIndex` and a depth D < 1
     :class:`~kakeya.errors.BadDepth`, before any table is built.
     """
@@ -348,13 +341,13 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     :func:`_project` of the row below it, exact because a depth-D cell is
     hit iff one of its sub-cells is.  One independent build at D_min must
     equal its projection, else :class:`~kakeya.errors.InvariantViolated`
-    is raised.  Both builds' budgets are checked before any work.  A row's
-    ``seconds`` is its build at D_max, its projection otherwise, and the
-    D_min row also carries the check."""
+    is raised.  Both builds' budgets are checked before any work: D_min's
+    here, since its build runs last, and D_max's by its own build before
+    any table.  A row's ``seconds`` is its build at D_max, its projection
+    otherwise, and the D_min row also carries the check."""
     if D_min > D_max:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
-    for D in (D_min, D_max):  # fail fast before any work
-        _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs)
+    _check_build(fam, phi_variant, D_min, None, budget_cells, budget_pairs)
     build = functools.partial(build_set_cells, fam, phi_variant,
                               budget_cells=budget_cells,
                               budget_pairs=budget_pairs)
@@ -369,8 +362,9 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                 f"refinement violated: the depth-{D} build differs from the "
                 f"projection of depth {D_max}")
         X = phi_input_depth(phi_variant, D, fam.ring.ell)
-        rows.append(DecayRow(D, cs.hit_count, cs.total_cells, cs.estimate(),
-                             X, time.perf_counter() - t0))
+        hits, total = cs.hit_count, cs.total_cells
+        rows.append(DecayRow(D, hits, total, Fraction(hits, total), X,
+                             time.perf_counter() - t0))
         t0 = time.perf_counter()
     return DecayReport(fam.name, phi_variant.value, str(fam.ring),
                        tuple(reversed(rows)))
@@ -505,9 +499,14 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     keeps one flag per depth-D direction cell, set when some x reaches it;
     each unreached direction is missing with every w cell, in (direction,
     w) order, so the ell^(p D) x ell^(d D) cells charged bound that list.
-    Errors of the phi table or of the element-level phi evaluation still
-    surface.  The vertical line w = const is not a member of the family and
-    is reported as excluded by design, never as a failure.
+    Every direction cell is x mod ell^D for some enumerated x, so
+    ``missing`` is empty unless the enumeration itself is broken (the tests
+    simulate that by patching :func:`_hits`).  The failures the audit does
+    report are phi errors, from the phi table or the element-level phi:
+    ``dh`` on a family with q = 2, for example, raises the digit-shift
+    rule's scalar-only ``ValueError``.  The vertical line w = const is not
+    a member of the family and is reported as excluded by design, never as
+    a failure.
     """
     ell = fam.ring.ell
     n_dirs = ell ** (fam.p_dim * D)

@@ -27,6 +27,7 @@ counterexample.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -179,9 +180,14 @@ class MatrixFn:
         self._m = sk_size(k_block, cfg.ring.ell)
         self._values: dict[tuple[int, int, int], Element] = {}
 
-    def value_index(self, row: int, col: int, cell: int) -> int:
+    def slot_weight(self, row: int, col: int, cell: int) -> int:
+        """Place value of one (entry, cell) slot in ``inner_index``."""
+        m, n_slots = self._m, self.n_slots
         slot = (row * self.cfg.p_dim + col) * self.n_cells + cell
-        return (self.inner_index // self._m ** (self.n_slots - 1 - slot)) % self._m
+        return m ** (n_slots - 1 - slot)
+
+    def value_index(self, row: int, col: int, cell: int) -> int:
+        return (self.inner_index // self.slot_weight(row, col, cell)) % self._m
 
     def table_value(self, row: int, col: int, cell: int, W: int | None = None) -> Element:
         """S_k value assigned to one matrix entry on one input cell."""
@@ -217,17 +223,11 @@ def decode_matrix_fn(j: int, cfg: PhiConfig) -> MatrixFn:
     cached = _decode_cache.get((cfg, j))
     if cached is not None:
         return cached
-    k, off = 1, 0
-    while True:
-        size = omega_block_size(k, cfg.ring.ell, cfg.p_dim, cfg.q_dim)
-        if j - off < size:
-            break
-        off += size
-        k += 1
+    k = next(k for k in itertools.count(1) if j < block_offset(k + 1, cfg))
     # Needed by the continuity argument: member j never looks deeper than
     # digit max(j, 1).  Block sizes grow fast enough that this is automatic.
     assert k <= max(j, 1), "enumeration blocks are misordered"
-    fn = MatrixFn(cfg, k, j - off)
+    fn = MatrixFn(cfg, k, j - block_offset(k, cfg))
     if j < 4096:
         _decode_cache[(cfg, j)] = fn
     return fn
@@ -237,16 +237,11 @@ def index_of_constant_matrix(M: ElementMatrix, k: int) -> int:
     """Enumeration index of the Omega_k member constantly equal to M."""
     q, p = M.shape
     cfg = PhiConfig(M.ring, p_dim=p, q_dim=q)
-    m = sk_size(k, M.ring.ell)
-    n_cells = M.ring.ell ** (k * p)
-    n_slots = n_cells * p * q
-    inner = 0
-    for row in range(q):
-        for col in range(p):
-            n = sk_index_of(M[row, col], k)
-            for cell in range(n_cells):
-                slot = (row * p + col) * n_cells + cell
-                inner += n * m ** (n_slots - 1 - slot)
+    layout = MatrixFn(cfg, k, 0)
+    inner = sum(sk_index_of(M[row, col], k)
+                * sum(layout.slot_weight(row, col, cell)
+                      for cell in range(layout.n_cells))
+                for row in range(q) for col in range(p))
     return block_offset(k, cfg) + inner
 
 

@@ -179,6 +179,16 @@ class TestMeasure:
                          "--budget-cells", str(2 ** 20))
         assert code == 0
 
+    def test_out_of_memory_exit2(self, capsys, monkeypatch):
+        """Raised budgets can admit a bitmap the machine cannot hold; the
+        failure is one error line and exit 2, not a traceback."""
+        def oom(*args, **kw):
+            raise MemoryError
+        monkeypatch.setattr(cli, "decay_report", oom)
+        code, out, err = run(capsys, "measure", "--dmin", "2", "--dmax", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory\n"
+
     def test_int64_headroom_exit1(self, capsys, monkeypatch):
         # raised budgets let ell^(2D) pass 2^63; the depth is refused
         monkeypatch.setenv("KAKEYA_BUDGET_CELLS", str(2 ** 80))

@@ -36,6 +36,19 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             dataclasses.replace(fam, q_dim=0)  # violates n-d <= q
 
+    @pytest.mark.parametrize("dims", (
+        {"q_dim": 2},
+        {"p_dim": 2, "q_dim": 2, "n_dim": 3},
+        {"d_dim": 2, "n_dim": 3},
+    ), ids=("q2", "p2", "d2"))
+    def test_cells_eval_needs_scalar_dims(self, dims):
+        """Packed codes exist only for p = q = d = 1, so a ``cells_eval``
+        elsewhere is refused at construction, not skipped at enumeration."""
+        fam = kakeya_line_family(F2)
+        with pytest.raises(ValueError, match="cells_eval needs p = q = d = 1"):
+            dataclasses.replace(fam, **dims)
+        dataclasses.replace(fam, cells_eval=None, **dims)  # valid dims
+
     def test_kakeya_point_examples(self):
         fam = kakeya_line_family(Z2)
         w = vector(one(Z2, 8))

@@ -593,10 +593,17 @@ class TestBudget:
             with pytest.raises(BadDepth, match=f"depth {D} must be >= 1"):
                 call()
 
-    def test_decay_report_fails_fast(self):
+    def test_decay_report_fails_fast(self, monkeypatch):
+        """D_max's budget refuses the table before any phi table is built:
+        the counts carried are D_max's."""
+        def no_table(*args, **kw):
+            raise AssertionError("a phi table was built")
+        monkeypatch.setattr(measure, "variant_residue_table", no_table)
         fam = kakeya_line_family(F3)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             decay_report(fam, SAW, 2, 30)
+        assert (info.value.cells_needed, info.value.pairs_needed) == (
+            3 ** 60, 3 ** 60)
 
     @pytest.mark.parametrize("ring", (F2, Z3, F5), ids=str)
     def test_pairs_charged_per_w_are_the_table_built(self, ring, monkeypatch):

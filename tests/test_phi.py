@@ -41,6 +41,7 @@ from kakeya.ring import (
     element_from_cell,
     element_from_digits,
     format_element,
+    mat_vec,
     mul,
     sub,
     truncate,
@@ -169,6 +170,36 @@ class TestEnumeration:
             assert r.k_block == 1
             for c in range(2):
                 assert r.table_value(0, 0, c) == M[0, 0]
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    @pytest.mark.parametrize("shape", ((1, 2), (2, 1), (2, 2)), ids=str)
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_constant_round_trip_multi_entry(self, ring, shape, k):
+        """Entries carry distinct S_k values.  The index is pinned to the
+        documented layout, read independently: entries row-major outermost,
+        then cells, the first slot most significant."""
+        q, p = shape
+        m = sk_size(k, ring.ell)
+        values = [[m - 1 - (row * p + col) for col in range(p)]
+                  for row in range(q)]
+        M = ElementMatrix(tuple(tuple(sk_element_at(k, ring, n) for n in vs)
+                                for vs in values))
+        cfg = PhiConfig(ring, p_dim=p, q_dim=q)
+        radix = m ** ring.ell ** (k * p)  # one entry's run of cell digits
+        inner = 0
+        for vs in values:
+            for n in vs:  # n in every cell: digits n...n = n (radix-1)/(m-1)
+                inner = inner * radix + n * (radix - 1) // (m - 1)
+        j = index_of_constant_matrix(M, k)
+        assert j == block_offset(k, cfg) + inner < block_offset(k + 1, cfg)
+        r = decode_matrix_fn(j, cfg)
+        assert r.k_block == k
+        # reading every cell took about 25 s at ell = 7, k = 2, 2 x 2
+        # (9,604 slots of an 81,000-bit index); the ends and middle suffice
+        for cell in {0, 1, r.n_cells // 2, r.n_cells - 1}:
+            for row in range(q):
+                for col in range(p):
+                    assert r.table_value(row, col, cell) == M[row, col]
 
     def test_not_in_sk(self):
         bad = element_from_digits([1], 2, F2, 4)  # degree k+1 digit
@@ -313,6 +344,22 @@ class TestPhiEval:
                 full = phi_eval(x, CFG_F2, cut)[0]
                 part = phi_partial(x, CFG_F2, N)[0]
                 assert truncate(part, cut) == full
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_partial_sum_steps_by_one_term(self, ring):
+        """phi^(N) + r_N(x) p_N(x) is phi^(N+1) in values and depths: the
+        step the decomposition takes from its landmark."""
+        cfg = PhiConfig(ring)
+        X = alpha(6)
+        n = ring.ell ** X
+        for code in (0, 1, n - 1, pow(3, 41, n), n // 3):
+            x = cell_vec(ring, code, X, X + 2)
+            for N in range(1, 6):
+                r_n = matrix_fn_eval(decode_matrix_fn(N, cfg), x)
+                step = phi_partial(x, cfg, N) + mat_vec(r_n, projection(x, N))
+                full = phi_partial(x, cfg, N + 1)
+                assert step == full
+                assert [e.depth for e in step] == [e.depth for e in full]
 
 
 class TestRequiredDepth:
