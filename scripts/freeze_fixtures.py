@@ -49,7 +49,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 # the ell = 3 tables at D = 8 (the deepest the default cell budget admits)
 # and the ell = 5 tables by the low-digit-first Gray walk and the %
 # reduction of zp, before the high-digit-first order and the division-free
-# zp step.
+# zp step, and the ell = 11 and 13 tables before Element sums shared one
+# signed step.
 DECAY_TABLES = (
     (power_series_ring(2), 2, 10, "fq2"),
     (padic_ring(2), 2, 10, "zp2"),
@@ -63,6 +64,10 @@ DECAY_TABLES = (
     (padic_ring(3), 8, 8, "zp3_d8"),
     (power_series_ring(5), 2, 5, "fq5"),
     (padic_ring(5), 2, 5, "zp5"),
+    (power_series_ring(11), 1, 3, "fq11"),
+    (padic_ring(11), 1, 3, "zp11"),
+    (power_series_ring(13), 1, 3, "fq13"),
+    (padic_ring(13), 1, 3, "zp13"),
 )
 
 

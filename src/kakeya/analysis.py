@@ -28,14 +28,13 @@ from .phi import (
     PhiConfig,
     PhiVariant,
     alpha,
-    decode_matrix_fn,
     input_partial,
     lambda_floor,
-    matrix_fn_eval,
     phi_eval,
     phi_input_depth,
     phi_partial,
     projection,
+    series_term,
     summand_valuation_floor,
 )
 from .ring import (
@@ -165,7 +164,7 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
     x_n = input_partial(x, N)
     x_n1 = input_partial(x, N + 1)
     p_n = projection(x, N)
-    slice_n = mat_vec(matrix_fn_eval(decode_matrix_fn(N, cfg), x), p_n)
+    slice_n = series_term(x, cfg, N)
     phi_n1 = phi_n + slice_n  # the series' own step to phi^(N+1)
 
     dx = fam.dfdx(x, phi, w, D)

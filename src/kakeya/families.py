@@ -26,6 +26,7 @@ from .ring import (
     Element,
     ElementMatrix,
     ElementVector,
+    RingMode,
     RingSpec,
     _canonical,
     element_from_digits,
@@ -113,7 +114,7 @@ def invert_element(a: Element) -> Element:
     if out_depth < 1:
         raise InsufficientDepth(2 * v + 1, a.depth, "inversion operand")
     ell = a.ring.ell
-    if a.ring.mode.value == "zp":
+    if a.ring.mode is RingMode.PADIC:
         return _canonical(a.ring, -v, pow(a.sig, -1, ell ** span), out_depth)
     u = [a.digit(v + i) for i in range(span)]
     u0_inv = pow(u[0], -1, ell)

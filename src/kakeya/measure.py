@@ -16,8 +16,8 @@ Enumeration cost is governed by an explicit budget, checked by
 :class:`~kakeya.errors.BudgetExceeded` with the exact counts.  Cells count
 what is stored, save that the coverage audit keeps one flag per direction
 and is charged the direction x w cells its report can list; pairs count
-what is evaluated per w cell, on the packed route the :func:`_table_cells`
-x codes the phi table covers.
+what is evaluated per w cell, on the packed route the
+:func:`~kakeya.phi.residue_table_cells` x codes the phi table covers.
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
 build and the cross-sections consume; the direction-coverage audit reads
@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
-from .phi import PhiConfig, PhiVariant, phi_input_depth, variant_residue_table
+from .phi import (PhiConfig, PhiVariant, phi_input_depth, residue_table_cells,
+                  variant_residue_table)
 from .ring import ElementVector, RingMode, vector_cell_index, vector_from_cell
 
 DEFAULT_CELL_BUDGET = 2 ** 28
@@ -106,17 +107,6 @@ def _check_headroom(ell: int, D: int):
                        "for the packed int64 codes")
 
 
-def _table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
-    """How many x codes the packed route tabulates phi on: ell^D for sawyer
-    at its default input depth (phi(x) mod ell^D depends only on x mod
-    ell^D, see :func:`~kakeya.phi.phi_residue_table`), every depth-X code
-    otherwise.  The input-depth re-check thus reads the full table, an
-    independent route."""
-    if variant is PhiVariant.SAWYER and X == phi_input_depth(variant, D, ell):
-        return ell ** D
-    return ell ** X
-
-
 def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
                  x_cells, budget_cells: int, budget_pairs: int, *,
                  X: int | None = None, cells: int | None = None,
@@ -128,8 +118,9 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     ``cells`` is what the caller stores (default: every cell of the
     hit-set) and ``n_w`` the w cells it visits (default: every one).  Each
     w is charged the entries evaluated for it: ``len(x_cells)`` when given
-    (each code once), the :func:`_table_cells` entries on the packed
-    route, every depth-X x cell on the element route."""
+    (each code once), the :func:`~kakeya.phi.residue_table_cells`
+    entries on the packed route, every depth-X x cell on the element
+    route."""
     if D < 1:
         raise BadDepth(f"depth {D} must be >= 1")
     ell = fam.ring.ell
@@ -142,7 +133,7 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
             raise BadIndex(f"x cells {bad[:3]} outside [0, {n_x})")
         per_w = len(x_cells)
     elif fam.cells_eval is not None:
-        per_w = _table_cells(variant, D, X, ell)
+        per_w = residue_table_cells(variant, D, X, ell)
     else:
         per_w = n_x
     if n_w is None:
@@ -166,12 +157,13 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
     D_min (the check build), once each, so it hits only when the same table
     was built just before.
 
-    The phi table covers the :func:`_table_cells` x codes; at ell^D of them
-    the pairs are (arange(ell^D), table), already sorted and distinct.
+    The phi table covers the :func:`~kakeya.phi.residue_table_cells` x
+    codes; at ell^D of them the pairs are (arange(ell^D), table), already
+    sorted and distinct.
     Only the pairs are kept; tables are built through the module-level
     ``variant_residue_table``."""
     m = ring.ell ** D
-    n = _table_cells(variant, D, X, ring.ell)
+    n = residue_table_cells(variant, D, X, ring.ell)
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
     tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)

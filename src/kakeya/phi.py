@@ -238,9 +238,11 @@ def index_of_constant_matrix(M: ElementMatrix, k: int) -> int:
     q, p = M.shape
     cfg = PhiConfig(M.ring, p_dim=p, q_dim=q)
     layout = MatrixFn(cfg, k, 0)
-    inner = sum(sk_index_of(M[row, col], k)
-                * sum(layout.slot_weight(row, col, cell)
-                      for cell in range(layout.n_cells))
+    # an entry's cells are consecutive slots: their weights sum geometrically
+    m, n = layout._m, layout.n_cells
+    run = (m ** n - 1) // (m - 1)
+    inner = sum(sk_index_of(M[row, col], k) * run
+                * layout.slot_weight(row, col, n - 1)
                 for row in range(q) for col in range(p))
     return block_offset(k, cfg) + inner
 
@@ -275,7 +277,7 @@ def tail_cutoff(D_out: int, ell: int) -> int:
     return k
 
 
-def required_phi_input_depth(D_out: int, ell: int = 2) -> int:
+def required_phi_input_depth(D_out: int, ell: int) -> int:
     """Smallest input working depth for which phi_eval at D_out is exact.
 
     Equals alpha(K+1) for the cutoff index K: the deepest digit any retained
@@ -325,9 +327,14 @@ def _series(x: ElementVector, cfg: PhiConfig, n_terms: int,
     xr = ElementVector(tuple(reduce_to_R(e) for e in x))
     acc = ElementVector(tuple(zero(cfg.ring, W) for _ in range(cfg.q_dim)))
     for k in range(n_terms):
-        M = matrix_fn_eval(decode_matrix_fn(k, cfg), xr)
-        acc = acc + mat_vec(M, projection(xr, k))
+        acc = acc + series_term(xr, cfg, k)
     return acc
+
+
+def series_term(x: ElementVector, cfg: PhiConfig, k: int) -> ElementVector:
+    """The k-th series term r_k(x) p_k(x), x in R^p."""
+    r = decode_matrix_fn(k, cfg)
+    return mat_vec(matrix_fn_eval(r, x), projection(x, k))
 
 
 def input_partial(x: ElementVector, N: int) -> ElementVector:
@@ -342,8 +349,6 @@ def continuity_modulus(A: int, cfg: PhiConfig) -> int:
     If x and y agree on all digits below it, then phi(x) - phi(y) has
     componentwise valuation at least A.
     """
-    if A < 1:
-        raise BadIndex(f"continuity_modulus needs A >= 1, got {A}")
     return required_phi_input_depth(A, cfg.ring.ell)
 
 
@@ -419,6 +424,15 @@ def phi_residue_table(cfg: PhiConfig, D_out: int, input_depth: int,
         prod = residue_mul(cfg.ring, D_out, pk.reshape(-1, ell), values)
         acc = residue_add(cfg.ring, D_out, acc, prod.reshape(-1))
     return acc
+
+
+def residue_table_cells(variant: PhiVariant, D: int, X: int, ell: int) -> int:
+    """How many x codes a variant's depth-D table on depth-X inputs needs:
+    ell^D for sawyer at its own input depth, where phi mod ell^D reads only
+    x mod ell^D (proved in :func:`phi_residue_table`); ell^X otherwise."""
+    if variant is PhiVariant.SAWYER and X == phi_input_depth(variant, D, ell):
+        return ell ** D
+    return ell ** X
 
 
 def dh_residue_table(ring: RingSpec, D_out: int, input_depth: int,

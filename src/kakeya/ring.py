@@ -265,41 +265,35 @@ def _with_depth(e: Element, W: int) -> Element:
     return _canonical(e.ring, e.lowest_degree, e.sig, W)
 
 
-def add(a: Element, b: Element) -> Element:
-    """Sum, exact for all degrees below min of the operand depths."""
+def _signed_sum(a: Element, b: Element, sign: int) -> Element:
+    """a + sign * b, sign = +1 or -1, exact below min of the operand depths:
+    the significands aligned at the lower degree, summed once (the Element
+    twin of :func:`_signed_add`)."""
     _check_same_ring(a, b)
-    W = min(a.depth, b.depth)
-    if not a.sig:
-        return _with_depth(b, W)
-    if not b.sig:
-        return _with_depth(a, W)
     m = min(a.lowest_degree, b.lowest_degree)
     ell = a.ring.ell
     sa = a.sig * ell ** (a.lowest_degree - m)
     sb = b.sig * ell ** (b.lowest_degree - m)
     if a.ring.mode is RingMode.PADIC:
-        s = sa + sb
+        s = sa + sign * sb
     elif ell == 2:
         s = sa ^ sb
     else:
-        s = _digitwise(ell, sa, sb, 1)
-    return _canonical(a.ring, m, s, W)
+        s = _digitwise(ell, sa, sb, sign)
+    return _canonical(a.ring, m, s, min(a.depth, b.depth))
+
+
+def add(a: Element, b: Element) -> Element:
+    return _signed_sum(a, b, 1)
 
 
 def neg(a: Element) -> Element:
     """Additive inverse at the operand's own depth."""
-    ell = a.ring.ell
-    if not a.sig or (ell == 2 and a.ring.mode is RingMode.POWER_SERIES):
-        return a
-    if a.ring.mode is RingMode.PADIC:
-        s = -a.sig
-    else:
-        s = _digitwise(ell, 0, a.sig, -1)
-    return _canonical(a.ring, a.lowest_degree, s, a.depth)
+    return _signed_sum(Element(a.ring, 0, 0, a.depth), a, -1)
 
 
 def sub(a: Element, b: Element) -> Element:
-    return add(a, neg(b))
+    return _signed_sum(a, b, -1)
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -588,8 +582,8 @@ def mat_mul(A: ElementMatrix, B: ElementMatrix) -> ElementMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Residue layer: depth-D ring arithmetic on packed cell codes (ints or numpy
-# int64 arrays).  PADIC codes are plain integers mod ell^D; POWER_SERIES codes
+# Residue layer: depth-D ring arithmetic on packed cell codes in numpy int64
+# arrays.  PADIC codes are plain integers mod ell^D; POWER_SERIES codes
 # pack the digit vector positionally in base ell.  Only nonnegative-valuation
 # values are representable here.
 # ---------------------------------------------------------------------------
@@ -606,12 +600,6 @@ def _pack_digits(ring: RingSpec, digits: np.ndarray) -> np.ndarray:
     return digits @ pows
 
 
-def _int_if_scalar(result, *operands):
-    if all(isinstance(x, int) for x in operands):
-        return int(result)
-    return result
-
-
 def _signed_add(ring: RingSpec, D: int, a, b, sign: int):
     """Depth-D a + sign * b of packed codes, sign = +1 or -1."""
     if ring.mode is RingMode.PADIC:
@@ -620,8 +608,7 @@ def _signed_add(ring: RingSpec, D: int, a, b, sign: int):
         return a ^ b
     da = _unpack_digits(ring, a, D)
     db = _unpack_digits(ring, b, D)
-    return _int_if_scalar(_pack_digits(ring, (da + sign * db) % ring.ell),
-                          a, b)
+    return _pack_digits(ring, (da + sign * db) % ring.ell)
 
 
 def residue_add(ring: RingSpec, D: int, a, b):
@@ -650,10 +637,10 @@ def residue_mul(ring: RingSpec, D: int, a, b):
         acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
         for i in range(D):
             acc ^= ((aa >> i) & 1) * ((bb << i) & mask)
-        return _int_if_scalar(acc, a, b)
+        return acc
     da = _unpack_digits(ring, a, D)[..., None, :]
     prod = np.matmul(da, _toeplitz(ring, D, b))[..., 0, :]
-    return _int_if_scalar(_pack_digits(ring, prod % ring.ell), a, b)
+    return _pack_digits(ring, prod % ring.ell)
 
 
 def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:

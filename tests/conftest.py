@@ -19,8 +19,14 @@ Z5 = padic_ring(5)
 F5 = power_series_ring(5)
 Z7 = padic_ring(7)
 F7 = power_series_ring(7)
+Z11 = padic_ring(11)
+F11 = power_series_ring(11)
+Z13 = padic_ring(13)
+F13 = power_series_ring(13)
 
 ALL_RINGS = (Z2, F2, Z3, F3, Z5, F5, Z7, F7)
+# The larger residue fields, checked at the shallowest depths only.
+LARGE_RINGS = (Z11, F11, Z13, F13)
 
 
 @pytest.fixture(autouse=True)

@@ -64,6 +64,8 @@ from kakeya.ring import (
 Z2, F2 = padic_ring(2), power_series_ring(2)
 Z3, F3 = padic_ring(3), power_series_ring(3)
 Z5, F5 = padic_ring(5), power_series_ring(5)
+Z11, F11 = padic_ring(11), power_series_ring(11)
+Z13, F13 = padic_ring(13), power_series_ring(13)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -289,20 +291,25 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     (Z3, 8, 8, "zp3_d8"),
     (F5, 2, 5, "fq5"),
     (Z5, 2, 5, "zp5"),
+    (F11, 1, 3, "fq11"),
+    (Z11, 1, 3, "zp11"),
+    (F13, 1, 3, "fq13"),
+    (Z13, 1, 3, "zp13"),
 ), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq3", "zp3",
-        "fq3_d8", "zp3_d8", "fq5", "zp5"))
+        "fq3_d8", "zp3_d8", "fq5", "zp5", "fq11", "zp11", "fq13", "zp13"))
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
 def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
     """The decay tables beyond criteria 08 and 09 (the padic ring,
-    D = 11..13 on both rings, ell = 3 at D = 2..8 and ell = 5 at D = 2..5)
-    replay their frozen fixtures exactly; they were frozen by earlier
-    builds: D <= 12 by the per-x enumeration, before pair deduplication,
-    D = 13 from the full ell^X sawyer table, before the minimal table and
-    the w walk, ell = 3 at D <= 7 by the w-block matmul, before the ell-ary
-    Gray walk of fq, and ell = 3 at D = 8 and ell = 5 by the low-digit-first
-    Gray walk and the % reduction of zp, before the high-digit-first order
-    and the division-free zp step."""
+    D = 11..13 on both rings, ell = 3 at D = 2..8, ell = 5 at D = 2..5 and
+    ell = 11 and 13 at D = 1..3) replay their frozen fixtures exactly; they
+    were frozen by earlier builds: D <= 12 by the per-x enumeration, before
+    pair deduplication, D = 13 from the full ell^X sawyer table, before the
+    minimal table and the w walk, ell = 3 at D <= 7 by the w-block matmul,
+    before the ell-ary Gray walk of fq, ell = 3 at D = 8 and ell = 5 by the
+    low-digit-first Gray walk and the % reduction of zp, before the
+    high-digit-first order and the division-free zp step, and ell = 11 and
+    13 before Element sums shared one signed step."""
     rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
     name = f"decay_kakeya_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \

@@ -382,10 +382,13 @@ class TestRequiredDepth:
 
     @pytest.mark.parametrize("variant", tuple(PhiVariant), ids=str)
     def test_input_depth_refuses_output_depth_below_one(self, variant):
-        """Both variants refuse D_out < 1 with the same error."""
+        """Both variants refuse D_out < 1 with the same error, and so does
+        the continuity modulus at A < 1."""
         for D in (0, -1):
             with pytest.raises(BadIndex, match="output depth must be >= 1"):
                 phi_input_depth(variant, D, 2)
+            with pytest.raises(BadIndex, match="output depth must be >= 1"):
+                continuity_modulus(D, CFG_F2)
 
     def test_smallest_exact_depth(self):
         """At the advertised depth the evaluation is already exact: deepening

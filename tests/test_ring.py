@@ -124,6 +124,21 @@ class TestArithmetic:
             e = element_from_cell(ring, code, 4, 6)
             assert add(e, neg(e)).is_zero
 
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_signed_sums_keep_the_two_step_definition(self, ring, data):
+        """sub, neg and add share one signed step.  The oracle is the
+        two-step definition sub(a, b) = add(a, neg(b)); neg keeps the
+        operand's depth and a + (-a) is zero, in value and in depth."""
+        a = data.draw(elements(ring, min_low=-2, max_low=2, max_depth=6))
+        b = data.draw(elements(ring, min_low=-2, max_low=2, max_depth=6))
+        d, want = sub(a, b), add(a, neg(b))
+        assert d == want and d.depth == want.depth
+        assert neg(a).depth == a.depth
+        s = add(a, neg(a))
+        assert s.is_zero and s.depth == a.depth
+
     def test_padic_bigint_oracle_exhaustive_depth4(self):
         ell, W = 2, 4
         m = ell ** W
@@ -341,10 +356,14 @@ class TestResidueLayer:
             for b in codes:
                 ea = element_from_cell(ring, a, D, D + 2)
                 eb = element_from_cell(ring, b, D, D + 2)
-                assert residue_add(ring, D, a, b) == cell_index(add(ea, eb), D)
-                assert residue_sub(ring, D, a, b) == cell_index(sub(ea, eb), D)
-                assert residue_mul(ring, D, a, b) == cell_index(mul(ea, eb), D)
-                assert residue_neg(ring, D, a) == cell_index(neg(ea), D)
+                # int operands give one code, not always an int
+                assert int(residue_add(ring, D, a, b)) == \
+                    cell_index(add(ea, eb), D)
+                assert int(residue_sub(ring, D, a, b)) == \
+                    cell_index(sub(ea, eb), D)
+                assert int(residue_mul(ring, D, a, b)) == \
+                    cell_index(mul(ea, eb), D)
+                assert int(residue_neg(ring, D, a)) == cell_index(neg(ea), D)
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_vector_ops_match_scalar(self, ring):
