@@ -40,6 +40,7 @@ from .ring import (
     ElementVector,
     RingSpec,
     _canonical,
+    _element,
     cell_index,
     element_from_digits,
     mat_vec,
@@ -198,7 +199,7 @@ class MatrixFn:
                               self.value_index(row, col, cell))
             self._values[key] = e
         if W is not None and W != e.depth:
-            return Element(e.ring, e.lowest_degree, e.sig, W)
+            return _element(e.ring, e.lowest_degree, e.sig, W)
         return e
 
     def __repr__(self):

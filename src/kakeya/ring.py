@@ -14,7 +14,9 @@ an explicit working depth ``W``: every digit of degree below ``W`` is exact,
 degrees at or above ``W`` are unknown.  All operations propagate depth
 pessimistically, so a result never claims more digits than its inputs
 justify.  Norms are exact rationals; nothing in this module touches floating
-point.
+point.  Operations build their results through one private constructor,
+``_element``, which sets the frozen slots directly and so skips the
+dataclass ``__init__``; ``_canonical`` reduces the fields before calling it.
 
 The module also provides a vectorized "residue" layer (``residue_*``)
 operating on packed cell codes with numpy.  A cell code is the same packing
@@ -200,23 +202,43 @@ def _digitwise(ell: int, sa: int, sb: int, sign: int) -> int:
     return s
 
 
+_new = object.__new__
+_set_ring, _set_lowest, _set_sig, _set_depth = (
+    Element.ring.__set__, Element.lowest_degree.__set__, Element.sig.__set__,
+    Element.depth.__set__)
+
+
+def _element(ring: RingSpec, lowest: int, sig: int, depth: int) -> Element:
+    """``Element(ring, lowest, sig, depth)`` of canonical fields, its slots
+    set through their descriptors instead of the frozen ``__init__``."""
+    e = _new(Element)
+    _set_ring(e, ring)
+    _set_lowest(e, lowest)
+    _set_sig(e, sig)
+    _set_depth(e, depth)
+    return e
+
+
 def _canonical(ring: RingSpec, lowest: int, sig: int, depth: int) -> Element:
     """The canonical Element of sig * t^lowest known below ``depth``: sig is
     reduced mod ell^(depth - lowest), then its low zero digits move into the
     valuation."""
     ell = ring.ell
     if depth <= lowest:
-        return Element(ring, 0, 0, depth)
-    sig %= ell ** (depth - lowest)
+        return _element(ring, 0, 0, depth)
+    if ell == 2:
+        sig &= (1 << (depth - lowest)) - 1
+    else:
+        sig %= ell ** (depth - lowest)
     if not sig:
-        return Element(ring, 0, 0, depth)
+        return _element(ring, 0, 0, depth)
     if ell == 2:
         low = (sig & -sig).bit_length() - 1
-        return Element(ring, lowest + low, sig >> low, depth)
+        return _element(ring, lowest + low, sig >> low, depth)
     while sig % ell == 0:
         sig //= ell
         lowest += 1
-    return Element(ring, lowest, sig, depth)
+    return _element(ring, lowest, sig, depth)
 
 
 def element_from_digits(digits: Sequence[int], lowest_degree: int,
@@ -238,7 +260,7 @@ def element_from_digits(digits: Sequence[int], lowest_degree: int,
 def zero(ring: RingSpec, W: int) -> Element:
     if W < 1:
         raise BadDepth(f"working depth {W} must be positive")
-    return Element(ring, 0, 0, W)
+    return _element(ring, 0, 0, W)
 
 
 def one(ring: RingSpec, W: int) -> Element:
@@ -253,7 +275,7 @@ def from_int(n: int, ring: RingSpec, W: int) -> Element:
 
 
 def _check_same_ring(a: Element, b: Element):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
 
 
@@ -270,17 +292,20 @@ def _signed_sum(a: Element, b: Element, sign: int) -> Element:
     the significands aligned at the lower degree, summed once (the Element
     twin of :func:`_signed_add`)."""
     _check_same_ring(a, b)
-    m = min(a.lowest_degree, b.lowest_degree)
     ell = a.ring.ell
-    sa = a.sig * ell ** (a.lowest_degree - m)
-    sb = b.sig * ell ** (b.lowest_degree - m)
+    sa, sb, m = a.sig, b.sig, a.lowest_degree
+    if b.lowest_degree < m:
+        sa *= ell ** (m - b.lowest_degree)
+        m = b.lowest_degree
+    elif b.lowest_degree > m:
+        sb *= ell ** (b.lowest_degree - m)
     if a.ring.mode is RingMode.PADIC:
         s = sa + sign * sb
     elif ell == 2:
         s = sa ^ sb
     else:
         s = _digitwise(ell, sa, sb, sign)
-    return _canonical(a.ring, m, s, min(a.depth, b.depth))
+    return _canonical(a.ring, m, s, a.depth if a.depth < b.depth else b.depth)
 
 
 def add(a: Element, b: Element) -> Element:
@@ -289,7 +314,7 @@ def add(a: Element, b: Element) -> Element:
 
 def neg(a: Element) -> Element:
     """Additive inverse at the operand's own depth."""
-    return _signed_sum(Element(a.ring, 0, 0, a.depth), a, -1)
+    return _signed_sum(_element(a.ring, 0, 0, a.depth), a, -1)
 
 
 def sub(a: Element, b: Element) -> Element:
@@ -305,9 +330,10 @@ def mul(a: Element, b: Element) -> Element:
     _check_same_ring(a, b)
     eff_va = a.lowest_degree if a.sig else a.depth
     eff_vb = b.lowest_degree if b.sig else b.depth
-    W = min(a.depth + eff_vb, b.depth + eff_va)
+    Wa, Wb = a.depth + eff_vb, b.depth + eff_va
+    W = Wa if Wa < Wb else Wb
     if not a.sig or not b.sig:
-        return Element(a.ring, 0, 0, W)
+        return _element(a.ring, 0, 0, W)
     lowest = a.lowest_degree + b.lowest_degree
     ell = a.ring.ell
     if a.ring.mode is RingMode.PADIC:
@@ -449,11 +475,6 @@ def parse_element(text: str, min_depth: int | None = None) -> Element:
 # Vectors and matrices (entrywise max norm)
 # ---------------------------------------------------------------------------
 
-def _common_depth(entries: tuple[Element, ...]) -> tuple[Element, ...]:
-    W = min(e.depth for e in entries)
-    return tuple(_with_depth(e, W) for e in entries)
-
-
 @dataclass(frozen=True, slots=True)
 class ElementVector:
     """A tuple of elements over one ring, normalized to a shared depth."""
@@ -461,13 +482,18 @@ class ElementVector:
     entries: tuple[Element, ...]
 
     def __post_init__(self):
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise ValueError("empty vector")
-        r = self.entries[0].ring
-        for e in self.entries:
-            if e.ring != r:
+        r, W = entries[0].ring, entries[0].depth
+        mixed = False
+        for e in entries:
+            if e.ring is not r and e.ring != r:
                 raise RingMismatch("vector entries must share one ring")
-        object.__setattr__(self, "entries", _common_depth(self.entries))
+            if e.depth != W:
+                mixed, W = True, min(W, e.depth)
+        object.__setattr__(self, "entries", tuple(
+            _with_depth(e, W) for e in entries) if mixed else tuple(entries))
 
     @property
     def dim(self) -> int:
@@ -524,7 +550,7 @@ class ElementMatrix:
             if len(row) != w:
                 raise ValueError("ragged matrix")
             for e in row:
-                if e.ring != r:
+                if e.ring is not r and e.ring != r:
                     raise RingMismatch("matrix entries must share one ring")
 
     @property

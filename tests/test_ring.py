@@ -1,5 +1,7 @@
 """Ring layer: canonical forms, exact arithmetic, cells, text format."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from kakeya.errors import (
 from kakeya.ring import (
     INF,
     WALK_BLOCK_ENTRIES,
+    Element,
     ElementMatrix,
     ElementVector,
     RingSpec,
@@ -88,6 +91,48 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RingSpec(1, RingMode.POWER_SERIES)
 
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    @given(sig=st.integers(-(2 ** 40), 2 ** 40), lowest=st.integers(-4, 4),
+           depth=st.integers(-3, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_matches_reduction_by_mod(self, ring, sig, lowest, depth):
+        """_canonical reduces by a mask at ell = 2 and by % above; both give
+        the fields of the plain % reduction, for negative significands (zp
+        differences) and significands longer than depth - lowest."""
+        ell = ring.ell
+        want_low, want_sig = 0, 0
+        if depth > lowest and sig % ell ** (depth - lowest):
+            want_low, want_sig = lowest, sig % ell ** (depth - lowest)
+            while want_sig % ell == 0:
+                want_sig //= ell
+                want_low += 1
+        e = ring_module._canonical(ring, lowest, sig, depth)
+        assert type(e) is Element
+        assert (e.ring, e.lowest_degree, e.sig, e.depth) == (
+            ring, want_low, want_sig, depth)
+        assert e == Element(ring, want_low, want_sig, depth)
+
+    @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3), ids=str)
+    def test_built_elements_stay_frozen_dataclasses(self, ring):
+        """Elements from the private constructor are frozen, compare and
+        hash by value (not depth), and repr and pickle as the dataclass."""
+        a = element_from_cell(ring, 5, 4, 6)
+        built = (a, add(a, one(ring, 9)), mul(a, a), neg(a), zero(ring, 3),
+                 element_from_cell(ring, 5, 4, 9))
+        for e in built:
+            for name in ("sig", "depth", "lowest_degree", "ring"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(e, name, 1)
+            same = Element(e.ring, e.lowest_degree, e.sig, e.depth)
+            assert e == same and hash(e) == hash(same)
+            assert repr(e) == repr(same)
+            assert pickle.loads(pickle.dumps(e)) == e
+        deeper = built[-1]
+        assert deeper.depth != a.depth
+        assert deeper == a and hash(deeper) == hash(a)
+        assert zero(ring, 3) == zero(ring, 8)
+        assert hash(zero(ring, 3)) == hash(zero(ring, 8))
+
 
 class TestArithmetic:
     def test_padic_three_squared(self):
@@ -107,6 +152,27 @@ class TestArithmetic:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
             add(one(Z2, 4), one(F2, 4))
+
+    @pytest.mark.parametrize("other", (F2, Z3), ids=str)
+    def test_equal_specs_accepted_other_rings_refused(self, other):
+        """Ring checks take an identical spec first, then an equal one built
+        separately; a different mode or ell is still refused."""
+        twin = RingSpec(2, RingMode.PADIC)
+        assert twin is not Z2 and twin == Z2
+        a, b = from_int(3, Z2, 6), from_int(5, twin, 6)
+        assert add(a, b) == from_int(8, Z2, 6)
+        assert sub(b, a) == from_int(2, Z2, 6)
+        assert mul(a, b) == from_int(15, Z2, 6)
+        assert vector(a, b).entries == (a, b)
+        assert ElementMatrix(((a, b), (b, a)))[1, 0] == b
+        c = from_int(1, other, 6)
+        for op in (add, sub, mul):
+            with pytest.raises(RingMismatch):
+                op(a, c)
+        with pytest.raises(RingMismatch):
+            vector(a, b, c)
+        with pytest.raises(RingMismatch):
+            ElementMatrix(((a, b), (c, a)))
 
     def test_zero_mul_depth_is_sum(self):
         z = zero(Z2, 5)
@@ -325,6 +391,22 @@ class TestVectorsMatrices:
     def test_vector_normalizes_depth(self):
         v = vector(one(Z2, 9), one(Z2, 5))
         assert v.depth == 5 and all(e.depth == 5 for e in v)
+
+    @pytest.mark.parametrize("depths", [(9, 5, 7), (5, 9, 7), (9, 7, 5),
+                                        (6, 6, 6)], ids=str)
+    def test_vector_entries_are_a_tuple_at_the_minimum_depth(self, depths):
+        """Mixed depths are cut to the minimum wherever it sits (digits at
+        or above it become unknown); equal depths keep the entries.  Either
+        way the entries become a tuple."""
+        es = [from_int(2 ** 6 + 1, Z2, W) for W in depths]
+        v = ElementVector(es)
+        W = min(depths)
+        assert type(v.entries) is tuple and v.depth == W
+        assert v.entries == tuple(from_int(2 ** 6 + 1, Z2, 9) if W > 6
+                                  else one(Z2, W) for _ in depths)
+        assert all(e.depth == W for e in v)
+        if len(set(depths)) == 1:
+            assert all(x is y for x, y in zip(v.entries, es))
 
     def test_matrix_vector_product(self):
         M = ElementMatrix(((one(Z2, 8), from_int(2, Z2, 8)),))
