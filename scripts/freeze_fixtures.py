@@ -27,7 +27,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kakeya.analysis import certify_lemma_bounds, vsd_counterexample_scan
-from kakeya.families import kakeya_line_family
+from kakeya.families import BUILTIN_FAMILIES
 from kakeya.measure import decay_csv, decay_report, strip_timing
 from kakeya.phi import PhiVariant, phi_dh_eval
 from kakeya.ring import (
@@ -42,40 +42,46 @@ from kakeya.ring import (
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
 
-# (ring, first D, last D, file suffix) of each frozen decay table.  The
-# D = 11..12 tables were first frozen before pair deduplication, the D = 13
-# tables before the minimal sawyer table and the w walk, the ell = 3 tables
-# at D <= 7 by the w-block matmul, before the ell-ary Gray walk of fq, and
-# the ell = 3 tables at D = 8 (the deepest the default cell budget admits)
-# and the ell = 5 tables by the low-digit-first Gray walk and the %
-# reduction of zp, before the high-digit-first order and the division-free
-# zp step, and the ell = 11 and 13 tables before Element sums shared one
-# signed step.
+# (family, ring, first D, last D, file suffix) of each frozen decay table.
+# The kakeya D = 11..12 tables were first frozen before pair deduplication,
+# the D = 13 tables before the minimal sawyer table and the w walk, the
+# ell = 3 tables at D <= 7 by the w-block matmul, before the ell-ary Gray
+# walk of fq, and the ell = 3 tables at D = 8 (the deepest the default cell
+# budget admits) and the ell = 5 tables by the low-digit-first Gray walk
+# and the % reduction of zp, before the high-digit-first order and the
+# division-free zp step, and the ell = 11 and 13 tables before Element sums
+# shared one signed step.  The nikodym tables, whose packed route passes
+# the pairs to the w walk in the other order, were frozen by the walk over
+# every w, before the build folded w's top digit.
 DECAY_TABLES = (
-    (power_series_ring(2), 2, 10, "fq2"),
-    (padic_ring(2), 2, 10, "zp2"),
-    (power_series_ring(2), 11, 12, "fq2_deep"),
-    (padic_ring(2), 11, 12, "zp2_deep"),
-    (power_series_ring(2), 13, 13, "fq2_d13"),
-    (padic_ring(2), 13, 13, "zp2_d13"),
-    (power_series_ring(3), 2, 7, "fq3"),
-    (padic_ring(3), 2, 7, "zp3"),
-    (power_series_ring(3), 8, 8, "fq3_d8"),
-    (padic_ring(3), 8, 8, "zp3_d8"),
-    (power_series_ring(5), 2, 5, "fq5"),
-    (padic_ring(5), 2, 5, "zp5"),
-    (power_series_ring(11), 1, 3, "fq11"),
-    (padic_ring(11), 1, 3, "zp11"),
-    (power_series_ring(13), 1, 3, "fq13"),
-    (padic_ring(13), 1, 3, "zp13"),
+    ("kakeya", power_series_ring(2), 2, 10, "fq2"),
+    ("kakeya", padic_ring(2), 2, 10, "zp2"),
+    ("kakeya", power_series_ring(2), 11, 12, "fq2_deep"),
+    ("kakeya", padic_ring(2), 11, 12, "zp2_deep"),
+    ("kakeya", power_series_ring(2), 13, 13, "fq2_d13"),
+    ("kakeya", padic_ring(2), 13, 13, "zp2_d13"),
+    ("kakeya", power_series_ring(3), 2, 7, "fq3"),
+    ("kakeya", padic_ring(3), 2, 7, "zp3"),
+    ("kakeya", power_series_ring(3), 8, 8, "fq3_d8"),
+    ("kakeya", padic_ring(3), 8, 8, "zp3_d8"),
+    ("kakeya", power_series_ring(5), 2, 5, "fq5"),
+    ("kakeya", padic_ring(5), 2, 5, "zp5"),
+    ("kakeya", power_series_ring(11), 1, 3, "fq11"),
+    ("kakeya", padic_ring(11), 1, 3, "zp11"),
+    ("kakeya", power_series_ring(13), 1, 3, "fq13"),
+    ("kakeya", padic_ring(13), 1, 3, "zp13"),
+    ("nikodym", power_series_ring(2), 2, 10, "fq2"),
+    ("nikodym", padic_ring(2), 2, 10, "zp2"),
+    ("nikodym", power_series_ring(3), 2, 6, "fq3"),
+    ("nikodym", padic_ring(3), 2, 6, "zp3"),
 )
 
 
 def freeze_decay(out: pathlib.Path):
-    for ring, dmin, dmax, suffix in DECAY_TABLES:
-        fam = kakeya_line_family(ring)
+    for family, ring, dmin, dmax, suffix in DECAY_TABLES:
+        fam = BUILTIN_FAMILIES[family](ring)
         for variant in (PhiVariant.SAWYER, PhiVariant.DH):
-            name = f"decay_kakeya_{variant.value}_{suffix}.csv"
+            name = f"decay_{family}_{variant.value}_{suffix}.csv"
             t0 = time.perf_counter()
             rep = decay_report(fam, variant, dmin, dmax)
             (out / name).write_text(strip_timing(decay_csv(rep), "csv"))

@@ -55,10 +55,11 @@ from .phi import (
 )
 from .ring import (
     ElementVector,
-    RingMode,
     RingSpec,
     format_element,
+    padic_ring,
     parse_element,
+    power_series_ring,
 )
 
 EXIT_OK = 0
@@ -108,8 +109,8 @@ class RunConfig:
         return self
 
     def ring_spec(self) -> RingSpec:
-        mode = RingMode.PADIC if self.ring == "zp" else RingMode.POWER_SERIES
-        return RingSpec(self.ell, mode)
+        make = padic_ring if self.ring == "zp" else power_series_ring
+        return make(self.ell)
 
     def variant(self) -> PhiVariant:
         return PhiVariant(self.phi)

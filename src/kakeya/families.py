@@ -54,11 +54,11 @@ class FamilyDescriptor:
     residue codes and exists purely to accelerate exhaustive enumeration;
     the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
-    ``(z_at, walk)``: ``z_at`` maps one int w code to the 1-D row of the
-    pairs' z codes, and ``walk()`` visits every depth-D w cell once in
-    blocks ``(w0, Z)``: row r of the 2-D ``Z`` is ``z_at(w0 + r)``, and the
-    next step may overwrite the block (see
-    :func:`~kakeya.ring.residue_mul_sub`).  Per-pair work that does not
+    ``(z_at, bitmap)``: ``z_at`` maps one int w code to the 1-D row of the
+    pairs' z codes, and ``bitmap()`` returns the (ell^D, ell^D) bool hit
+    array whose row w is set at ``z_at(w)`` (see
+    :func:`~kakeya.ring.residue_mul_sub`, which both built-in families call,
+    with their arguments in either order).  Per-pair work that does not
     depend on w is done once, in the call that prepares them.  Those
     scalar codes exist only for p = q = d = 1, so a ``cells_eval`` on
     other dimensions is refused with ``ValueError``.

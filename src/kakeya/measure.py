@@ -29,9 +29,11 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  A hit-set
-build walks the w cells in blocks of rows and sets each block's cells with
-one assignment (:func:`~kakeya.ring.residue_mul_sub` describes the packed
-walk); a cross-section reads only the row at its w.
+build asks the enumeration for its whole bitmap: the element route scatters
+each w's row, while the packed route folds w's top digit, walking only the
+ell^(D-1) w cells whose top digit is 0 and rolling their rows into the
+rows of the other top digits (:func:`~kakeya.ring.residue_mul_sub`).  A
+cross-section reads only the row at its w.
 """
 
 from __future__ import annotations
@@ -196,16 +198,16 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
 
     Covers every depth-X x cell, or the given sorted distinct combined
     codes ``x_cells``; the caller has passed :func:`_check_build`.
-    Returns ``(dirs, (z_at, walk))``.  ``dirs`` holds the depth-D
+    Returns ``(dirs, (z_at, bitmap))``.  ``dirs`` holds the depth-D
     direction cell of each enumerated entry.  ``z_at`` maps one depth-D w
     cell code to the row of the entries' depth-D z-cell codes, in the
-    order of ``dirs``; ``walk()`` visits every w cell once in blocks
-    ``(w0, Z)``, row r of the 2-D ``Z`` being ``z_at(w0 + r)``, a block the
-    next step may overwrite.  The element route yields one-row blocks.
-    Families with ``cells_eval`` (p = q = d = 1) take the packed route:
-    one phi table, reduced to the distinct pairs, and one ``cells_eval``
-    call that prepares them and returns both functions.  All others take
-    the element route: each x and phi(x) built once, then ``eval`` per x and w.
+    order of ``dirs``; ``bitmap()`` returns the 2-D bool hit array, w cell
+    (major) by z cell, whose row w is set at ``z_at(w)``.  Families with
+    ``cells_eval`` (p = q = d = 1) take the packed route: one phi table,
+    reduced to the distinct pairs, and one ``cells_eval`` call that
+    prepares them and returns both functions.  All others take the element
+    route: each x and phi(x) built once, then ``eval`` per x and w, and one
+    scatter per w.
     """
     ell = fam.ring.ell
     if fam.cells_eval is not None:
@@ -228,12 +230,15 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
         return np.asarray([vector_cell_index(fam.eval(x, y, w, D), D)
                            for x, y in zip(xs, ys)], dtype=np.int64)
 
-    def walk():
-        for w in range(ell ** (fam.d_dim * D)):
-            yield w, z_at(w)[None, :]
+    def bitmap() -> np.ndarray:
+        bits = np.zeros((ell ** (fam.d_dim * D), ell ** (fam.out_dim * D)),
+                        dtype=bool)
+        for w, row in enumerate(bits):
+            row[z_at(w)] = True
+        return bits
 
     dirs = np.asarray([vector_cell_index(x, D) for x in xs], dtype=np.int64)
-    return dirs, (z_at, walk)
+    return dirs, (z_at, bitmap)
 
 
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
@@ -247,8 +252,8 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     fully determined -- and every w in R^d at depth D.  ``x_cells``
     restricts the x enumeration to the given depth-X combined codes
     (diagnostic use); ``input_depth`` overrides X (used by the input-depth
-    sufficiency re-check).  Each block (w0, Z) of the enumeration's walk
-    sets its rows' cells with one assignment.  Repeated ``x_cells`` codes
+    sufficiency re-check).  The enumeration sets the bitmap (see
+    :func:`_hits`).  Repeated ``x_cells`` codes
     are enumerated and charged once; a code outside [0, ell^(p X)) raises
     :class:`~kakeya.errors.BadIndex` and a depth D < 1
     :class:`~kakeya.errors.BadDepth`, before any table is built.
@@ -259,18 +264,9 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
                      X=input_depth)
 
-    _, (_, walk) = _hits(fam, phi_variant, D, X, x_cells)
-    zc = ell ** (fam.out_dim * D)
-    bits = np.zeros(ell ** (fam.d_dim * D) * zc, dtype=bool)
-    offsets = np.empty((0, 0), dtype=np.int64)
-    for w0, Z in walk():
-        if offsets.shape != Z.shape:  # row r of Z sets bitmap row w0 + r
-            # materialized: adding a broadcast column took 2.5x as long
-            offsets = np.broadcast_to(np.arange(0, len(Z) * zc, zc)[:, None],
-                                      Z.shape).copy()
-        bits[w0 * zc:(w0 + len(Z)) * zc][Z + offsets] = True
+    _, (_, bitmap) = _hits(fam, phi_variant, D, X, x_cells)
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
-                   bits=bits)
+                   bits=bitmap().reshape(-1))
 
 
 def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,

@@ -29,6 +29,7 @@ enumerations; its agreement with the Element layer is enforced by tests.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -94,11 +95,15 @@ class RingSpec:
         return f"{self.tag}:{self.ell}"
 
 
+# The factories hand out one shared spec per (ell, mode), so the ring
+# checks' identity test holds for every ring built through them.
+@functools.cache
 def padic_ring(ell: int) -> RingSpec:
     """The ring of ``ell``-adic integers (carrying digit arithmetic)."""
     return RingSpec(ell, RingMode.PADIC)
 
 
+@functools.cache
 def power_series_ring(ell: int) -> RingSpec:
     """Formal power series over the ``ell``-element field (no carries)."""
     return RingSpec(ell, RingMode.POWER_SERIES)
@@ -430,7 +435,8 @@ def enumerate_residues(ring: RingSpec, D: int) -> Iterator[Element]:
 # Text format: <ring>:<ell>:<lowest_degree>:<d0,d1,...>  e.g. zp:2:0:1,0,1
 # ---------------------------------------------------------------------------
 
-_TAGS = {m.value: m for m in RingMode}
+_FACTORIES = {RingMode.PADIC.value: padic_ring,
+              RingMode.POWER_SERIES.value: power_series_ring}
 
 
 def format_element(a: Element) -> str:
@@ -454,7 +460,7 @@ def parse_element(text: str, min_depth: int | None = None) -> Element:
         raise ValueError(f"malformed element {text!r}: expected 4 ':'-separated "
                          "fields <ring>:<ell>:<lowest_degree>:<digits>")
     tag, ell_s, low_s, digits_s = parts
-    if tag not in _TAGS:
+    if tag not in _FACTORIES:
         raise ValueError(f"unknown ring tag {tag!r} (expected zp or fq)")
     try:
         ell = int(ell_s)
@@ -464,7 +470,7 @@ def parse_element(text: str, min_depth: int | None = None) -> Element:
         raise ValueError(f"malformed element {text!r}: {e}") from None
     if not ds:
         raise ValueError(f"malformed element {text!r}: empty digit list")
-    ring = RingSpec(ell, _TAGS[tag])
+    ring = _FACTORIES[tag](ell)
     depth = low + len(ds)
     if min_depth is not None:
         depth = max(depth, min_depth)
@@ -681,7 +687,7 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
-# Most int64 entries in one block of walk rows (see residue_mul_sub).  Each
+# Most int64 entries in one block of walk rows (see _walk).  Each
 # walk step moves a whole block with a few numpy calls, so a block must be
 # large enough to amortize the Python step and small enough to stay in
 # cache.  BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast,
@@ -693,76 +699,110 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """Prepare w -> a*w - c for the 1-D arrays ``a`` and ``c`` of depth-D
     codes (each in [0, ell^D)).
 
-    Returns ``(z_at, walk)``.  ``z_at`` maps one int w code to the 1-D row
-    of depth-D codes of a*w - c.  ``walk()`` visits every depth-D w code
-    exactly once and yields one ``(w0, Z)`` per step: ``Z`` is a 2-D block
-    whose row r is ``z_at(w0 + r)``, so a block covers the contiguous run
-    w0 .. w0 + len(Z) - 1.  The next step may overwrite ``Z``.
+    Returns ``(z_at, bitmap)``.  ``z_at`` maps one int w code to the 1-D
+    row of depth-D codes of a*w - c.  ``bitmap()`` returns the bool array of
+    shape (ell^D, ell^D) whose row w is set exactly at ``z_at(w)``.
 
-    A block holds the B = ell^J rows of the J low digits of w, J the largest
-    (at most D) with B * len(a) <= ``WALK_BLOCK_ENTRIES``; a longer ``a``
-    gets one-row blocks.  Raising digit i of w adds a*t^i, whose code is
-    a*ell^i mod ell^D in either ring.  The first block (w0 = 0) is filled
-    by ell-ary doubling from the row -c: rows k*ell^j + r are rows
-    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
-    Each later step raises one digit i >= J of w0 and adds a*t^i to the
-    whole block:
-
-    * PADIC steps w0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
-      at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
-      taken as the unsigned minimum of Z and Z - ell^D into a reused
-      scratch block: no division.
-    * POWER_SERIES walks the high digits in an ell-ary (modular) Gray
-      order, highest digit first: step k raises digit i = D - 1 - v_ell(k)
-      of w0 by 1 mod ell.  At ell = 2 the step is Z ^= a*t^i.  At
-      ell >= 3 Z is held as a low half of h = ceil(D/2) digits and a high
-      half of D - h digits; each half is added with one ``take`` from the
-      ell^h x ell^h carry-free addition table, which the walk builds (so
-      ``z_at`` never allocates it).  A step with i >= h changes only the
-      high half.
+    ``bitmap`` folds w's top digit.  With w = u + t*ell^(D-1), u < ell^(D-1)
+    and t < ell, in both rings a*w - c = (a*u - c) + (a mod ell)*t*ell^(D-1)
+    mod ell^D: the added term touches only z's top digit, since a carry past
+    digit D - 1 vanishes mod ell^D and fq has none.  So the pairs of class
+    g (a = g mod ell) hit in row w their cells of row u moved by
+    g*t*ell^(D-1) mod ell^D.  One :func:`_walk`, set up once, visits the
+    rows u of each class (:func:`_fold_class`), so each pair is stepped and
+    scattered ell^(D-1) times, not ell^D.
     """
     ell, m = ring.ell, ring.ell ** D
 
     def z_at(w: int) -> np.ndarray:
         return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
 
-    def walk():
-        J = 0
-        while J < D and ell ** (J + 1) * len(a) <= WALK_BLOCK_ENTRIES:
-            J += 1
-        B = ell ** J
-        step, block = _walk_steps(ring, D, a, residue_neg(ring, D, c), B)
-        for j in range(J):
-            s = ell ** j
-            for k in range(1, ell):
-                step(slice((k - 1) * s, k * s), slice(k * s, (k + 1) * s), j)
-        yield 0, block()
-        w, wd, every = 0, [0] * D, slice(None)
-        for k in range(1, m // B):
-            if ring.mode is RingMode.PADIC:
-                i, w = J, w + B
-            else:
-                i = D - 1
-                while k % ell ** (D - i) == 0:
-                    i -= 1
-                wd[i] = (wd[i] + 1) % ell
-                w += ell ** i if wd[i] else -(ell - 1) * ell ** i
-            step(every, every, i)
-            yield w, block()
+    def bitmap() -> np.ndarray:
+        bits = np.zeros((ell, m // ell, m), dtype=bool)
+        ends = np.cumsum(np.bincount(a % ell, minlength=ell)).tolist()
+        # The pairs by class, by one sort of distinct keys: a stable
+        # argsort raised the general_ell benchmark's peak RSS by 0.1-0.2 MB.
+        order = a % ell * len(a) + np.arange(len(a))
+        order.sort()
+        order %= len(a)
+        blocks = _walk(ring, D, a[order], c[order])
+        del order
+        for g, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            if lo < hi:
+                _fold_class(bits, g, blocks(slice(lo, hi)))
+        return bits.reshape(m, m)
 
-    return z_at, walk
+    return z_at, bitmap
 
 
-def _walk_steps(ring: RingSpec, D: int, a: np.ndarray, z0, B: int):
-    """The step of one :func:`residue_mul_sub` walk over a block of B rows,
-    row 0 set to the codes ``z0``.
+def _fold_class(bits: np.ndarray, g: int, blocks):
+    """Set in ``bits`` (axes: w's top digit t, its low code u, z) the hits
+    of the class g, whose rows at u ``blocks`` yields.  Class 0 is set in
+    t = 0 and copied to every t, so it must come first, into all-False
+    bits; another class is set in a scratch of each block's rows, or-ed
+    into each t rolled by g*t*ell^(D-1)."""
+    ell, top, m = bits.shape
+    flat = bits.reshape(-1)
+    offsets = None
+    for u0, Z in blocks:
+        rows = len(Z)
+        if offsets is None:  # row r of Z sets bitmap row u0 + r
+            # materialized: adding a broadcast column took 2.5x as long
+            offsets = np.broadcast_to(np.arange(0, rows * m, m)[:, None],
+                                      Z.shape).copy()
+            scratch = np.empty(rows * m if g else 0, dtype=bool)
+        if g == 0:
+            flat[u0 * m:(u0 + rows) * m][Z + offsets] = True
+            continue
+        scratch[:] = False
+        scratch[Z + offsets] = True
+        hit = scratch.reshape(rows, m)
+        for t in range(ell):
+            s = g * t % ell * top
+            dst = bits[t, u0:u0 + rows]
+            part = dst[:, s:]
+            part |= hit[:, :m - s]
+            if s:
+                part = dst[:, :s]
+                part |= hit[:, m - s:]
+    if g == 0:
+        bits[1:] = bits[0]
 
-    Returns ``(step, block)``: ``step(src, dst, i)`` sets the rows ``dst``
-    (a slice) to the rows ``src`` plus a*t^i, and ``block()`` returns the
-    block as codes."""
+
+def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
+    """The rows z_at(u) = a*u - c of :func:`residue_mul_sub` at the w codes
+    u < ell^(D-1), in blocks.
+
+    Returns ``blocks(pairs)``, which visits every such u once for the
+    pairs in the slice ``pairs``, yielding one ``(u0, Z)`` per step: row r
+    of the 2-D ``Z`` is ``z_at(u0 + r)[pairs]``, and the next step may
+    overwrite ``Z``.  The addends a*t^i (code a*ell^i mod ell^D in either
+    ring) and the fq ell >= 3 addition table are built once, here.
+
+    A block holds the B = ell^J rows of the J low digits of u, J the largest
+    (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES`` for the slice's n
+    pairs and B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so the fold's scratch
+    flags take no more bytes than the codes.  The first block (u0 = 0) is
+    filled by ell-ary doubling from the row -c: rows k*ell^j + r are rows
+    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
+    Each later step raises one digit i of u0, J <= i <= D - 2, and adds
+    a*t^i to the whole block:
+
+    * PADIC steps u0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
+      at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
+      taken as the unsigned minimum of Z and Z - ell^D into a reused
+      scratch block: no division.
+    * POWER_SERIES walks the digits J..D-2 in an ell-ary (modular) Gray
+      order, highest digit first: step k raises digit i = D - 2 - v_ell(k)
+      of u0 by 1 mod ell.  At ell = 2 the step is Z ^= a*t^i.  At
+      ell >= 3 Z is held as a low half of h = ceil(D/2) digits and a high
+      half of D - h digits; each half is added with one ``take`` from the
+      ell^h x ell^h carry-free addition table (so ``z_at`` never allocates
+      it).  A step with i >= h changes only the high half.
+    """
     ell, m = ring.ell, ring.ell ** D
-    adds = [a * ell ** i % m for i in range(D)]
-    z = np.empty((B, len(a)), dtype=np.int64)
+    z0 = residue_neg(ring, D, c)
+    adds = [a * ell ** i % m for i in range(D - 1)]
     if ring.mode is RingMode.POWER_SERIES and ell > 2:
         h = (D + 1) // 2
         half = ell ** h
@@ -773,44 +813,80 @@ def _walk_steps(ring: RingSpec, D: int, a: np.ndarray, z0, B: int):
         # low addend is scaled to pick it, while z's high half is held
         # scaled by ell^h, picks the row and is read back scaled from
         # ``scaled``, making the row hi + lo.
-        hi_add = [x // half for x in adds]
-        lo_add = [x % half * half for x in adds[:h]]
-        lo, hi = np.empty_like(z), np.empty_like(z)
-        lo[0] = z0 % half
-        hi[0] = z0 - lo[0]
-        idx = np.empty_like(z)  # in range, so mode="clip" takes unbuffered
+        lo_adds = [x % half * half for x in adds[:h]]
+        adds = [x // half for x in adds]  # the high halves, for the walk
 
-        def step(src, dst, i):
-            if i < h:
-                np.add(lo_add[i], lo[src], out=idx[dst])
-                table.take(idx[dst], out=lo[dst], mode="clip")
-            elif src != dst:
-                lo[dst] = lo[src]
-            np.add(hi_add[i], hi[src], out=idx[dst])
-            scaled.take(idx[dst], out=hi[dst], mode="clip")
+    def steps(pairs: slice, B: int):
+        """``(step, block)`` over B rows of the slice's pairs, row 0 set to
+        their -c: ``step(src, dst, i)`` sets the rows ``dst`` (a slice) to
+        the rows ``src`` plus a*t^i, ``block()`` returns the codes."""
+        add = [x[pairs] for x in adds]
+        z = np.empty((B, len(z0[pairs])), dtype=np.int64)
+        if ring.mode is RingMode.POWER_SERIES and ell > 2:
+            lo_add = [x[pairs] for x in lo_adds]
+            lo, hi = np.empty_like(z), np.empty_like(z)
+            lo[0] = z0[pairs] % half
+            hi[0] = z0[pairs] - lo[0]
+            idx = np.empty_like(z)  # in range, so mode="clip" takes unbuffered
 
-        return step, lambda: np.add(hi, lo, out=z)
+            def step(src, dst, i):
+                if i < h:
+                    np.add(lo_add[i], lo[src], out=idx[dst])
+                    table.take(idx[dst], out=lo[dst], mode="clip")
+                elif src != dst:
+                    lo[dst] = lo[src]
+                np.add(add[i], hi[src], out=idx[dst])
+                scaled.take(idx[dst], out=hi[dst], mode="clip")
 
-    z[0] = z0
-    if ring.mode is RingMode.POWER_SERIES:
-        def step(src, dst, i):
-            np.bitwise_xor(z[src], adds[i], out=z[dst])
-    elif ell == 2:  # a mask is 3-5x cheaper than %
-        def step(src, dst, i):
-            np.add(z[src], adds[i], out=z[dst])
-            np.bitwise_and(z[dst], m - 1, out=z[dst])
-    else:
-        # z + a*ell^i < 2m; z - m wraps above z as uint64 exactly when
-        # z < m, so an unsigned min is the reduction, with no %.
-        t = np.empty_like(z)
-        zu, tu = z.view(np.uint64), t.view(np.uint64)
+            return step, lambda: np.add(hi, lo, out=z)
 
-        def step(src, dst, i):
-            np.add(z[src], adds[i], out=z[dst])
-            np.subtract(z[dst], m, out=t[dst])
-            np.minimum(zu[dst], tu[dst], out=zu[dst])
+        z[0] = z0[pairs]
+        if ring.mode is RingMode.POWER_SERIES:
+            def step(src, dst, i):
+                np.bitwise_xor(z[src], add[i], out=z[dst])
+        elif ell == 2:  # a mask is 3-5x cheaper than %
+            def step(src, dst, i):
+                np.add(z[src], add[i], out=z[dst])
+                np.bitwise_and(z[dst], m - 1, out=z[dst])
+        else:
+            # z + a*ell^i < 2m; z - m wraps above z as uint64 exactly when
+            # z < m, so an unsigned min is the reduction, with no %.
+            t = np.empty_like(z)
+            zu, tu = z.view(np.uint64), t.view(np.uint64)
 
-    return step, lambda: z
+            def step(src, dst, i):
+                np.add(z[src], add[i], out=z[dst])
+                np.subtract(z[dst], m, out=t[dst])
+                np.minimum(zu[dst], tu[dst], out=zu[dst])
+
+        return step, lambda: z
+
+    def blocks(pairs: slice):
+        J, n = 0, len(z0[pairs])
+        while (J < D - 1 and ell ** (J + 1) * max(8 * n, m)
+               <= 8 * WALK_BLOCK_ENTRIES):
+            J += 1
+        B = ell ** J
+        step, block = steps(pairs, B)
+        for j in range(J):
+            s = ell ** j
+            for k in range(1, ell):
+                step(slice((k - 1) * s, k * s), slice(k * s, (k + 1) * s), j)
+        yield 0, block()
+        u0, ud, every = 0, [0] * D, slice(None)
+        for k in range(1, m // ell // B):
+            if ring.mode is RingMode.PADIC:
+                i, u0 = J, u0 + B
+            else:
+                i = D - 2
+                while k % ell ** (D - 1 - i) == 0:
+                    i -= 1
+                ud[i] = (ud[i] + 1) % ell
+                u0 += ell ** i if ud[i] else -(ell - 1) * ell ** i
+            step(every, every, i)
+            yield u0, block()
+
+    return blocks
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

@@ -279,27 +279,32 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     report(9, "measure decay, digit-shift phi; carry non-additivity pinned")
 
 
-@pytest.mark.parametrize("ring, dmin, dmax, suffix", (
-    (Z2, 2, 10, "zp2"),
-    (F2, 11, 12, "fq2_deep"),
-    (Z2, 11, 12, "zp2_deep"),
-    (F2, 13, 13, "fq2_d13"),
-    (Z2, 13, 13, "zp2_d13"),
-    (F3, 2, 7, "fq3"),
-    (Z3, 2, 7, "zp3"),
-    (F3, 8, 8, "fq3_d8"),
-    (Z3, 8, 8, "zp3_d8"),
-    (F5, 2, 5, "fq5"),
-    (Z5, 2, 5, "zp5"),
-    (F11, 1, 3, "fq11"),
-    (Z11, 1, 3, "zp11"),
-    (F13, 1, 3, "fq13"),
-    (Z13, 1, 3, "zp13"),
+@pytest.mark.parametrize("make, ring, dmin, dmax, suffix", (
+    (kakeya_line_family, Z2, 2, 10, "zp2"),
+    (kakeya_line_family, F2, 11, 12, "fq2_deep"),
+    (kakeya_line_family, Z2, 11, 12, "zp2_deep"),
+    (kakeya_line_family, F2, 13, 13, "fq2_d13"),
+    (kakeya_line_family, Z2, 13, 13, "zp2_d13"),
+    (kakeya_line_family, F3, 2, 7, "fq3"),
+    (kakeya_line_family, Z3, 2, 7, "zp3"),
+    (kakeya_line_family, F3, 8, 8, "fq3_d8"),
+    (kakeya_line_family, Z3, 8, 8, "zp3_d8"),
+    (kakeya_line_family, F5, 2, 5, "fq5"),
+    (kakeya_line_family, Z5, 2, 5, "zp5"),
+    (kakeya_line_family, F11, 1, 3, "fq11"),
+    (kakeya_line_family, Z11, 1, 3, "zp11"),
+    (kakeya_line_family, F13, 1, 3, "fq13"),
+    (kakeya_line_family, Z13, 1, 3, "zp13"),
+    (nikodym_line_family, F2, 2, 10, "fq2"),
+    (nikodym_line_family, Z2, 2, 10, "zp2"),
+    (nikodym_line_family, F3, 2, 6, "fq3"),
+    (nikodym_line_family, Z3, 2, 6, "zp3"),
 ), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq3", "zp3",
-        "fq3_d8", "zp3_d8", "fq5", "zp5", "fq11", "zp11", "fq13", "zp13"))
+        "fq3_d8", "zp3_d8", "fq5", "zp5", "fq11", "zp11", "fq13", "zp13",
+        "nikodym_fq2", "nikodym_zp2", "nikodym_fq3", "nikodym_zp3"))
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
-def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
+def test_frozen_decay_tables(variant, make, ring, dmin, dmax, suffix):
     """The decay tables beyond criteria 08 and 09 (the padic ring,
     D = 11..13 on both rings, ell = 3 at D = 2..8, ell = 5 at D = 2..5 and
     ell = 11 and 13 at D = 1..3) replay their frozen fixtures exactly; they
@@ -309,9 +314,13 @@ def test_frozen_decay_tables(variant, ring, dmin, dmax, suffix):
     before the ell-ary Gray walk of fq, ell = 3 at D = 8 and ell = 5 by the
     low-digit-first Gray walk and the % reduction of zp, before the
     high-digit-first order and the division-free zp step, and ell = 11 and
-    13 before Element sums shared one signed step."""
-    rep = decay_report(kakeya_line_family(ring), variant, dmin, dmax)
-    name = f"decay_kakeya_{variant.value}_{suffix}.csv"
+    13 before Element sums shared one signed step.  The nikodym tables
+    (fq and zp at ell = 2 for D = 2..10 and ell = 3 for D = 2..6) were
+    frozen by the walk over every w, before the build folded w's top digit;
+    their packed route passes the pairs in the other order."""
+    fam = make(ring)
+    rep = decay_report(fam, variant, dmin, dmax)
+    name = f"decay_{fam.name}_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \
         (FIXTURES / name).read_text()
 

@@ -10,7 +10,8 @@ import pytest
 
 from kakeya import cli, measure
 from kakeya.cli import main
-from kakeya.ring import parse_element, truncate
+from kakeya.ring import (padic_ring, parse_element, power_series_ring,
+                         truncate)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -197,6 +198,26 @@ class TestMeasure:
                              "--budget-pairs", str(2 ** 80))
         assert code == 1 and out == ""
         assert err.startswith("error: depth 12") and "2^63" in err
+
+    @pytest.mark.parametrize("tag, make", (("zp", padic_ring),
+                                           ("fq", power_series_ring)))
+    def test_cli_rings_are_the_factory_specs(self, capsys, monkeypatch, tag,
+                                             make):
+        """The family a command builds, its configured ring and a parsed
+        element are over the factory's one spec, so ring checks pass on
+        identity."""
+        seen = []
+
+        def spy(fam, *args, **kwargs):
+            seen.append(fam.ring)
+            return measure.decay_report(fam, *args, **kwargs)
+        monkeypatch.setattr(cli, "decay_report", spy)
+        code, _, err = run(capsys, "measure", "--ring", tag, "--ell", "3",
+                           "--dmin", "1", "--dmax", "2")
+        assert code == 0, err
+        assert seen and seen[0] is make(3)
+        assert cli.RunConfig(ring=tag, ell=5).ring_spec() is make(5)
+        assert parse_element(f"{tag}:3:0:1,2").ring is make(3)
 
 
 class TestConfigFile:

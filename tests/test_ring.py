@@ -54,7 +54,8 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import ALL_RINGS, F2, F3, Z2, Z3, Z5, Z7, elements
+from conftest import (ALL_RINGS, F2, F3, LARGE_RINGS, Z2, Z3, Z5, Z7,
+                      elements)
 
 
 class TestConstruction:
@@ -173,6 +174,20 @@ class TestArithmetic:
             vector(a, b, c)
         with pytest.raises(RingMismatch):
             ElementMatrix(((a, b), (c, a)))
+
+    @pytest.mark.parametrize("ell", (2, 3, 13))
+    def test_factories_share_one_spec_per_ring(self, ell):
+        """The factories and ``parse_element`` hand out one spec per
+        (ell, mode), so ring checks pass on identity; the modes stay
+        apart and a bad ell is still refused."""
+        assert padic_ring(ell) is padic_ring(ell)
+        assert power_series_ring(ell) is power_series_ring(ell)
+        assert padic_ring(ell) is not power_series_ring(ell)
+        assert padic_ring(ell) == RingSpec(ell, RingMode.PADIC)
+        assert parse_element(f"zp:{ell}:0:1").ring is padic_ring(ell)
+        assert parse_element(f"fq:{ell}:0:1").ring is power_series_ring(ell)
+        with pytest.raises(ValueError, match="must be prime"):
+            padic_ring(ell * ell)
 
     def test_zero_mul_depth_is_sum(self):
         z = zero(Z2, 5)
@@ -472,41 +487,71 @@ class TestResidueLayer:
         return [code[p] for p in pairs]
 
     @staticmethod
-    def _walk_blocks(ring, D, a, c, cap, oracle):
-        """Walk a*w - c with blocks capped at ``cap`` entries: every depth-D
-        w code is visited exactly once, each block covers the contiguous
-        run w0 .. w0 + len(Z) - 1, and each row is ``z_at`` at its w and
-        the Element oracle's (memoized per w in ``oracle``).  Returns the
-        block lengths."""
+    def _walk_blocks(ring, D, a, c, cap, oracle, pairs=slice(None)):
+        """Walk a*u - c over the low w codes u < ell^(D-1), for the slice
+        ``pairs`` of the pairs, with blocks capped at ``cap`` entries: every
+        u is visited exactly once, each block covers the contiguous run
+        u0 .. u0 + len(Z) - 1, and each row is ``z_at`` at its u and the
+        Element oracle's (memoized per u in ``oracle``), restricted to
+        ``pairs``.  The top digit of w is the fold's, checked by
+        ``_check_bitmap``.  Returns the block lengths."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
-            z_at, walk = residue_mul_sub(ring, D, a, c)
+            z_at, _ = residue_mul_sub(ring, D, a, c)
             seen, lengths = [], set()
-            for w0, Z in walk():
-                assert isinstance(w0, int)
-                assert Z.ndim == 2 and Z.shape[1] == len(a)
+            for u0, Z in ring_module._walk(ring, D, a, c)(pairs):
+                assert isinstance(u0, int)
+                assert Z.ndim == 2 and Z.shape[1] == len(a[pairs])
                 lengths.add(len(Z))
-                for w, z in enumerate(Z, start=w0):
-                    assert np.array_equal(z, z_at(w))
-                    if w not in oracle:
-                        oracle[w] = TestResidueLayer._oracle_row(ring, D, a,
-                                                                 c, w)
-                    assert z.tolist() == oracle[w]
-                    seen.append(w)
-        assert sorted(seen) == list(range(ring.ell ** D))
+                for u, z in enumerate(Z, start=u0):
+                    assert np.array_equal(z, z_at(u)[pairs])
+                    if u not in oracle:
+                        oracle[u] = TestResidueLayer._oracle_row(ring, D, a,
+                                                                 c, u)
+                    assert z.tolist() == oracle[u][pairs]
+                    seen.append(u)
+        assert sorted(seen) == list(range(ring.ell ** (D - 1)))
         return lengths
 
     @staticmethod
     def _check_walk(ring, D, a, c):
         """The walk under every block size a cap can give: ell^J rows for
-        each J <= D, and one-row blocks when ``a`` is longer than the cap.
-        Only blocks of J < D rows take the high-digit steps."""
-        assert len(a)
+        each J < D, and one-row blocks when even one row is over the cap;
+        over all pairs and over an inner slice of them, as ``bitmap`` walks
+        each class of a mod ell.  A block of ell^J rows needs the cap to
+        hold ell^J * max(8n, ell^D) / 8 entries for n pairs.  Only blocks
+        of J < D - 1 rows take the high-digit steps."""
+        assert len(a) > 5
         oracle = {}
-        for J in range(D + 1):
-            cap = len(a) * ring.ell ** J if J else len(a) - 1
-            assert TestResidueLayer._walk_blocks(ring, D, a, c, cap,
-                                                 oracle) == {ring.ell ** J}
+        for pairs in (slice(None), slice(3, len(a) - 2)):
+            per_row = max(8 * len(a[pairs]), ring.ell ** D)
+            for J in range(D):
+                cap = -(-ring.ell ** J * per_row // 8) if J else \
+                    -(-per_row // 8) - 1
+                assert TestResidueLayer._walk_blocks(
+                    ring, D, a, c, cap, oracle, pairs) == {ring.ell ** J}
+
+    @staticmethod
+    def _check_bitmap(ring, D, a, c):
+        """``bitmap()`` of residue_mul_sub equals a per-w scatter of
+        ``z_at`` and one of the Element oracle, over every w."""
+        m = ring.ell ** D
+        z_at, bitmap = residue_mul_sub(ring, D, a, c)
+        got = bitmap()
+        assert got.shape == (m, m) and got.dtype == bool
+        want = np.zeros((m, m), dtype=bool)
+        for w in range(m):
+            want[w, z_at(w)] = True
+        assert np.array_equal(got, want)
+        elems = [(element_from_cell(ring, ac, D),
+                  element_from_cell(ring, cc, D))
+                 for ac, cc in set(zip(a.tolist(), c.tolist()))]
+        oracle = np.zeros((m, m), dtype=bool)
+        for w in range(m):
+            ew = element_from_cell(ring, w, D)
+            for ea, ec in elems:
+                oracle[w, cell_index(sub(mul(ea, ew), ec), D)] = True
+        assert np.array_equal(got, oracle)
 
     @staticmethod
     def _check_mul_sub(ring, D, a, c, w):
@@ -568,17 +613,19 @@ class TestResidueLayer:
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_empty_pairs(self, ring):
-        """No pairs: one block of every w, each row empty."""
+        """No pairs: one block of every low w, each row empty, and an
+        empty bitmap."""
         empty = np.zeros(0, dtype=np.int64)
-        z_at, _ = residue_mul_sub(ring, 3, empty, empty)
+        z_at, bitmap = residue_mul_sub(ring, 3, empty, empty)
         assert z_at(5).shape == (0,)
         assert self._walk_blocks(ring, 3, empty, empty, WALK_BLOCK_ENTRIES,
-                                 {}) == {ring.ell ** 3}
+                                 {}) == {ring.ell ** 2}
+        assert not bitmap().any()
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_block_sizes_at_the_cap(self, ring):
-        """Under the module cap: a short pair array fits the whole depth-2
-        table in one block, one longer than the cap gets one-row blocks.
+        """Under the module cap: a short pair array fits every low w of
+        depth 2 in one block, one longer than the cap gets one-row blocks.
         The long array repeats 22 pairs, so the oracle stays cheap."""
         D = 2
         m = ring.ell ** D
@@ -587,11 +634,53 @@ class TestResidueLayer:
                        dtype=np.int64)
         c = np.asarray([rnd.randrange(m) for _ in a], dtype=np.int64)
         assert self._walk_blocks(ring, D, a, c, WALK_BLOCK_ENTRIES,
-                                 {}) == {m}
+                                 {}) == {ring.ell}
         n = WALK_BLOCK_ENTRIES + 1
         assert self._walk_blocks(ring, D, np.resize(a, n), np.resize(c, n),
                                  WALK_BLOCK_ENTRIES, {}) == {1}
 
+    @staticmethod
+    def _fold_codes(ring, D, kind, rnd):
+        """Codes for the argument ``a`` of one class mix: every a = 0
+        (mod ell), none, or both, with the first four repeated last; or no
+        pairs."""
+        m, ell = ring.ell ** D, ring.ell
+        if kind == "empty":
+            return []
+        if kind == "all_zero":
+            return [0] + [ell * rnd.randrange(m // ell) for _ in range(8)]
+        if kind == "none_zero":
+            return [1, m - 1] + [ell * rnd.randrange(m // ell)
+                                 + rnd.randrange(1, ell) for _ in range(8)]
+        codes = [0, m - 1] + [rnd.randrange(m) for _ in range(8)]
+        return codes + codes[:4]
+
+    @pytest.mark.parametrize("order", ("kakeya", "nikodym"))
+    @pytest.mark.parametrize("kind",
+                             ("all_zero", "none_zero", "mixed", "empty"))
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for rings, depths in ((ALL_RINGS, (1, 2, 3, 4)), (LARGE_RINGS, (1, 2)))
+        for r in rings for D in depths])
+    def test_bitmap_folds_the_top_w_digit(self, ring, D, kind, order):
+        """The folded bitmap against a per-w scatter of ``z_at`` and of the
+        Element oracle, for each class mix of ``a``, in both argument
+        orders over pairs sorted by x: kakeya passes (x, y), so ``a`` is
+        sorted, and nikodym (y, x), so ``c`` is."""
+        m = ring.ell ** D
+        rnd = random.Random(f"{ring}-{D}-{kind}")
+        first = self._fold_codes(ring, D, kind, rnd)
+        second = [rnd.randrange(m) for _ in first]
+        if kind == "mixed":  # the repeated codes repeat whole pairs
+            second[-4:] = second[:4]
+            assert {v % ring.ell for v in first} >= {0, ring.ell - 1}
+            assert len(set(zip(first, second))) < len(first)
+        x, y = (first, second) if order == "kakeya" else (second, first)
+        pairs = sorted(zip(x, y))
+        x = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        y = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        a, c = (x, y) if order == "kakeya" else (y, x)
+        self._check_bitmap(ring, D, a, c)
 
 def _oracle(ring, op, a, b):
     """(depth, lowest degree, digits over [lowest, depth)) of a op b, where
