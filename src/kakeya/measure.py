@@ -17,7 +17,8 @@ Enumeration cost is governed by an explicit budget, checked by
 what is stored, save that the coverage audit keeps one flag per direction
 and is charged the direction x w cells its report can list; pairs count
 what is evaluated per w cell, on the packed route the
-:func:`~kakeya.phi.residue_table_cells` x codes the phi table covers.
+:func:`~kakeya.phi.residue_table_cells` x codes the phi table covers, and
+a packed hit-set build only at the ell^(D-1) w cells it steps.
 
 One enumerator, :func:`_hits`, produces the surface points that the hit-set
 build and the cross-sections consume; the direction-coverage audit reads
@@ -30,9 +31,12 @@ reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 pairs once per enumeration and evaluates each of them once per w; the
 element route keeps one entry per x as the independent oracle.  A hit-set
 build asks the enumeration for its whole bitmap: the element route scatters
-each w's row, while the packed route folds w's top digit, walking only the
-ell^(D-1) w cells whose top digit is 0 and rolling their rows into the
-rows of the other top digits (:func:`~kakeya.ring.residue_mul_sub`).  A
+each w's row.  The packed route (:func:`~kakeya.ring.residue_mul_sub`)
+sorts its pairs once; the full groups, pairs that differ only in the top
+digit of c and take all ell of them, are projected to depth D - 1, built
+there the same way, and copied to every top digit of w and z; the rest
+fold w's top digit, walking only the ell^(D-1) w cells whose top digit is
+0 and rolling their rows into the rows of the other top digits.  A
 cross-section reads only the row at its w.
 """
 
@@ -112,7 +116,7 @@ def _check_headroom(ell: int, D: int):
 def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
                  x_cells, budget_cells: int, budget_pairs: int, *,
                  X: int | None = None, cells: int | None = None,
-                 n_w: int | None = None) -> int:
+                 n_w: int | None = None, build: bool = False) -> int:
     """Depth, range of ``x_cells``, budget and int64 headroom of one
     depth-D enumeration, before any array is built.  Returns its input
     depth: ``X``, or by default :func:`~kakeya.phi.phi_input_depth`.
@@ -122,7 +126,9 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     w is charged the entries evaluated for it: ``len(x_cells)`` when given
     (each code once), the :func:`~kakeya.phi.residue_table_cells`
     entries on the packed route, every depth-X x cell on the element
-    route."""
+    route.  A packed hit-set ``build`` is charged only the ell^(D-1) w
+    cells its fold steps, an upper bound since the lift steps fewer
+    (:func:`~kakeya.ring.residue_mul_sub`)."""
     if D < 1:
         raise BadDepth(f"depth {D} must be >= 1")
     ell = fam.ring.ell
@@ -142,6 +148,8 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
         n_w = ell ** (fam.d_dim * D)
     if cells is None:
         cells = n_w * ell ** (fam.out_dim * D)
+    if build and fam.cells_eval is not None:
+        n_w = ell ** (fam.d_dim * (D - 1))
     if cells > budget_cells or per_w * n_w > budget_pairs:
         raise BudgetExceeded(cells, per_w * n_w, budget_cells, budget_pairs)
     _check_headroom(ell, D)
@@ -262,7 +270,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     if x_cells is not None:
         x_cells = sorted(set(x_cells))
     X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
-                     X=input_depth)
+                     X=input_depth, build=True)
 
     _, (_, bitmap) = _hits(fam, phi_variant, D, X, x_cells)
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
@@ -335,7 +343,8 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     otherwise, and the D_min row also carries the check."""
     if D_min > D_max:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
-    _check_build(fam, phi_variant, D_min, None, budget_cells, budget_pairs)
+    _check_build(fam, phi_variant, D_min, None, budget_cells, budget_pairs,
+                 build=True)
     build = functools.partial(build_set_cells, fam, phi_variant,
                               budget_cells=budget_cells,
                               budget_pairs=budget_pairs)

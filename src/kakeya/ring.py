@@ -703,14 +703,22 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     row of depth-D codes of a*w - c.  ``bitmap()`` returns the bool array of
     shape (ell^D, ell^D) whose row w is set exactly at ``z_at(w)``.
 
-    ``bitmap`` folds w's top digit.  With w = u + t*ell^(D-1), u < ell^(D-1)
-    and t < ell, in both rings a*w - c = (a*u - c) + (a mod ell)*t*ell^(D-1)
-    mod ell^D: the added term touches only z's top digit, since a carry past
-    digit D - 1 vanishes mod ell^D and fq has none.  So the pairs of class
-    g (a = g mod ell) hit in row w their cells of row u moved by
-    g*t*ell^(D-1) mod ell^D.  One :func:`_walk`, set up once, visits the
-    rows u of each class (:func:`_fold_class`), so each pair is stepped and
-    scattered ell^(D-1) times, not ell^D.
+    ``bitmap`` splits w = u + t*ell^(D-1) and c = c1 + s*ell^(D-1), with
+    u, c1 < ell^(D-1) and t, s < ell.  In both rings a*w - c =
+    (a*u - c1) + ((a mod ell)*t - s)*ell^(D-1) mod ell^D: the second term
+    touches only z's top digit (a carry past digit D - 1 vanishes mod ell^D
+    and fq has none), and z's low part (a*u - c1) mod ell^(D-1) reads only
+    a mod ell^(D-1), u and c1.
+
+    * Lift.  Pairs sharing a and c1 and taking all ell values of s (a full
+      group) hit, at every w, each top digit over that low part.  For
+      D >= 2 their hits are the ell^2 lifts, over t and z's top digit, of
+      the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
+      which lifts its own full groups in turn.  Repeated pairs count once.
+    * Fold.  The other pairs of class g (a = g mod ell) hit in row w their
+      cells of row u moved by g*t*ell^(D-1) mod ell^D.  One :func:`_walk`,
+      set up once, visits the rows u of each class (:func:`_fold_class`),
+      so each is stepped and scattered ell^(D-1) times, not ell^D.
     """
     ell, m = ring.ell, ring.ell ** D
 
@@ -718,18 +726,39 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
 
     def bitmap() -> np.ndarray:
-        bits = np.zeros((ell, m // ell, m), dtype=bool)
-        ends = np.cumsum(np.bincount(a % ell, minlength=ell)).tolist()
-        # The pairs by class, by one sort of distinct keys: a stable
-        # argsort raised the general_ell benchmark's peak RSS by 0.1-0.2 MB.
-        order = a % ell * len(a) + np.arange(len(a))
-        order.sort()
-        order %= len(a)
-        blocks = _walk(ring, D, a[order], c[order])
-        del order
-        for g, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            if lo < hi:
-                _fold_class(bits, g, blocks(slice(lo, hi)))
+        top = m // ell
+        # One sort of the pairs, keyed class-major (a mod ell, a // ell, c1,
+        # s): each group is a run of distinct keys, each class a run of the
+        # folded pairs.  A stable argsort raised general_ell's peak RSS by
+        # 0.1-0.2 MB, and np.unique (numpy 2.4) took 4x as long on 1,024 keys.
+        keys = (a % ell * top + a // ell) * m + c % top * ell + c // top
+        keys.sort()
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        grp, s = np.divmod(keys[distinct], ell)
+        # ell distinct keys in a row in one group (a, c1) are all of it, a
+        # full group; with fewer than ell keys both sides are empty
+        starts = np.flatnonzero(grp[ell - 1:]
+                                == grp[:max(len(grp) - ell + 1, 0)])
+        if D > 1 and len(starts):  # ar = g*top + a // ell, the key's a
+            ar, c1 = np.divmod(grp[starts], top)
+            _, lower = residue_mul_sub(ring, D - 1, ar * ell % top + ar // top,
+                                       c1)
+            bits = np.empty((ell, top, m), dtype=bool)
+            bits.reshape(ell, top, ell, top)[:] = lower()[:, None, :]
+            rest = np.ones(len(grp), dtype=bool)
+            rest[starts[:, None] + np.arange(ell)] = False
+            grp, s = grp[rest], s[rest]
+        else:
+            bits = np.zeros((ell, top, m), dtype=bool)
+        if len(grp):  # a walk's set-up took 26-100 us, pairs or none
+            ar, c1 = np.divmod(grp, top)
+            cls, q = np.divmod(ar, top)
+            ends = np.cumsum(np.bincount(cls, minlength=ell)).tolist()
+            blocks = _walk(ring, D, q * ell + cls, c1 + s * top)
+            for g, (lo, hi) in enumerate(zip([0] + ends, ends)):
+                if lo < hi:
+                    _fold_class(bits, g, blocks(slice(lo, hi)))
         return bits.reshape(m, m)
 
     return z_at, bitmap
@@ -738,8 +767,8 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
 def _fold_class(bits: np.ndarray, g: int, blocks):
     """Set in ``bits`` (axes: w's top digit t, its low code u, z) the hits
     of the class g, whose rows at u ``blocks`` yields.  Class 0 is set in
-    t = 0 and copied to every t, so it must come first, into all-False
-    bits; another class is set in a scratch of each block's rows, or-ed
+    t = 0 and copied to every t, so it must come first, into bits equal at
+    every t; another class is set in a scratch of each block's rows, or-ed
     into each t rolled by g*t*ell^(D-1)."""
     ell, top, m = bits.shape
     flat = bits.reshape(-1)

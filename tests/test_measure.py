@@ -124,6 +124,19 @@ class TestBuildSetCells:
                 assert cross_section_cells(fam, variant, w, D) == \
                     cross_section_cells(generic, variant, w, D)
 
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for r, D in ((F2, 5), (Z2, 5), (F2, 6), (Z2, 6), (F3, 4), (Z3, 4))])
+    def test_fast_path_equals_generic_path_where_the_lift_chains(self, ring,
+                                                                 D):
+        """Kakeya dh pairs come in full top-digit groups, lifted from depth
+        D - 1, whose projected pairs may lift again (two levels at ell = 2,
+        D 5, three at D 6, one at ell = 3, D 4): the packed build still
+        equals the element route's."""
+        fam = kakeya_line_family(ring)
+        generic = dataclasses.replace(fam, cells_eval=None)
+        assert build_set_cells(fam, DH, D) == build_set_cells(generic, DH, D)
+
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_packed_pairs_are_the_distinct_x_phi_pairs(self, ring, variant):
@@ -255,13 +268,14 @@ class TestExactness:
         fam = kakeya_line_family(F3)
         D = 3
         X = max(D, phi_input_depth(SAW, D, 3))
-        budget = 3 ** (2 * D)  # the default route's ell^D pairs x ell^D w
+        # the default route: ell^D pairs x ell^(D-1) w rows, folded
+        budget = 3 ** (2 * D - 1)
         with pytest.raises(BudgetExceeded) as ei:
             input_depth_sufficiency(fam, SAW, D, budget_pairs=budget)
-        assert ei.value.pairs_needed == 3 ** (X + 2) * 3 ** D
+        assert ei.value.pairs_needed == 3 ** (X + 2) * 3 ** (D - 1)
         with pytest.raises(BudgetExceeded):
             build_set_cells(fam, SAW, D, input_depth=X, x_cells=range(10),
-                            budget_pairs=9 * 3 ** D)
+                            budget_pairs=9 * 3 ** (D - 1))
 
 
 class TestCrossSection:
@@ -556,11 +570,12 @@ class TestBudget:
         assert ei.value.budget_cells == 100
 
     def test_pairs_overflow_reports_counts(self):
-        # the sawyer pair bound, ell^D distinct pairs, times ell^D w cells
+        # the sawyer pair bound, ell^D distinct pairs, times the ell^(D-1)
+        # w rows the fold steps
         fam = kakeya_line_family(F2)
         with pytest.raises(BudgetExceeded) as ei:
             build_set_cells(fam, SAW, 3, budget_pairs=10)
-        assert ei.value.pairs_needed == 2 ** 3 * 2 ** 3
+        assert ei.value.pairs_needed == 2 ** 3 * 2 ** 2
 
     def test_int64_headroom_checked_before_any_array(self):
         """ell^(2D) >= 2^63 would wrap the packed codes; with budgets that
@@ -604,13 +619,35 @@ class TestBudget:
         with pytest.raises(BudgetExceeded) as info:
             decay_report(fam, SAW, 2, 30)
         assert (info.value.cells_needed, info.value.pairs_needed) == (
-            3 ** 60, 3 ** 60)
+            3 ** 60, 3 ** 59)
+
+    def test_packed_build_charged_the_folded_w_rows(self, monkeypatch):
+        """fq:2 dh at D = 14: the packed build is charged its 2^15 pairs at
+        the 2^13 w rows the fold steps, 2^28, and its 2^28 cells, so it
+        fits the default budgets, checked without building anything.
+        Charged every w cell, as the coverage audit and the element route
+        are, it would not."""
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        monkeypatch.setattr(measure, "phi_for_family", _no_table)
+        fam, D = kakeya_line_family(F2), 14
+        budgets = (measure.DEFAULT_CELL_BUDGET, measure.DEFAULT_PAIR_BUDGET)
+        assert budgets == (2 ** 28, 2 ** 28)
+        assert measure._check_build(fam, DH, D, None, *budgets, build=True) \
+            == phi_input_depth(DH, D, 2)
+        with pytest.raises(BudgetExceeded) as ei:
+            measure._check_build(fam, DH, D, None, *budgets)
+        assert ei.value.pairs_needed == 2 ** 15 * 2 ** 14
+        element = dataclasses.replace(fam, cells_eval=None)
+        with pytest.raises(BudgetExceeded) as ei:
+            measure._check_build(element, DH, D, None, *budgets, build=True)
+        assert ei.value.pairs_needed == 2 ** phi_input_depth(DH, D, 2) * 2 ** D
 
     @pytest.mark.parametrize("ring", (F2, Z3, F5), ids=str)
     def test_pairs_charged_per_w_are_the_table_built(self, ring, monkeypatch):
-        """Each w is charged exactly the entries of the phi table the
-        packed route asks for: sawyer and dh at their default input depth,
-        the X + 2 re-check and an ``x_cells`` build over every x cell."""
+        """Each w row the fold steps, ell^(D-1) of them, is charged exactly
+        the entries of the phi table the packed route asks for: sawyer and
+        dh at their default input depth, the X + 2 re-check and an
+        ``x_cells`` build over every x cell."""
         sizes = []
 
         def spy(variant, cfg, D, X, cells=None):
@@ -637,7 +674,7 @@ class TestBudget:
                 run(budget_pairs=1)
             assert sizes == []
             run()
-            assert ei.value.pairs_needed == sizes[0] * ell ** D, name
+            assert ei.value.pairs_needed == sizes[0] * ell ** (D - 1), name
             assert sizes[0] == want[name], name
             sizes.clear()
 

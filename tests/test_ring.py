@@ -1,6 +1,7 @@
 """Ring layer: canonical forms, exact arithmetic, cells, text format."""
 
 import dataclasses
+import functools
 import pickle
 import random
 from fractions import Fraction
@@ -441,6 +442,37 @@ class TestVectorsMatrices:
                 assert P[i, j] == M[i, j]
 
 
+# The bitmap checks' rings and depths: every ring of ALL_RINGS at D 1..4,
+# the larger residue fields at D 1..2.
+BITMAP_DEPTHS = [pytest.param(r, D, id=f"{r}-D{D}")
+                 for rings, depths in ((ALL_RINGS, (1, 2, 3, 4)),
+                                       (LARGE_RINGS, (1, 2)))
+                 for r in rings for D in depths]
+
+
+@functools.lru_cache(maxsize=1)
+def _element_hits(ring, D, pairs):
+    """The (ell^D, ell^D) hits of sub(mul(a, w), c) over every depth-D w,
+    for the frozenset ``pairs`` of (a, c) codes, on Element arithmetic:
+    each product a*w once, less each c paired with a.  Kept for one call,
+    so a test run in both argument orders, one id after the other, builds
+    it once."""
+    m = ring.ell ** D
+    subtrahends = {}  # a -> the Elements c of its pairs
+    for ac, cc in pairs:
+        subtrahends.setdefault(element_from_cell(ring, ac, D), []).append(
+            element_from_cell(ring, cc, D))
+    hits = np.zeros((m, m), dtype=bool)
+    for w in range(m):
+        ew = element_from_cell(ring, w, D)
+        for ea, ecs in subtrahends.items():
+            product = mul(ea, ew)
+            for ec in ecs:
+                hits[w, cell_index(sub(product, ec), D)] = True
+    hits.setflags(write=False)
+    return hits
+
+
 class TestResidueLayer:
     """The packed-code fast path must agree with the element layer."""
 
@@ -534,7 +566,8 @@ class TestResidueLayer:
     @staticmethod
     def _check_bitmap(ring, D, a, c):
         """``bitmap()`` of residue_mul_sub equals a per-w scatter of
-        ``z_at`` and one of the Element oracle, over every w."""
+        ``z_at`` and one of the Element oracle (:func:`_element_hits`),
+        over every w."""
         m = ring.ell ** D
         z_at, bitmap = residue_mul_sub(ring, D, a, c)
         got = bitmap()
@@ -543,15 +576,8 @@ class TestResidueLayer:
         for w in range(m):
             want[w, z_at(w)] = True
         assert np.array_equal(got, want)
-        elems = [(element_from_cell(ring, ac, D),
-                  element_from_cell(ring, cc, D))
-                 for ac, cc in set(zip(a.tolist(), c.tolist()))]
-        oracle = np.zeros((m, m), dtype=bool)
-        for w in range(m):
-            ew = element_from_cell(ring, w, D)
-            for ea, ec in elems:
-                oracle[w, cell_index(sub(mul(ea, ew), ec), D)] = True
-        assert np.array_equal(got, oracle)
+        pairs = frozenset(zip(a.tolist(), c.tolist()))
+        assert np.array_equal(got, _element_hits(ring, D, pairs))
 
     @staticmethod
     def _check_mul_sub(ring, D, a, c, w):
@@ -658,10 +684,7 @@ class TestResidueLayer:
     @pytest.mark.parametrize("order", ("kakeya", "nikodym"))
     @pytest.mark.parametrize("kind",
                              ("all_zero", "none_zero", "mixed", "empty"))
-    @pytest.mark.parametrize("ring, D", [
-        pytest.param(r, D, id=f"{r}-D{D}")
-        for rings, depths in ((ALL_RINGS, (1, 2, 3, 4)), (LARGE_RINGS, (1, 2)))
-        for r in rings for D in depths])
+    @pytest.mark.parametrize("ring, D", BITMAP_DEPTHS)
     def test_bitmap_folds_the_top_w_digit(self, ring, D, kind, order):
         """The folded bitmap against a per-w scatter of ``z_at`` and of the
         Element oracle, for each class mix of ``a``, in both argument
@@ -681,6 +704,94 @@ class TestResidueLayer:
         y = np.asarray([p[1] for p in pairs], dtype=np.int64)
         a, c = (x, y) if order == "kakeya" else (y, x)
         self._check_bitmap(ring, D, a, c)
+
+    @staticmethod
+    def _lift_pairs(ring, D, rnd):
+        """(a, c) pairs of up to four distinct groups (a, c mod ell^(D-1)):
+        two full, with all ell top digits of c; one missing top digit 0,
+        followed by the pair (a, c1 + 1), whose sort key is next to its
+        last, so ell keys in a row straddle two groups; one as long as a
+        full group, its repeated pair hiding a missing top digit.  Pairs of
+        the first and last group repeat."""
+        ell, m = ring.ell, ring.ell ** D
+        top = m // ell
+        heads = [divmod(h, top)
+                 for h in rnd.sample(range(m * top), min(4, m * top))]
+        pairs = []
+        for i, (a, c1) in enumerate(heads):
+            digits = list(range(ell))
+            if i >= 2:
+                del digits[0 if i == 2 else rnd.randrange(ell)]
+            if i == 3:
+                digits.append(digits[0])
+            pairs += [(a, c1 + s * top) for s in digits]
+            if i == 2:
+                pairs.append((a, (c1 + 1) % top))
+        return pairs + pairs[:2] + pairs[-2:]
+
+    @pytest.mark.parametrize("ring, D", BITMAP_DEPTHS)
+    def test_bitmap_lifts_the_full_top_digit_groups(self, ring, D):
+        """Planted full groups, groups missing a top digit and repeated
+        pairs, in both argument orders (sorted by a, as kakeya passes them,
+        and by c, as nikodym does): the bitmap against a per-w scatter of
+        ``z_at`` and of the Element oracle.  The full groups, and only they,
+        go one depth down, projected once each; every other distinct pair
+        is folded."""
+        ell, m = ring.ell, ring.ell ** D
+        top = m // ell
+        pairs = self._lift_pairs(ring, D, random.Random(f"{ring}-{D}"))
+        groups = {}
+        for ac, cc in pairs:
+            groups.setdefault((ac, cc % top), set()).add(cc // top)
+        full = {g for g, s in groups.items() if len(s) == ell} if D > 1 \
+            else set()
+        assert len(full) == 2 or D == 1
+        lifted = sorted((ac % top, c1) for ac, c1 in full)
+        folded = sorted({p for p in pairs if (p[0], p[1] % top) not in full})
+        for key in (None, lambda p: p[::-1]):
+            pairs.sort(key=key)
+            a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+            c = np.asarray([p[1] for p in pairs], dtype=np.int64)
+            seen = {}
+
+            def spy(name, real):
+                def call(rg, depth, a, c):
+                    seen.setdefault((name, depth), []).extend(
+                        zip(a.tolist(), c.tolist()))
+                    return real(rg, depth, a, c)
+                return call
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ring_module, "residue_mul_sub",
+                           spy("lift", residue_mul_sub))
+                mp.setattr(ring_module, "_walk",
+                           spy("fold", ring_module._walk))
+                self._check_bitmap(ring, D, a, c)
+            assert sorted(seen.get(("lift", D - 1), [])) == lifted
+            assert sorted(seen[("fold", D)]) == folded
+
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for rings, depths in ((ALL_RINGS, (2, 3, 4)), (LARGE_RINGS, (2,)))
+        for r in rings for D in depths])
+    def test_full_groups_lift_the_bitmap_one_depth_down(self, ring, D):
+        """The identity itself: on full groups only, ``bitmap()`` at depth
+        D is the depth-(D-1) hit array of the projected pairs (a mod
+        ell^(D-1), c mod ell^(D-1)), scattered from its ``z_at``, copied to
+        every top digit of w and of z."""
+        ell, m = ring.ell, ring.ell ** D
+        top = m // ell
+        rnd = random.Random(f"{ring}-{D}-identity")
+        heads = [(rnd.randrange(m), rnd.randrange(top)) for _ in range(5)]
+        a = np.asarray([h[0] for h in heads for _ in range(ell)],
+                       dtype=np.int64)
+        c = np.asarray([c1 + s * top for _, c1 in heads for s in range(ell)],
+                       dtype=np.int64)
+        z_low, _ = residue_mul_sub(ring, D - 1, a % top, c % top)
+        low = np.zeros((top, top), dtype=bool)
+        for u in range(top):
+            low[u, z_low(u)] = True
+        want = np.tile(low, (ell, ell))
+        assert np.array_equal(residue_mul_sub(ring, D, a, c)[1](), want)
 
 def _oracle(ring, op, a, b):
     """(depth, lowest degree, digits over [lowest, depth)) of a op b, where
