@@ -53,11 +53,12 @@ class FamilyDescriptor:
     ``cells_eval``, when present, evaluates the same map on packed depth-D
     residue codes and exists purely to accelerate exhaustive enumeration;
     the measure tests pin it to ``eval``.  ``cells_eval(ring, D, x_res,
-    y_res)`` takes the 1-D code arrays of the (x, y) pairs once and returns
-    ``(z_at, bitmap)``: ``z_at`` maps one int w code to the 1-D row of the
-    pairs' z codes, and ``bitmap()`` returns the (ell^D, ell^D) bool hit
-    array whose row w is set at ``z_at(w)``: full top-digit groups of pairs
-    lifted from depth D - 1, the rest folded (see
+    y_res)`` takes the 1-D code arrays of the (x, y) pairs once, which may
+    repeat, and returns ``(z_at, bitmap)``: ``z_at`` maps one int w code to
+    the 1-D row of the pairs' z codes, one per pair, and ``bitmap()``
+    returns the (ell^D, ell^D) bool hit array whose row w is set at
+    ``z_at(w)``: repeats dropped, full top-digit groups of pairs lifted
+    from depth D - 1, the rest folded (see
     :func:`~kakeya.ring.residue_mul_sub`, which both built-in families call,
     with their arguments in either order).  Per-pair work that does not
     depend on w is done once, in the call that prepares them.  Those

@@ -27,12 +27,13 @@ carry a packed-residue fast path evaluated with numpy; families without one
 fall back to element-level evaluation.  Both routes are exact and the tests
 require them to produce identical cell sets, cross-sections and coverage
 reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
-(x mod ell^D, phi(x) mod ell^D), so the packed route prepares the distinct
-pairs once per enumeration and evaluates each of them once per w; the
-element route keeps one entry per x as the independent oracle.  A hit-set
-build asks the enumeration for its whole bitmap: the element route scatters
-each w's row.  The packed route (:func:`~kakeya.ring.residue_mul_sub`)
-sorts its pairs once; the full groups, pairs that differ only in the top
+(x mod ell^D, phi(x) mod ell^D), so the packed route prepares one pair per
+phi-table code once per enumeration; pairs may repeat, and a repeat hits no
+new cell.  The element route keeps one entry per x as the independent
+oracle.  A hit-set build asks the enumeration for its whole bitmap: the
+element route scatters each w's row.  The packed route
+(:func:`~kakeya.ring.residue_mul_sub`) sorts its pairs once, the one place
+repeats are dropped; the full groups, pairs that differ only in the top
 digit of c and take all ell of them, are projected to depth D - 1, built
 there the same way, and copied to every top digit of w and z; the rest
 fold w's top digit, walking only the ell^(D-1) w cells whose top digit is
@@ -158,46 +159,28 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
 
 @functools.lru_cache(maxsize=4)
 def _pairs(ring, variant: PhiVariant, D: int, X: int):
-    """The sorted distinct pairs (x mod ell^D, phi(x) mod ell^D) of every
-    depth-X x cell.
+    """The pairs (x mod ell^D, phi(x) mod ell^D) of the
+    :func:`~kakeya.phi.residue_table_cells` x codes the phi table covers,
+    one per code in code order, as two read-only arrays.  Pairs repeat
+    where the table reads x digits that phi mod ell^D skips (dh at
+    D = 2^k - 1, or an input depth X above the variant's); the bitmap
+    drops repeats, and a row scatter or direction flag ignores them.
 
     The cache serves the read-backs: every cross-section and coverage audit
     on one (ring, phi, D) after the first, for either family and any w,
     reuses one table.  A decay table asks for two keys, its D_max and its
     D_min (the check build), once each, so it hits only when the same table
-    was built just before.
-
-    The phi table covers the :func:`~kakeya.phi.residue_table_cells` x
-    codes; at ell^D of them the pairs are (arange(ell^D), table), already
-    sorted and distinct.
-    Only the pairs are kept; tables are built through the module-level
+    was built just before.  Tables are built through the module-level
     ``variant_residue_table``."""
-    m = ring.ell ** D
     n = residue_table_cells(variant, D, X, ring.ell)
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
     tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)
-    if n == m:
-        # Kept apart: the first np.unique in a process costs ~1.8 MB of RSS;
-        # without it, coverage peak RSS went 35.45 -> 36.3 MB (6 of 6 runs).
-        x_res = np.arange(m, dtype=np.int64)
-        x_res.setflags(write=False)
-        tab.setflags(write=False)
-        return x_res, tab
-    return _distinct_pairs(m, np.arange(n, dtype=np.int64), tab)
-
-
-def _distinct_pairs(mod: int, x: np.ndarray, y: np.ndarray):
-    """The sorted distinct (x mod ``mod``, y) pairs as two read-only arrays.
-
-    Overwrites ``x`` with the pair keys."""
-    x %= mod
-    x *= mod
-    x += y
-    x_res, y_res = np.divmod(np.unique(x), mod)
+    x_res = np.arange(n, dtype=np.int64)
+    x_res %= ring.ell ** D
     x_res.setflags(write=False)
-    y_res.setflags(write=False)
-    return x_res, y_res
+    tab.setflags(write=False)
+    return x_res, tab
 
 
 def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
@@ -212,10 +195,10 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     order of ``dirs``; ``bitmap()`` returns the 2-D bool hit array, w cell
     (major) by z cell, whose row w is set at ``z_at(w)``.  Families with
     ``cells_eval`` (p = q = d = 1) take the packed route: one phi table,
-    reduced to the distinct pairs, and one ``cells_eval`` call that
-    prepares them and returns both functions.  All others take the element
-    route: each x and phi(x) built once, then ``eval`` per x and w, and one
-    scatter per w.
+    one (x mod ell^D, phi(x) mod ell^D) pair per code, repeats included,
+    and one ``cells_eval`` call that prepares them and returns both
+    functions.  All others take the element route: each x and phi(x)
+    built once, then ``eval`` per x and w, and one scatter per w.
     """
     ell = fam.ring.ell
     if fam.cells_eval is not None:
@@ -225,7 +208,7 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
             tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
                                         D, X)
             codes = np.asarray(x_cells, dtype=np.int64)
-            x_res, y_res = _distinct_pairs(ell ** D, codes, tab[codes])
+            x_res, y_res = codes % ell ** D, tab[codes]
         return x_res, fam.cells_eval(fam.ring, D, x_res, y_res)
 
     n_x = ell ** (fam.p_dim * X)
@@ -283,12 +266,17 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
                         budget_pairs: int = DEFAULT_PAIR_BUDGET) -> CellSet:
     """Hit z-cells for one fixed w (the cross-section of the built set).
 
-    Only the depth-D cell of ``w`` enters the enumeration; a ``w`` over
-    another ring or with other than d entries is refused first.  Probes the
-    descriptor's right inverse at (x, y) = (0, phi(0)) = (0, 0) and this w,
-    evaluating no phi; rank deficiency surfaces as the descriptor's error.
+    Only the depth-D cell of ``w`` enters the enumeration, and it is read
+    before any table is built: a ``w`` over another ring or with other than
+    d entries, one known to fewer than D digits
+    (:class:`~kakeya.errors.BadDepth`) or one outside R
+    (:class:`~kakeya.errors.NegativeValuation`) is refused first.  Probes
+    the descriptor's right inverse at (x, y) = (0, phi(0)) = (0, 0) and
+    this w, evaluating no phi; rank deficiency surfaces as the descriptor's
+    error.
     """
     fam.check_w(w)
+    w_code = vector_cell_index(w, D)
     nd = fam.out_dim
     total = fam.ring.ell ** (nd * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
@@ -301,7 +289,7 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
 
     _, (z_at, _) = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
-    bits[z_at(vector_cell_index(w, D))] = True
+    bits[z_at(w_code)] = True
     return CellSet(depth=D, ell=fam.ring.ell, w_dim=0, z_dim=nd, bits=bits)
 
 

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from kakeya import measure
+from kakeya import ring as ring_module
 from kakeya.errors import (
     BadDepth,
     BadIndex,
     BudgetExceeded,
     InvariantViolated,
+    NegativeValuation,
     RankDeficient,
     RingMismatch,
 )
@@ -32,6 +34,7 @@ from kakeya.measure import (
     decay_report,
     direction_coverage,
     input_depth_sufficiency,
+    strip_timing,
 )
 from kakeya.phi import (
     PhiConfig,
@@ -40,11 +43,12 @@ from kakeya.phi import (
     phi_input_depth,
     phi_residue_table,
     required_phi_input_depth,
+    residue_table_cells,
     tail_cutoff,
     variant_residue_table,
 )
-from kakeya.ring import (cell_index, element_from_cell, mul, neg, one, sub,
-                         vector, vector_from_cell, zero)
+from kakeya.ring import (cell_index, element_from_cell, element_from_digits,
+                         mul, neg, one, sub, vector, vector_from_cell, zero)
 
 from conftest import ALL_RINGS, F2, F3, F5, LARGE_RINGS, Z2, Z3, Z5, Z7
 
@@ -140,46 +144,112 @@ class TestBuildSetCells:
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_packed_pairs_are_the_distinct_x_phi_pairs(self, ring, variant):
-        """The packed route enumerates each (x mod ell^D, phi(x) mod ell^D)
-        once: its pairs are distinct and are exactly those of the
-        element-level phi over every depth-X x cell.  For sawyer, built on
-        the ell^D codes alone, there is exactly one per x residue."""
+        """The packed route takes one pair per phi-table code, repeats
+        included: x_res is the code mod ell^D and y_res the table entry,
+        both read-only.  As a set they are exactly the (x mod ell^D,
+        phi(x) mod ell^D) pairs of the element-level phi over every depth-X
+        x cell; only dh at ell = 2, D = 3 (digit 3 of x unread) repeats
+        them."""
         fam = kakeya_line_family(ring)
         ell = ring.ell
         D = 3 if ell == 2 else 2
         X = max(D, phi_input_depth(variant, D, ell))
         x_res, y_res = measure._pairs(ring, variant, D, X)
-        keys = x_res * ell ** D + y_res
-        assert (np.diff(keys) > 0).all()
-        if variant is SAW:
-            assert np.array_equal(x_res, np.arange(ell ** D))
+        n = residue_table_cells(variant, D, X, ell)
+        assert np.array_equal(x_res, np.arange(n) % ell ** D)
+        assert np.array_equal(y_res, variant_residue_table(
+            variant, PhiConfig(ring, 1, 1), D, X, cells=n))
+        assert not (x_res.flags.writeable or y_res.flags.writeable)
         want = set()
         for xc in range(ell ** X):
             x = vector(element_from_cell(ring, xc, X, X))
             y = phi_for_family(fam, variant, x, D)
             want.add((cell_index(x[0], D), cell_index(y[0], D)))
         assert set(zip(x_res.tolist(), y_res.tolist())) == want
+        assert (len(want) < n) == (variant is DH and ell == 2)
         dirs, _ = measure._hits(fam, variant, D, X)
         assert np.array_equal(dirs, x_res)
 
     @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
                              ids=("kakeya", "nikodym"))
     @pytest.mark.parametrize("ring", (F2, Z2, F3, Z7), ids=str)
-    def test_x_cells_subset_merged_by_dedup(self, make, ring):
-        """x cells of one direction class, all at depth X > D: the packed
-        route merges those sharing phi mod ell^D, and still builds the
-        element route's set."""
+    def test_x_cells_subset_merged_by_dedup(self, make, ring, monkeypatch):
+        """x cells at depth X > D repeat their (x mod ell^D, phi(x) mod
+        ell^D) pairs: those of one direction class share one pair, and
+        every x cell gives ell^(X-D) copies of each, among which the
+        nikodym pairs form full groups.  The packed route passes one pair
+        per code and the bitmap drops the repeats: each distinct pair
+        reaches the build once, in a full group projected one depth down
+        (the lift recursion) or in the fold's walk, and the build equals
+        the element route's."""
         fam = make(ring)
         generic = dataclasses.replace(fam, cells_eval=None)
         ell = ring.ell
         D = 3 if ell == 2 else 2
+        m, top = ell ** D, ell ** (D - 1)
         X = max(D, phi_input_depth(SAW, D, ell))
         assert X > D
-        cells = [1 + k * ell ** D for k in range(ell ** (X - D))]
-        dirs, _ = measure._hits(fam, SAW, D, X, cells)
-        assert 1 <= len(dirs) < len(cells)
-        assert build_set_cells(fam, SAW, D, x_cells=cells) == \
-            build_set_cells(generic, SAW, D, x_cells=cells)
+        tab = variant_residue_table(SAW, PhiConfig(ring, 1, 1), D, X)
+        seen = {}
+
+        def spy(name, depth, real):
+            def call(rg, d, a, c):
+                if d == depth:
+                    seen[name].extend(zip(a.tolist(), c.tolist()))
+                return real(rg, d, a, c)
+            return call
+        monkeypatch.setattr(ring_module, "residue_mul_sub",
+                            spy("lift", D - 1, ring_module.residue_mul_sub))
+        monkeypatch.setattr(ring_module, "_walk",
+                            spy("fold", D, ring_module._walk))
+        lifted = 0
+        for cells in ([1 + k * m for k in range(ell ** (X - D))],
+                      list(range(ell ** X))):
+            dirs, _ = measure._hits(fam, SAW, D, X, cells)
+            assert len(dirs) == len(cells)
+            xy = {(xc % m, int(tab[xc])) for xc in cells}
+            pairs = xy if make is kakeya_line_family else {p[::-1] for p in xy}
+            assert 1 <= len(pairs) < len(cells)
+            seen.update(lift=[], fold=[])
+            got = build_set_cells(fam, SAW, D, x_cells=cells)
+            groups = {}
+            for a, c in pairs:
+                groups.setdefault((a, c % top), set()).add(c // top)
+            full = {g for g, s in groups.items() if len(s) == ell}
+            assert sorted(seen["lift"]) == sorted((a % top, c1)
+                                                  for a, c1 in full)
+            assert sorted(seen["fold"]) == sorted(
+                p for p in pairs if (p[0], p[1] % top) not in full)
+            assert ell * len(seen["lift"]) + len(seen["fold"]) == len(pairs)
+            assert got == build_set_cells(generic, SAW, D, x_cells=cells)
+            lifted += len(full)
+        assert (lifted > 0) == (make is nikodym_line_family)
+
+    @pytest.mark.parametrize("ring", (F2, Z2), ids=str)
+    def test_packed_route_calls_no_unique(self, ring, monkeypatch):
+        """The bitmap's key sort is the packed route's only dedupe: with
+        ``np.unique`` raising, a dh decay table over D 2..3, whose D = 3
+        pairs repeat, gives the frozen rows, and a cross-section and a
+        coverage audit at D = 3 give the element route's answers."""
+        fam = kakeya_line_family(ring)
+        generic = dataclasses.replace(fam, cells_eval=None)
+        D = 3
+        w = vector(element_from_cell(ring, 3, D, D))
+        want = (cross_section_cells(generic, DH, w, D),
+                direction_coverage(generic, DH, D))
+        tag = str(ring).replace(":", "")
+        frozen = (FIXTURES / f"decay_kakeya_dh_{tag}.csv").read_text()
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", no_unique)
+        measure._pairs.cache_clear()
+        x_res, y_res = measure._pairs(ring, DH, D, D + 1)
+        assert len(set(zip(x_res.tolist(), y_res.tolist()))) < len(x_res)
+        got = strip_timing(decay_csv(decay_report(fam, DH, 2, D)), "csv")
+        assert got.splitlines() == frozen.splitlines()[:D]
+        assert cross_section_cells(fam, DH, w, D) == want[0]
+        assert direction_coverage(fam, DH, D) == want[1]
 
     def test_diagnostic_single_direction(self):
         fam = kakeya_line_family(F2)
@@ -322,6 +392,23 @@ class TestCrossSection:
             cross_section_cells(fam, SAW, vector(one(Z2, D)), D)
         with pytest.raises(ValueError, match="2 entries"):
             cross_section_cells(fam, SAW, vector(one(F2, D), one(F2, D)), D)
+
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    def test_w_cell_read_before_any_table(self, packed, monkeypatch):
+        """A w known to fewer than D digits, or outside R, has no depth-D
+        cell: it is refused before any phi table or element-level phi."""
+        D = 6
+        fam = kakeya_line_family(F2)
+        if not packed:
+            fam = dataclasses.replace(fam, cells_eval=None)
+        measure._pairs.cache_clear()
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        monkeypatch.setattr(measure, "phi_for_family", _no_table)
+        with pytest.raises(BadDepth):
+            cross_section_cells(fam, SAW, vector(one(F2, D - 2)), D)
+        with pytest.raises(NegativeValuation):
+            cross_section_cells(
+                fam, SAW, vector(element_from_digits([1], -1, F2, D)), D)
 
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
