@@ -49,6 +49,10 @@ class FamilyDescriptor:
     callables taking (x, y, w, depth).  The right inverse must satisfy
     dfdy . dfdy_right_inverse = identity wherever the descriptor declares
     full rank; where it does not, the callable raises RankDeficient.
+    Without ``cells_eval``, a hit-set enumeration calls ``eval`` on the
+    depth-D cell representatives of x and phi(x), whose digits at D and
+    above are unknown: a family whose z-cell needs those digits returns a
+    z known to fewer than D digits, and the enumeration raises BadDepth.
 
     ``cells_eval``, when present, evaluates the same map on packed depth-D
     residue codes and exists purely to accelerate exhaustive enumeration;

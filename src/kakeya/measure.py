@@ -29,9 +29,13 @@ require them to produce identical cell sets, cross-sections and coverage
 reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
 (x mod ell^D, phi(x) mod ell^D), so the packed route prepares one pair per
 phi-table code once per enumeration; pairs may repeat, and a repeat hits no
-new cell.  The element route keeps one entry per x as the independent
-oracle.  A hit-set build asks the enumeration for its whole bitmap: the
-element route scatters each w's row.  The packed route
+new cell.  The element route, the independent oracle, evaluates phi
+element-level at every x and keeps one entry per distinct pair, evaluated
+at the pair's depth-D cell representatives: element arithmetic tracks
+depth, so a family whose z-cell reads deeper digits gets a z known to
+fewer than D digits and is refused with :class:`~kakeya.errors.BadDepth`.
+A hit-set build asks the enumeration for its whole bitmap: the element
+route scatters each w's row.  The packed route
 (:func:`~kakeya.ring.residue_mul_sub`) sorts its pairs once, the one place
 repeats are dropped; the full groups, pairs that differ only in the top
 digit of c and take all ell of them, are projected to depth D - 1, built
@@ -127,9 +131,10 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     w is charged the entries evaluated for it: ``len(x_cells)`` when given
     (each code once), the :func:`~kakeya.phi.residue_table_cells`
     entries on the packed route, every depth-X x cell on the element
-    route.  A packed hit-set ``build`` is charged only the ell^(D-1) w
-    cells its fold steps, an upper bound since the lift steps fewer
-    (:func:`~kakeya.ring.residue_mul_sub`)."""
+    route; the element route's charges are upper bounds, since it
+    evaluates one entry per distinct pair.  A packed hit-set ``build`` is
+    charged only the ell^(D-1) w cells its fold steps, an upper bound
+    since the lift steps fewer (:func:`~kakeya.ring.residue_mul_sub`)."""
     if D < 1:
         raise BadDepth(f"depth {D} must be >= 1")
     ell = fam.ring.ell
@@ -170,8 +175,11 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
     on one (ring, phi, D) after the first, for either family and any w,
     reuses one table.  A decay table asks for two keys, its D_max and its
     D_min (the check build), once each, so it hits only when the same table
-    was built just before.  Tables are built through the module-level
-    ``variant_residue_table``."""
+    was built just before.  Only the variant's own input depth is cached:
+    :func:`_hits` calls ``_pairs.__wrapped__`` for any other X, as the
+    X + 2 build of :func:`input_depth_sufficiency` does, since no read-back
+    asks for those ell^X pairs again.  Tables are built through the
+    module-level ``variant_residue_table``."""
     n = residue_table_cells(variant, D, X, ring.ell)
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
@@ -197,13 +205,20 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     ``cells_eval`` (p = q = d = 1) take the packed route: one phi table,
     one (x mod ell^D, phi(x) mod ell^D) pair per code, repeats included,
     and one ``cells_eval`` call that prepares them and returns both
-    functions.  All others take the element route: each x and phi(x)
-    built once, then ``eval`` per x and w, and one scatter per w.
+    functions.  All others take the element route: each x and its
+    element-level phi(x) built once, one entry kept per distinct key
+    (x cell, phi(x) cell) at depth D, then ``eval`` per entry and w on the
+    key's depth-D cell representatives, and one scatter per w.  An ``eval``
+    that needs digits of x or phi(x) at D or above returns a z known to
+    fewer than D digits, and the cell index raises
+    :class:`~kakeya.errors.BadDepth`.
     """
     ell = fam.ring.ell
     if fam.cells_eval is not None:
         if x_cells is None:
-            x_res, y_res = _pairs(fam.ring, variant, D, X)
+            pairs = (_pairs if X == phi_input_depth(variant, D, ell)
+                     else _pairs.__wrapped__)
+            x_res, y_res = pairs(fam.ring, variant, D, X)
         else:
             tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
                                         D, X)
@@ -212,9 +227,15 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
         return x_res, fam.cells_eval(fam.ring, D, x_res, y_res)
 
     n_x = ell ** (fam.p_dim * X)
-    codes = range(n_x) if x_cells is None else x_cells
-    xs = [vector_from_cell(fam.ring, xc, X, fam.p_dim) for xc in codes]
-    ys = [phi_for_family(fam, variant, x, D) for x in xs]
+    keys = {}
+    for xc in range(n_x) if x_cells is None else x_cells:
+        x = vector_from_cell(fam.ring, xc, X, fam.p_dim)
+        y = phi_for_family(fam, variant, x, D)
+        keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
+    # Each key's cell representatives are known to D digits only, so a z
+    # that still reaches depth D holds for every x and phi(x) in the cell.
+    xs = [vector_from_cell(fam.ring, xk, D, fam.p_dim) for xk, _ in keys]
+    ys = [vector_from_cell(fam.ring, yk, D, fam.q_dim) for _, yk in keys]
 
     def z_at(wc: int) -> np.ndarray:
         w = vector_from_cell(fam.ring, wc, D, fam.d_dim)
@@ -228,7 +249,7 @@ def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
             row[z_at(w)] = True
         return bits
 
-    dirs = np.asarray([vector_cell_index(x, D) for x in xs], dtype=np.int64)
+    dirs = np.asarray([xk for xk, _ in keys], dtype=np.int64)
     return dirs, (z_at, bitmap)
 
 

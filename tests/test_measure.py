@@ -47,8 +47,9 @@ from kakeya.phi import (
     tail_cutoff,
     variant_residue_table,
 )
-from kakeya.ring import (cell_index, element_from_cell, element_from_digits,
-                         mul, neg, one, sub, vector, vector_from_cell, zero)
+from kakeya.ring import (add, cell_index, element_from_cell,
+                         element_from_digits, mul, neg, one, sub, truncate,
+                         vector, vector_from_cell, zero)
 
 from conftest import ALL_RINGS, F2, F3, F5, LARGE_RINGS, Z2, Z3, Z5, Z7
 
@@ -62,17 +63,20 @@ def _no_table(*args, **kwargs):
 
 def brute_force_cells(fam, variant, D):
     """Independent oracle: enumerate surface points through the public
-    element-level API only, collecting (w, z) cell pairs."""
-    from kakeya.families import family_point
+    element-level API only, collecting (w, z) cell pairs.  f is evaluated
+    at every depth-X x cell and w cell, no two x merged; phi(x), which
+    does not depend on w, once per x.  ``cell_index`` raises BadDepth for
+    a z known to fewer than D digits."""
     ell = fam.ring.ell
     X = max(D, phi_input_depth(variant, D, ell))
+    ws = [vector(element_from_cell(fam.ring, wc, D, D))
+          for wc in range(ell ** D)]
     pairs = set()
     for xc in range(ell ** X):
         x = vector(element_from_cell(fam.ring, xc, X, X))
-        for wc in range(ell ** D):
-            w = vector(element_from_cell(fam.ring, wc, D, D))
-            wv, z = family_point(fam, variant, x, w, D)
-            pairs.add((wc, cell_index(z[0], D)))
+        y = phi_for_family(fam, variant, x, D)
+        for wc, w in enumerate(ws):
+            pairs.add((wc, cell_index(fam.eval(x, y, w, D)[0], D)))
     return pairs
 
 
@@ -88,17 +92,21 @@ class TestBuildSetCells:
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", (F2, Z2, F3, Z3, F5, Z5), ids=str)
     def test_matches_brute_force_oracle(self, ring, variant):
+        """Both routes equal the per-(x, w) oracle: the packed one and the
+        element one, which evaluates one entry per distinct pair."""
         fam = kakeya_line_family(ring)
+        generic = dataclasses.replace(fam, cells_eval=None)
         ell = ring.ell
         # the deepest D whose brute force stays within about 2 s
         D_max = {2: 3, 3: 3 if variant is SAW else 4,
                  5: 3 if variant is SAW else 2}[ell]
         for D in range(1, D_max + 1):
-            cs = build_set_cells(fam, variant, D)
             want = brute_force_cells(fam, variant, D)
-            got = {(w, z) for w in range(ell ** D) for z in range(ell ** D)
-                   if cs.contains(w, z)}
-            assert got == want
+            for route in (fam, generic):
+                cs = build_set_cells(route, variant, D)
+                got = {(w, z) for w in range(ell ** D)
+                       for z in range(ell ** D) if cs.contains(w, z)}
+                assert got == want
 
     @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
                              ids=("kakeya", "nikodym"))
@@ -111,7 +119,7 @@ class TestBuildSetCells:
         fam = make(ring)
         generic = dataclasses.replace(fam, cells_eval=None)
         ell = ring.ell
-        Ds = (1, 2, 3) if ell == 2 else (1, 2) if ell <= 7 else (1,)
+        Ds = (1, 2, 3) if ell in (2, 5) else (1, 2) if ell <= 7 else (1,)
         for D in Ds:
             assert build_set_cells(fam, variant, D) == \
                 build_set_cells(generic, variant, D)
@@ -169,6 +177,67 @@ class TestBuildSetCells:
         assert (len(want) < n) == (variant is DH and ell == 2)
         dirs, _ = measure._hits(fam, variant, D, X)
         assert np.array_equal(dirs, x_res)
+        # the element route keeps one entry per distinct pair
+        generic = dataclasses.replace(fam, cells_eval=None)
+        dirs, _ = measure._hits(generic, variant, D, X)
+        assert len(dirs) == len(want)
+        assert set(dirs.tolist()) == set(x_res.tolist())
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring", (F2, Z2, F3, Z3), ids=str)
+    def test_element_route_evaluates_each_distinct_pair_once(self, ring,
+                                                             variant,
+                                                             monkeypatch):
+        """The element route evaluates phi element-level for every depth-X
+        x cell, reading no phi table, but calls ``eval`` once per distinct
+        (x mod ell^D, phi(x) mod ell^D) pair and w cell: 64 calls at fq:2
+        sawyer D = 3 (8 pairs x 8 w), where one per x cell took 512."""
+        fam = kakeya_line_family(ring)
+        ell = ring.ell
+        D = 3 if ell == 2 else 2
+        X = phi_input_depth(variant, D, ell)
+        want = build_set_cells(fam, variant, D)
+        x_res, y_res = measure._pairs(ring, variant, D, X)
+        distinct = set(zip(x_res.tolist(), y_res.tolist()))
+        calls = {"eval": 0, "phi": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+        generic = dataclasses.replace(fam, cells_eval=None,
+                                      eval=counted("eval", fam.eval))
+        monkeypatch.setattr(measure, "phi_for_family",
+                            counted("phi", phi_for_family))
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        assert build_set_cells(generic, variant, D) == want
+        assert calls == {"eval": len(distinct) * ell ** D, "phi": ell ** X}
+        if ring == F2 and variant is SAW:
+            assert (calls["eval"], ell ** X * ell ** D) == (64, 512)
+
+    @pytest.mark.parametrize("ring", (F2, Z2), ids=str)
+    def test_family_reading_digit_d_of_x_is_refused(self, ring):
+        """The element route evaluates each distinct pair at its depth-D
+        cell representatives, whose digits at D and above are unknown.  A
+        family whose z-cell needs digit D of x gets a z known to D - 1
+        digits back, and both the build and the cross-section raise
+        BadDepth rather than answer for one x of the cell.  Here f = x*w -
+        y + t^-1 (x - truncate(x, 1)), t the uniformizer: digit D - 1 of z
+        reads digit D of x."""
+        kakeya = kakeya_line_family(ring)
+        t_inv = element_from_digits([1], -1, ring, 64)
+
+        def f_eval(x, y, w, depth):
+            shifted = mul(t_inv, sub(x[0], truncate(x[0], 1)))
+            return vector(add(kakeya.eval(x, y, w, depth)[0], shifted))
+        fam = dataclasses.replace(kakeya, name="digit-D", eval=f_eval,
+                                  cells_eval=None)
+        D = 3
+        with pytest.raises(BadDepth):
+            build_set_cells(fam, SAW, D)
+        with pytest.raises(BadDepth):
+            cross_section_cells(fam, SAW, vector(one(ring, D)), D)
 
     @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
                              ids=("kakeya", "nikodym"))
@@ -326,6 +395,20 @@ class TestExactness:
         assert sizes == [(X + 2, ell ** (X + 2)), (X, ell ** D)]
         build_set_cells(fam, SAW, D, x_cells=[1, 2])
         assert sizes[-1] == (X, ell ** X)
+
+    def test_recheck_caches_only_the_default_pairs(self):
+        """The X + 2 build is read once: it stays out of the ``_pairs``
+        cache, which keeps only the default-depth pairs the read-backs
+        reuse (ell^(X + 2) = 2^12 pairs at fq:2 sawyer D = 6)."""
+        fam = kakeya_line_family(F2)
+        D = 6
+        X = phi_input_depth(SAW, D, 2)
+        assert measure._pairs.cache_info().currsize == 0
+        assert input_depth_sufficiency(fam, SAW, D)
+        assert measure._pairs.cache_info().currsize == 1
+        hits = measure._pairs.cache_info().hits
+        measure._pairs(F2, SAW, D, X)
+        assert measure._pairs.cache_info().hits == hits + 1
 
     def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
         """The X + 2 re-check reads all ell^(X + 2) x cells, and its
@@ -502,7 +585,7 @@ class TestDecay:
     def test_rows_equal_independent_builds(self, ring, variant, make, packed):
         """Every row projected from the one D_max build equals
         build_set_cells at its depth.  The element route stops shallower:
-        its build at ell = 7, dh, D = 3 takes about 10 s."""
+        its build at ell = 7, dh, D = 3 takes about 1.4 s."""
         fam = make(ring)
         if not packed:
             fam = dataclasses.replace(fam, cells_eval=None)
