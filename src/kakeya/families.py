@@ -49,10 +49,6 @@ class FamilyDescriptor:
     callables taking (x, y, w, depth).  The right inverse must satisfy
     dfdy . dfdy_right_inverse = identity wherever the descriptor declares
     full rank; where it does not, the callable raises RankDeficient.
-    Without ``cells_eval``, a hit-set enumeration calls ``eval`` on the
-    depth-D cell representatives of x and phi(x), whose digits at D and
-    above are unknown: a family whose z-cell needs those digits returns a
-    z known to fewer than D digits, and the enumeration raises BadDepth.
 
     ``cells_eval``, when present, evaluates the same map on packed depth-D
     residue codes and exists purely to accelerate exhaustive enumeration;
@@ -63,9 +59,15 @@ class FamilyDescriptor:
     returns the (ell^D, ell^D) bool hit array whose row w is set at
     ``z_at(w)``: repeats dropped, full top-digit groups of pairs lifted
     from depth D - 1, the rest folded (see
-    :func:`~kakeya.ring.residue_mul_sub`, which both built-in families call,
-    with their arguments in either order).  Per-pair work that does not
-    depend on w is done once, in the call that prepares them.  Those
+    :func:`~kakeya.ring.residue_mul_sub`, the kakeya ``cells_eval``, which
+    nikodym calls with its arguments swapped).  Per-pair work that does not
+    depend on w is done once, in the call that prepares them.  Without
+    ``cells_eval``, a hit-set enumeration takes its element-level twin
+    (:func:`~kakeya.measure._element_eval`), with the same contract on
+    combined cell codes: it calls ``eval`` on the depth-D cell
+    representatives of x and phi(x), whose digits at D and above are
+    unknown, so a family whose z-cell needs those digits gets a z known to
+    fewer than D digits and the enumeration raises BadDepth.  The packed
     scalar codes exist only for p = q = d = 1, so a ``cells_eval`` on
     other dimensions is refused with ``ValueError``.
     """
@@ -143,13 +145,10 @@ def kakeya_line_family(ring: RingSpec) -> FamilyDescriptor:
     def f_dfdy(x, y, w, depth):
         return ElementMatrix(((neg(one(ring, depth)),),))
 
-    def f_cells(rg, D, x_res, y_res):
-        return residue_mul_sub(rg, D, x_res, y_res)
-
     return FamilyDescriptor(
         name="kakeya", ring=ring, p_dim=1, q_dim=1, d_dim=1, n_dim=2,
         eval=f_eval, dfdx=f_dfdx, dfdy=f_dfdy,
-        dfdy_right_inverse=f_dfdy, cells_eval=f_cells)
+        dfdy_right_inverse=f_dfdy, cells_eval=residue_mul_sub)
 
 
 def nikodym_line_family(ring: RingSpec) -> FamilyDescriptor:
@@ -189,7 +188,8 @@ BUILTIN_FAMILIES = {
 
 def phi_for_family(fam: FamilyDescriptor, variant: PhiVariant,
                    x: ElementVector, D: int) -> ElementVector:
-    """The universal function the construction pairs with x, at depth D."""
+    """The universal function the construction pairs with x, at depth D.
+    Reads only ``fam.ring``, ``fam.p_dim`` and ``fam.q_dim``."""
     if variant is PhiVariant.SAWYER:
         cfg = PhiConfig(fam.ring, p_dim=fam.p_dim, q_dim=fam.q_dim)
         return phi_eval(x, cfg, D)

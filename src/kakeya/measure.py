@@ -11,42 +11,34 @@ and reads each shallower row by projection: a depth-D cell is hit iff one
 of its sub-cells is.  One independent build at the shallowest depth checks
 the projections.
 
-Enumeration cost is governed by an explicit budget, checked by
-:func:`_check_build` before any array is built; exceeding it raises
-:class:`~kakeya.errors.BudgetExceeded` with the exact counts.  Cells count
-what is stored, save that the coverage audit keeps one flag per direction
-and is charged the direction x w cells its report can list; pairs count
-what is evaluated per w cell, on the packed route the
-:func:`~kakeya.phi.residue_table_cells` x codes the phi table covers, and
-a packed hit-set build only at the ell^(D-1) w cells it steps.
+Enumeration cost is governed by an explicit budget of cells stored and
+pairs evaluated, checked by :func:`_check_build` before any array is built;
+exceeding it raises :class:`~kakeya.errors.BudgetExceeded` with the exact
+counts.
 
-One enumerator, :func:`_hits`, produces the surface points that the hit-set
-build and the cross-sections consume; the direction-coverage audit reads
-only its direction cells.  It has two routes: the built-in line families
-carry a packed-residue fast path evaluated with numpy; families without one
-fall back to element-level evaluation.  Both routes are exact and the tests
-require them to produce identical cell sets, cross-sections and coverage
-reports.  The z-cell of f(x, phi(x), w) depends on x only through the pair
-(x mod ell^D, phi(x) mod ell^D), so the packed route prepares one pair per
-phi-table code once per enumeration; pairs may repeat, and a repeat hits no
-new cell.  The element route, the independent oracle, evaluates phi
-element-level at every x and keeps one entry per distinct pair, evaluated
-at the pair's depth-D cell representatives: element arithmetic tracks
-depth, so a family whose z-cell reads deeper digits gets a z known to
-fewer than D digits and is refused with :class:`~kakeya.errors.BadDepth`.
-A hit-set build asks the enumeration for its whole bitmap: the element
-route scatters each w's row.  The packed route
-(:func:`~kakeya.ring.residue_mul_sub`) sorts its pairs once, the one place
-repeats are dropped; the full groups, pairs that differ only in the top
-digit of c and take all ell of them, are projected to depth D - 1, built
-there the same way, and copied to every top digit of w and z; the rest
-fold w's top digit, walking only the ell^(D-1) w cells whose top digit is
-0 and rolling their rows into the rows of the other top digits.  A
-cross-section reads only the row at its w.
+Every enumeration runs in two stages.  Stage 1, :func:`_pairs`, gives the
+pairs (x mod ell^D, phi(x) mod ell^D) of the enumerated x cells: the z-cell
+of f(x, phi(x), w) depends on x only through that pair.  Stage 2 prepares
+the family's evaluator on them, which returns the per-w row function
+``z_at`` and the whole ``bitmap``: ``cells_eval`` on the built-in line
+families (the packed route), its element-level twin :func:`_element_eval`
+on every other family (the element route, the independent oracle).  The
+hit-set build and the cross-sections run both stages, a cross-section
+reading only the row at its w; the direction-coverage audit reads stage 1
+only.  Both routes are exact, and the tests require them to produce
+identical cell sets, cross-sections and coverage reports.  The packed
+route takes one pair per phi-table code, repeats included; its bitmap
+(:func:`~kakeya.ring.residue_mul_sub`) sorts them once, the one place
+repeats are dropped, lifts the full top-digit groups from depth D - 1 and
+folds w's top digit for the rest.  The element route reads no phi table:
+it keeps one pair per distinct key and calls ``eval`` on each pair's
+depth-D cell representatives, so a family whose z-cell reads deeper digits
+is refused with :class:`~kakeya.errors.BadDepth`.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import time
@@ -162,95 +154,97 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     return X
 
 
+# All that phi_for_family reads of a family, and so all its pairs depend on.
+_PhiShape = collections.namedtuple("_PhiShape", "ring p_dim q_dim")
+
+
 @functools.lru_cache(maxsize=4)
-def _pairs(ring, variant: PhiVariant, D: int, X: int):
-    """The pairs (x mod ell^D, phi(x) mod ell^D) of the
-    :func:`~kakeya.phi.residue_table_cells` x codes the phi table covers,
-    one per code in code order, as two read-only arrays.  Pairs repeat
-    where the table reads x digits that phi mod ell^D skips (dh at
-    D = 2^k - 1, or an input depth X above the variant's); the bitmap
-    drops repeats, and a row scatter or direction flag ignores them.
+def _pairs(shape: _PhiShape, variant: PhiVariant, D: int, X: int,
+           packed: bool, x_cells=None):
+    """Stage 1: the codes (x mod ell^D, phi(x) mod ell^D) of every depth-X
+    x cell, or of the sorted distinct combined codes ``x_cells``, as two
+    read-only arrays.  The ``packed`` route reads the module-level
+    ``variant_residue_table``: one pair per code in code order, over the
+    :func:`~kakeya.phi.residue_table_cells` codes the table covers or over
+    ``x_cells`` in the full ell^X table, repeating where the table reads x
+    digits that phi mod ell^D skips (dh at D = 2^k - 1, or an input depth
+    above the variant's).  The element route reads no table: it calls the
+    module-level ``phi_for_family`` at every x cell and keeps one pair of
+    combined cell codes per distinct key, in first-seen order.
 
-    The cache serves the read-backs: every cross-section and coverage audit
-    on one (ring, phi, D) after the first, for either family and any w,
-    reuses one table.  A decay table asks for two keys, its D_max and its
-    D_min (the check build), once each, so it hits only when the same table
-    was built just before.  Only the variant's own input depth is cached:
-    :func:`_hits` calls ``_pairs.__wrapped__`` for any other X, as the
-    X + 2 build of :func:`input_depth_sufficiency` does, since no read-back
-    asks for those ell^X pairs again.  Tables are built through the
-    module-level ``variant_residue_table``."""
-    n = residue_table_cells(variant, D, X, ring.ell)
-    # The table goes first: allocating the x codes before its temporaries
-    # took 1.7x the page faults over the D = 2..10 decay tables.
-    tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)
-    x_res = np.arange(n, dtype=np.int64)
-    x_res %= ring.ell ** D
+    The cache serves the read-backs: cross-sections and coverage audits on
+    one (ring, phi, D) and route, for either family and any w, share one
+    entry.  :func:`_family_pairs` bypasses it (``__wrapped__``) for
+    ``x_cells`` and for input depths other than the variant's, such as the
+    X + 2 re-check of :func:`input_depth_sufficiency`: no read-back asks
+    for those pairs again."""
+    ring, ell = shape.ring, shape.ring.ell
+    if not packed:
+        keys = {}
+        for xc in range(ell ** (shape.p_dim * X)) if x_cells is None \
+                else x_cells:
+            x = vector_from_cell(ring, xc, X, shape.p_dim)
+            y = phi_for_family(shape, variant, x, D)
+            keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
+        x_res, y_res = np.array([*keys], dtype=np.int64).reshape(-1, 2).T
+    else:
+        n = (residue_table_cells(variant, D, X, ell) if x_cells is None
+             else None)
+        # The table goes first: allocating the x codes before its
+        # temporaries took 1.7x the page faults over the D 2..10 tables.
+        tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X,
+                                    cells=n)
+        x_res = (np.array(x_cells, dtype=np.int64) if n is None
+                 else np.arange(n, dtype=np.int64))
+        y_res = tab[x_res] if n is None else tab
+        x_res %= ell ** D
     x_res.setflags(write=False)
-    tab.setflags(write=False)
-    return x_res, tab
+    y_res.setflags(write=False)
+    return x_res, y_res
 
 
-def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
-          x_cells=None):
-    """Enumerate the surface points (w, f(x, phi(x), w)) cell by cell.
+def _family_pairs(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+                  x_cells=None):
+    """:func:`_pairs` on ``fam``'s route, cached at the default depth."""
+    key = (_PhiShape(fam.ring, fam.p_dim, fam.q_dim), variant, D, X,
+           fam.cells_eval is not None)
+    if x_cells is None and X == phi_input_depth(variant, D, fam.ring.ell):
+        return _pairs(*key)
+    return _pairs.__wrapped__(*key, x_cells)
 
-    Covers every depth-X x cell, or the given sorted distinct combined
-    codes ``x_cells``; the caller has passed :func:`_check_build`.
-    Returns ``(dirs, (z_at, bitmap))``.  ``dirs`` holds the depth-D
-    direction cell of each enumerated entry.  ``z_at`` maps one depth-D w
-    cell code to the row of the entries' depth-D z-cell codes, in the
-    order of ``dirs``; ``bitmap()`` returns the 2-D bool hit array, w cell
-    (major) by z cell, whose row w is set at ``z_at(w)``.  Families with
-    ``cells_eval`` (p = q = d = 1) take the packed route: one phi table,
-    one (x mod ell^D, phi(x) mod ell^D) pair per code, repeats included,
-    and one ``cells_eval`` call that prepares them and returns both
-    functions.  All others take the element route: each x and its
-    element-level phi(x) built once, one entry kept per distinct key
-    (x cell, phi(x) cell) at depth D, then ``eval`` per entry and w on the
-    key's depth-D cell representatives, and one scatter per w.  An ``eval``
-    that needs digits of x or phi(x) at D or above returns a z known to
-    fewer than D digits, and the cell index raises
-    :class:`~kakeya.errors.BadDepth`.
-    """
-    ell = fam.ring.ell
-    if fam.cells_eval is not None:
-        if x_cells is None:
-            pairs = (_pairs if X == phi_input_depth(variant, D, ell)
-                     else _pairs.__wrapped__)
-            x_res, y_res = pairs(fam.ring, variant, D, X)
-        else:
-            tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1),
-                                        D, X)
-            codes = np.asarray(x_cells, dtype=np.int64)
-            x_res, y_res = codes % ell ** D, tab[codes]
-        return x_res, fam.cells_eval(fam.ring, D, x_res, y_res)
 
-    n_x = ell ** (fam.p_dim * X)
-    keys = {}
-    for xc in range(n_x) if x_cells is None else x_cells:
-        x = vector_from_cell(fam.ring, xc, X, fam.p_dim)
-        y = phi_for_family(fam, variant, x, D)
-        keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
-    # Each key's cell representatives are known to D digits only, so a z
-    # that still reaches depth D holds for every x and phi(x) in the cell.
-    xs = [vector_from_cell(fam.ring, xk, D, fam.p_dim) for xk, _ in keys]
-    ys = [vector_from_cell(fam.ring, yk, D, fam.q_dim) for _, yk in keys]
+def _element_eval(fam: FamilyDescriptor, D: int, x_res, y_res):
+    """The element-level twin of ``cells_eval``, for any family: ``z_at``
+    calls ``eval`` per pair on its depth-D cell representatives, so an
+    ``eval`` that needs digits of x or phi(x) at D or above returns a z
+    known to fewer than D digits and the cell index raises
+    :class:`~kakeya.errors.BadDepth`; ``bitmap`` scatters each w's row."""
+    rg = fam.ring
+    xs = [vector_from_cell(rg, c, D, fam.p_dim) for c in x_res.tolist()]
+    ys = [vector_from_cell(rg, c, D, fam.q_dim) for c in y_res.tolist()]
 
     def z_at(wc: int) -> np.ndarray:
-        w = vector_from_cell(fam.ring, wc, D, fam.d_dim)
+        w = vector_from_cell(rg, wc, D, fam.d_dim)
         return np.asarray([vector_cell_index(fam.eval(x, y, w, D), D)
                            for x, y in zip(xs, ys)], dtype=np.int64)
 
     def bitmap() -> np.ndarray:
-        bits = np.zeros((ell ** (fam.d_dim * D), ell ** (fam.out_dim * D)),
-                        dtype=bool)
+        bits = np.zeros((rg.ell ** (fam.d_dim * D),
+                         rg.ell ** (fam.out_dim * D)), dtype=bool)
         for w, row in enumerate(bits):
             row[z_at(w)] = True
         return bits
+    return z_at, bitmap
 
-    dirs = np.asarray([xk for xk, _ in keys], dtype=np.int64)
-    return dirs, (z_at, bitmap)
+
+def _hits(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
+          x_cells=None):
+    """Stage 2 on stage 1: ``(z_at, bitmap)`` of ``fam``'s evaluator on
+    its pairs; the caller has passed :func:`_check_build`."""
+    x_res, y_res = _family_pairs(fam, variant, D, X, x_cells)
+    if fam.cells_eval is None:
+        return _element_eval(fam, D, x_res, y_res)
+    return fam.cells_eval(fam.ring, D, x_res, y_res)
 
 
 def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
@@ -264,9 +258,9 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     fully determined -- and every w in R^d at depth D.  ``x_cells``
     restricts the x enumeration to the given depth-X combined codes
     (diagnostic use); ``input_depth`` overrides X (used by the input-depth
-    sufficiency re-check).  The enumeration sets the bitmap (see
-    :func:`_hits`).  Repeated ``x_cells`` codes
-    are enumerated and charged once; a code outside [0, ell^(p X)) raises
+    sufficiency re-check).  The evaluator on the pairs sets the bitmap
+    (see :func:`_hits`).  Repeated ``x_cells`` codes are enumerated and
+    charged once; a code outside [0, ell^(p X)) raises
     :class:`~kakeya.errors.BadIndex` and a depth D < 1
     :class:`~kakeya.errors.BadDepth`, before any table is built.
     """
@@ -276,7 +270,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
                      X=input_depth, build=True)
 
-    _, (_, bitmap) = _hits(fam, phi_variant, D, X, x_cells)
+    _, bitmap = _hits(fam, phi_variant, D, X, x_cells)
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
                    bits=bitmap().reshape(-1))
 
@@ -308,7 +302,7 @@ def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
     zero_y = vector_from_cell(fam.ring, 0, D, fam.q_dim)
     fam.dfdy_right_inverse(zero_x, zero_y, w, D)  # rank probe; may raise
 
-    _, (z_at, _) = _hits(fam, phi_variant, D, X)
+    z_at, _ = _hits(fam, phi_variant, D, X)
     bits = np.zeros(total, dtype=bool)
     bits[z_at(w_code)] = True
     return CellSet(depth=D, ell=fam.ring.ell, w_dim=0, z_dim=nd, bits=bits)
@@ -501,13 +495,13 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     The set is built from the points (w, f(x, phi(x), w)) of every depth-X
     x cell and every w cell, so each x contributes a point in every w
     column, and the direction cell of x is present in all of them.  The
-    audit therefore runs the enumeration once, without the per-w points, and
+    audit therefore reads only the enumeration's pairs (:func:`_pairs`) and
     keeps one flag per depth-D direction cell, set when some x reaches it;
     each unreached direction is missing with every w cell, in (direction,
     w) order, so the ell^(p D) x ell^(d D) cells charged bound that list.
     Every direction cell is x mod ell^D for some enumerated x, so
     ``missing`` is empty unless the enumeration itself is broken (the tests
-    simulate that by patching :func:`_hits`).  The failures the audit does
+    simulate that by patching :func:`_pairs`).  The failures the audit does
     report are phi errors, from the phi table or the element-level phi:
     ``dh`` on a family with q = 2, for example, raises the digit-shift
     rule's scalar-only ``ValueError``.  The vertical line w = const is not
@@ -519,7 +513,7 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     n_w = ell ** (fam.d_dim * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
                      cells=n_dirs * n_w)
-    dirs, _ = _hits(fam, phi_variant, D, X)
+    dirs, _ = _family_pairs(fam, phi_variant, D, X)
     reached = np.zeros(n_dirs, dtype=bool)
     reached[dirs] = True
     missing = tuple((int(d), w) for d in np.flatnonzero(~reached)

@@ -78,12 +78,16 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class RingSpec:
-    """Residue field size and arithmetic mode of a discrete valuation ring."""
+    """Residue field size ``ell``, a prime below 2^64 (where :func:`_is_prime`
+    is exact), and arithmetic mode of a discrete valuation ring."""
 
     ell: int
     mode: RingMode
 
     def __post_init__(self):
+        if self.ell >= 2 ** 64:
+            raise ValueError(f"residue field size must be below 2^64, got "
+                             f"{self.ell}")
         if not _is_prime(self.ell):
             raise ValueError(f"residue field size must be prime, got {self.ell}")
 

@@ -291,6 +291,17 @@ class TestCertify:
         got = {l.split(",")[0]: int(l.split(",")[3]) for l in lines[1:]}
         assert got == {"I": 1, "II": 3, "III": 3, "IV": 2, "V": 1}
 
+    def test_composite_ell_from_2_64_exit1(self, capsys):
+        """399165290221 * 798330580441 passes the Miller-Rabin bases, which
+        are exact only below 2^64: it is refused by size, as 4 is as a
+        composite."""
+        for ell, why in (("318665857834031151167461", "below 2^64"),
+                         ("4", "must be prime")):
+            code, out, err = run(capsys, "certify", "--A", "0", "--B", "0",
+                                 "--nmax", "10", "--ell", ell)
+            assert (code, out) == (1, "")
+            assert why in err and err.count("error:") == 1
+
     def test_nmax_below_one_exit1(self, capsys):
         """An empty scan is refused, not reported as five failed rows."""
         for nmax in ("0", "-5"):

@@ -61,6 +61,11 @@ def _no_table(*args, **kwargs):
     raise AssertionError("phi built before the arguments were checked")
 
 
+def _shape(ring):
+    """The ``_pairs`` key of a p = q = 1 family over ``ring``."""
+    return measure._PhiShape(ring, 1, 1)
+
+
 def brute_force_cells(fam, variant, D):
     """Independent oracle: enumerate surface points through the public
     element-level API only, collecting (w, z) cell pairs.  f is evaluated
@@ -162,7 +167,7 @@ class TestBuildSetCells:
         ell = ring.ell
         D = 3 if ell == 2 else 2
         X = max(D, phi_input_depth(variant, D, ell))
-        x_res, y_res = measure._pairs(ring, variant, D, X)
+        x_res, y_res = measure._pairs(_shape(ring), variant, D, X, True)
         n = residue_table_cells(variant, D, X, ell)
         assert np.array_equal(x_res, np.arange(n) % ell ** D)
         assert np.array_equal(y_res, variant_residue_table(
@@ -175,13 +180,15 @@ class TestBuildSetCells:
             want.add((cell_index(x[0], D), cell_index(y[0], D)))
         assert set(zip(x_res.tolist(), y_res.tolist())) == want
         assert (len(want) < n) == (variant is DH and ell == 2)
-        dirs, _ = measure._hits(fam, variant, D, X)
-        assert np.array_equal(dirs, x_res)
+        got = measure._family_pairs(fam, variant, D, X)
+        assert got[0] is x_res and got[1] is y_res  # the cached entry
         # the element route keeps one entry per distinct pair
         generic = dataclasses.replace(fam, cells_eval=None)
-        dirs, _ = measure._hits(generic, variant, D, X)
+        dirs, ys = measure._family_pairs(generic, variant, D, X)
         assert len(dirs) == len(want)
         assert set(dirs.tolist()) == set(x_res.tolist())
+        assert set(zip(dirs.tolist(), ys.tolist())) == want
+        assert not (dirs.flags.writeable or ys.flags.writeable)
 
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", (F2, Z2, F3, Z3), ids=str)
@@ -197,7 +204,7 @@ class TestBuildSetCells:
         D = 3 if ell == 2 else 2
         X = phi_input_depth(variant, D, ell)
         want = build_set_cells(fam, variant, D)
-        x_res, y_res = measure._pairs(ring, variant, D, X)
+        x_res, y_res = measure._pairs(_shape(ring), variant, D, X, True)
         distinct = set(zip(x_res.tolist(), y_res.tolist()))
         calls = {"eval": 0, "phi": 0}
 
@@ -274,7 +281,7 @@ class TestBuildSetCells:
         lifted = 0
         for cells in ([1 + k * m for k in range(ell ** (X - D))],
                       list(range(ell ** X))):
-            dirs, _ = measure._hits(fam, SAW, D, X, cells)
+            dirs, _ = measure._family_pairs(fam, SAW, D, X, cells)
             assert len(dirs) == len(cells)
             xy = {(xc % m, int(tab[xc])) for xc in cells}
             pairs = xy if make is kakeya_line_family else {p[::-1] for p in xy}
@@ -313,7 +320,7 @@ class TestBuildSetCells:
             raise AssertionError("np.unique called")
         monkeypatch.setattr(np, "unique", no_unique)
         measure._pairs.cache_clear()
-        x_res, y_res = measure._pairs(ring, DH, D, D + 1)
+        x_res, y_res = measure._pairs(_shape(ring), DH, D, D + 1, True)
         assert len(set(zip(x_res.tolist(), y_res.tolist()))) < len(x_res)
         got = strip_timing(decay_csv(decay_report(fam, DH, 2, D)), "csv")
         assert got.splitlines() == frozen.splitlines()[:D]
@@ -407,7 +414,7 @@ class TestExactness:
         assert input_depth_sufficiency(fam, SAW, D)
         assert measure._pairs.cache_info().currsize == 1
         hits = measure._pairs.cache_info().hits
-        measure._pairs(F2, SAW, D, X)
+        measure._pairs(_shape(F2), SAW, D, X, True)
         assert measure._pairs.cache_info().hits == hits + 1
 
     def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
@@ -545,6 +552,38 @@ class TestCrossSection:
             cross_section_cells(make(ring), SAW, w, D)
             cross_section_cells(make(ring), SAW, first, D)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("ring", (F2, Z2), ids=str)
+    def test_element_read_backs_reuse_the_pairs(self, ring, monkeypatch):
+        """Element-level phi runs once per (ring, phi, D) and route: after
+        one element build at sawyer D = 3, cross-sections at every nonzero
+        w and coverage audits, for either family, make no ``phi_for_family``
+        call (one per x cell, 64, for each of them before the pairs were
+        cached).  The packed build before it shares no entry: the element
+        build still evaluates phi at all 2^X x cells, with
+        ``variant_residue_table`` patched to fail."""
+        D = 3
+        X = phi_input_depth(SAW, D, 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return phi_for_family(*args)
+        monkeypatch.setattr(measure, "phi_for_family", counted)
+        build_set_cells(kakeya_line_family(ring), SAW, D)
+        assert calls == []
+        monkeypatch.setattr(measure, "variant_residue_table", _no_table)
+        generic = [dataclasses.replace(make(ring), cells_eval=None)
+                   for make in (kakeya_line_family, nikodym_line_family)]
+        build_set_cells(generic[0], SAW, D)
+        assert len(calls) == 2 ** X == 64
+        for fam in generic:
+            for wc in range(1, 2 ** D):
+                w = vector(element_from_cell(ring, wc, D, D + 3))
+                cross_section_cells(fam, SAW, w, D)
+            direction_coverage(fam, SAW, D)
+        assert len(calls) == 2 ** X
+        assert measure._pairs.cache_info().currsize == 2
 
 
 class TestDecay:
@@ -720,13 +759,13 @@ class TestCoverage:
         if not packed:
             fam = dataclasses.replace(fam, cells_eval=None)
         D, lost = 3, 5
-        hits = measure._hits
+        pairs = measure._pairs
 
         def lossy(*args, **kwargs):
-            dirs, evaluators = hits(*args, **kwargs)
+            dirs, ys = pairs(*args, **kwargs)
             assert lost in dirs
-            return dirs[dirs != lost], evaluators
-        monkeypatch.setattr(measure, "_hits", lossy)
+            return dirs[dirs != lost], ys[dirs != lost]
+        monkeypatch.setattr(measure, "_pairs", lossy)
         rep = direction_coverage(fam, variant, D)
         assert rep.missing == tuple((lost, w) for w in range(2 ** D))
 

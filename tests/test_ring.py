@@ -93,6 +93,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RingSpec(1, RingMode.POWER_SERIES)
 
+    def test_ell_from_2_64_refused(self):
+        """The Miller-Rabin bases are exact only below 2^64: this composite
+        passes all twelve of them, so it is refused by size in either mode.
+        The largest prime below 2^64 is still a ring."""
+        ell = 318665857834031151167461
+        assert ell == 399165290221 * 798330580441
+        for mode in RingMode:
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                RingSpec(ell, mode)
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                RingSpec(2 ** 64, mode)
+            assert RingSpec(2 ** 64 - 59, mode).ell == 2 ** 64 - 59
+
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     @given(sig=st.integers(-(2 ** 40), 2 ** 40), lowest=st.integers(-4, 4),
            depth=st.integers(-3, 12))

@@ -1,0 +1,33 @@
+"""The experiment script, run end to end as a user runs it."""
+
+import pathlib
+import subprocess
+import sys
+
+from kakeya.measure import strip_timing
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+def test_run_experiments_reproduces_the_frozen_tables(tmp_path):
+    """``scripts/run_experiments.py`` exits 0; its four decay tables equal
+    the frozen fixtures of the same name but for the timing column, and
+    its coverage audits report no missing direction."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+         str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    decay = sorted(tmp_path.glob("decay_kakeya_*.csv"))
+    assert [p.name for p in decay] == [
+        f"decay_kakeya_{v}_{r}.csv" for v in ("dh", "sawyer")
+        for r in ("fq2", "zp2")]
+    for path in decay:
+        assert strip_timing(path.read_text(), "csv") == \
+            (FIXTURES / path.name).read_text(), path.name
+    coverage = sorted(tmp_path.glob("coverage_*.csv"))
+    assert len(coverage) == 2
+    for path in coverage:
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",")[-1] == "missing" and rows
+        assert all(row.split(",")[-1] == "0" for row in rows), path.name
