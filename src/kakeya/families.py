@@ -188,8 +188,7 @@ BUILTIN_FAMILIES = {
 
 def phi_for_family(fam: FamilyDescriptor, variant: PhiVariant,
                    x: ElementVector, D: int) -> ElementVector:
-    """The universal function the construction pairs with x, at depth D.
-    Reads only ``fam.ring``, ``fam.p_dim`` and ``fam.q_dim``."""
+    """The universal function the construction pairs with x, at depth D."""
     if variant is PhiVariant.SAWYER:
         cfg = PhiConfig(fam.ring, p_dim=fam.p_dim, q_dim=fam.q_dim)
         return phi_eval(x, cfg, D)

@@ -16,29 +16,29 @@ pairs evaluated, checked by :func:`_check_build` before any array is built;
 exceeding it raises :class:`~kakeya.errors.BudgetExceeded` with the exact
 counts.
 
-Every enumeration runs in two stages.  Stage 1, :func:`_pairs`, gives the
-pairs (x mod ell^D, phi(x) mod ell^D) of the enumerated x cells: the z-cell
-of f(x, phi(x), w) depends on x only through that pair.  Stage 2 prepares
-the family's evaluator on them, which returns the per-w row function
-``z_at`` and the whole ``bitmap``: ``cells_eval`` on the built-in line
+Every enumeration runs in two stages.  Stage 1, :func:`_family_pairs`,
+gives the pairs (x mod ell^D, phi(x) mod ell^D) of the enumerated x cells:
+the z-cell of f(x, phi(x), w) depends on x only through that pair.  Stage 2
+prepares the family's evaluator on them, which returns the per-w row
+function ``z_at`` and the whole ``bitmap``: ``cells_eval`` on the built-in line
 families (the packed route), its element-level twin :func:`_element_eval`
 on every other family (the element route, the independent oracle).  The
 hit-set build and the cross-sections run both stages, a cross-section
 reading only the row at its w; the direction-coverage audit reads stage 1
 only.  Both routes are exact, and the tests require them to produce
 identical cell sets, cross-sections and coverage reports.  The packed
-route takes one pair per phi-table code, repeats included; its bitmap
+route takes one pair per phi-table code, repeats included, cached for the
+read-backs (:func:`_pairs`); its bitmap
 (:func:`~kakeya.ring.residue_mul_sub`) sorts them once, the one place
 repeats are dropped, lifts the full top-digit groups from depth D - 1 and
-folds w's top digit for the rest.  The element route reads no phi table:
-it keeps one pair per distinct key and calls ``eval`` on each pair's
-depth-D cell representatives, so a family whose z-cell reads deeper digits
-is refused with :class:`~kakeya.errors.BadDepth`.
+folds w's top digit for the rest.  The element route reads no phi table
+and caches nothing: it keeps one pair per distinct key and calls ``eval``
+on each pair's depth-D cell representatives, so a family whose z-cell
+reads deeper digits is refused with :class:`~kakeya.errors.BadDepth`.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import time
@@ -154,63 +154,60 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     return X
 
 
-# All that phi_for_family reads of a family, and so all its pairs depend on.
-_PhiShape = collections.namedtuple("_PhiShape", "ring p_dim q_dim")
-
-
 @functools.lru_cache(maxsize=4)
-def _pairs(shape: _PhiShape, variant: PhiVariant, D: int, X: int,
-           packed: bool, x_cells=None):
-    """Stage 1: the codes (x mod ell^D, phi(x) mod ell^D) of every depth-X
-    x cell, or of the sorted distinct combined codes ``x_cells``, as two
-    read-only arrays.  The ``packed`` route reads the module-level
-    ``variant_residue_table``: one pair per code in code order, over the
-    :func:`~kakeya.phi.residue_table_cells` codes the table covers or over
-    ``x_cells`` in the full ell^X table, repeating where the table reads x
-    digits that phi mod ell^D skips (dh at D = 2^k - 1, or an input depth
-    above the variant's).  The element route reads no table: it calls the
-    module-level ``phi_for_family`` at every x cell and keeps one pair of
-    combined cell codes per distinct key, in first-seen order.
+def _pairs(ring, variant: PhiVariant, D: int, X: int):
+    """The packed route's pairs (x mod ell^D, phi(x) mod ell^D) of the
+    :func:`~kakeya.phi.residue_table_cells` x codes the phi table covers,
+    one per code in code order, as two read-only arrays.  Pairs repeat
+    where the table reads x digits that phi mod ell^D skips (dh at
+    D = 2^k - 1, or an input depth X above the variant's); the bitmap
+    drops repeats, and a row scatter or direction flag ignores them.
 
-    The cache serves the read-backs: cross-sections and coverage audits on
-    one (ring, phi, D) and route, for either family and any w, share one
-    entry.  :func:`_family_pairs` bypasses it (``__wrapped__``) for
-    ``x_cells`` and for input depths other than the variant's, such as the
-    X + 2 re-check of :func:`input_depth_sufficiency`: no read-back asks
-    for those pairs again."""
-    ring, ell = shape.ring, shape.ring.ell
-    if not packed:
-        keys = {}
-        for xc in range(ell ** (shape.p_dim * X)) if x_cells is None \
-                else x_cells:
-            x = vector_from_cell(ring, xc, X, shape.p_dim)
-            y = phi_for_family(shape, variant, x, D)
-            keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
-        x_res, y_res = np.array([*keys], dtype=np.int64).reshape(-1, 2).T
-    else:
-        n = (residue_table_cells(variant, D, X, ell) if x_cells is None
-             else None)
-        # The table goes first: allocating the x codes before its
-        # temporaries took 1.7x the page faults over the D 2..10 tables.
-        tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X,
-                                    cells=n)
-        x_res = (np.array(x_cells, dtype=np.int64) if n is None
-                 else np.arange(n, dtype=np.int64))
-        y_res = tab[x_res] if n is None else tab
-        x_res %= ell ** D
+    The cache serves the read-backs: every cross-section and coverage audit
+    on one (ring, phi, D) after the first, for either family and any w,
+    reuses one table.  Only the variant's own input depth is cached:
+    :func:`_family_pairs` calls ``_pairs.__wrapped__`` for any other X, as
+    the X + 2 build of :func:`input_depth_sufficiency` does, since no
+    read-back asks for those ell^X pairs again.  Tables are built through
+    the module-level ``variant_residue_table``."""
+    n = residue_table_cells(variant, D, X, ring.ell)
+    # The table goes first: allocating the x codes before its temporaries
+    # took 1.7x the page faults over the D = 2..10 decay tables.
+    tab = variant_residue_table(variant, PhiConfig(ring, 1, 1), D, X, cells=n)
+    x_res = np.arange(n, dtype=np.int64)
+    x_res %= ring.ell ** D
     x_res.setflags(write=False)
-    y_res.setflags(write=False)
-    return x_res, y_res
+    tab.setflags(write=False)
+    return x_res, tab
 
 
 def _family_pairs(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
                   x_cells=None):
-    """:func:`_pairs` on ``fam``'s route, cached at the default depth."""
-    key = (_PhiShape(fam.ring, fam.p_dim, fam.q_dim), variant, D, X,
-           fam.cells_eval is not None)
-    if x_cells is None and X == phi_input_depth(variant, D, fam.ring.ell):
-        return _pairs(*key)
-    return _pairs.__wrapped__(*key, x_cells)
+    """Stage 1: the codes (x mod ell^D, phi(x) mod ell^D) of every depth-X
+    x cell, or of the sorted distinct combined codes ``x_cells``, as two
+    arrays.  The packed route reads the module-level
+    ``variant_residue_table``: one pair per code, repeats included, through
+    the :func:`_pairs` cache at the variant's own input depth.  The element
+    route reads no table: it calls the module-level ``phi_for_family`` at
+    every x cell and keeps one pair of combined cell codes per distinct
+    key, in first-seen order.  It is not cached, so every element
+    read-back evaluates phi afresh, independently of the table."""
+    ell = fam.ring.ell
+    if fam.cells_eval is None:
+        keys = {}
+        for xc in range(ell ** (fam.p_dim * X)) if x_cells is None \
+                else x_cells:
+            x = vector_from_cell(fam.ring, xc, X, fam.p_dim)
+            y = phi_for_family(fam, variant, x, D)
+            keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
+        return np.array([*keys], dtype=np.int64).reshape(-1, 2).T
+    if x_cells is not None:
+        tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1), D, X)
+        codes = np.asarray(x_cells, dtype=np.int64)
+        return codes % ell ** D, tab[codes]
+    pairs = (_pairs if X == phi_input_depth(variant, D, ell)
+             else _pairs.__wrapped__)
+    return pairs(fam.ring, variant, D, X)
 
 
 def _element_eval(fam: FamilyDescriptor, D: int, x_res, y_res):
@@ -495,13 +492,14 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     The set is built from the points (w, f(x, phi(x), w)) of every depth-X
     x cell and every w cell, so each x contributes a point in every w
     column, and the direction cell of x is present in all of them.  The
-    audit therefore reads only the enumeration's pairs (:func:`_pairs`) and
-    keeps one flag per depth-D direction cell, set when some x reaches it;
-    each unreached direction is missing with every w cell, in (direction,
-    w) order, so the ell^(p D) x ell^(d D) cells charged bound that list.
+    audit therefore reads only the enumeration's pairs
+    (:func:`_family_pairs`) and keeps one flag per depth-D direction cell,
+    set when some x reaches it; each unreached direction is missing with
+    every w cell, in (direction, w) order, so the ell^(p D) x ell^(d D)
+    cells charged bound that list.
     Every direction cell is x mod ell^D for some enumerated x, so
     ``missing`` is empty unless the enumeration itself is broken (the tests
-    simulate that by patching :func:`_pairs`).  The failures the audit does
+    simulate that by patching :func:`_family_pairs`).  The failures the audit does
     report are phi errors, from the phi table or the element-level phi:
     ``dh`` on a family with q = 2, for example, raises the digit-shift
     rule's scalar-only ``ValueError``.  The vertical line w = const is not

@@ -292,9 +292,9 @@ class TestCertify:
         assert got == {"I": 1, "II": 3, "III": 3, "IV": 2, "V": 1}
 
     def test_composite_ell_from_2_64_exit1(self, capsys):
-        """399165290221 * 798330580441 passes the Miller-Rabin bases, which
-        are exact only below 2^64: it is refused by size, as 4 is as a
-        composite."""
+        """399165290221 * 798330580441 is the first composite that passes
+        all twelve Miller-Rabin bases, which are proved exact for 64-bit
+        inputs: it is refused by size, as 4 is as a composite."""
         for ell, why in (("318665857834031151167461", "below 2^64"),
                          ("4", "must be prime")):
             code, out, err = run(capsys, "certify", "--A", "0", "--B", "0",

@@ -61,11 +61,6 @@ def _no_table(*args, **kwargs):
     raise AssertionError("phi built before the arguments were checked")
 
 
-def _shape(ring):
-    """The ``_pairs`` key of a p = q = 1 family over ``ring``."""
-    return measure._PhiShape(ring, 1, 1)
-
-
 def brute_force_cells(fam, variant, D):
     """Independent oracle: enumerate surface points through the public
     element-level API only, collecting (w, z) cell pairs.  f is evaluated
@@ -167,7 +162,7 @@ class TestBuildSetCells:
         ell = ring.ell
         D = 3 if ell == 2 else 2
         X = max(D, phi_input_depth(variant, D, ell))
-        x_res, y_res = measure._pairs(_shape(ring), variant, D, X, True)
+        x_res, y_res = measure._pairs(ring, variant, D, X)
         n = residue_table_cells(variant, D, X, ell)
         assert np.array_equal(x_res, np.arange(n) % ell ** D)
         assert np.array_equal(y_res, variant_residue_table(
@@ -188,7 +183,6 @@ class TestBuildSetCells:
         assert len(dirs) == len(want)
         assert set(dirs.tolist()) == set(x_res.tolist())
         assert set(zip(dirs.tolist(), ys.tolist())) == want
-        assert not (dirs.flags.writeable or ys.flags.writeable)
 
     @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
     @pytest.mark.parametrize("ring", (F2, Z2, F3, Z3), ids=str)
@@ -204,7 +198,7 @@ class TestBuildSetCells:
         D = 3 if ell == 2 else 2
         X = phi_input_depth(variant, D, ell)
         want = build_set_cells(fam, variant, D)
-        x_res, y_res = measure._pairs(_shape(ring), variant, D, X, True)
+        x_res, y_res = measure._pairs(ring, variant, D, X)
         distinct = set(zip(x_res.tolist(), y_res.tolist()))
         calls = {"eval": 0, "phi": 0}
 
@@ -320,7 +314,7 @@ class TestBuildSetCells:
             raise AssertionError("np.unique called")
         monkeypatch.setattr(np, "unique", no_unique)
         measure._pairs.cache_clear()
-        x_res, y_res = measure._pairs(_shape(ring), DH, D, D + 1, True)
+        x_res, y_res = measure._pairs(ring, DH, D, D + 1)
         assert len(set(zip(x_res.tolist(), y_res.tolist()))) < len(x_res)
         got = strip_timing(decay_csv(decay_report(fam, DH, 2, D)), "csv")
         assert got.splitlines() == frozen.splitlines()[:D]
@@ -414,7 +408,7 @@ class TestExactness:
         assert input_depth_sufficiency(fam, SAW, D)
         assert measure._pairs.cache_info().currsize == 1
         hits = measure._pairs.cache_info().hits
-        measure._pairs(_shape(F2), SAW, D, X, True)
+        measure._pairs(F2, SAW, D, X)
         assert measure._pairs.cache_info().hits == hits + 1
 
     def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
@@ -554,14 +548,13 @@ class TestCrossSection:
         assert len(built) == 1
 
     @pytest.mark.parametrize("ring", (F2, Z2), ids=str)
-    def test_element_read_backs_reuse_the_pairs(self, ring, monkeypatch):
-        """Element-level phi runs once per (ring, phi, D) and route: after
-        one element build at sawyer D = 3, cross-sections at every nonzero
-        w and coverage audits, for either family, make no ``phi_for_family``
-        call (one per x cell, 64, for each of them before the pairs were
-        cached).  The packed build before it shares no entry: the element
-        build still evaluates phi at all 2^X x cells, with
-        ``variant_residue_table`` patched to fail."""
+    def test_element_read_backs_evaluate_phi_afresh(self, ring, monkeypatch):
+        """The element route caches no pairs: every element build,
+        cross-section and coverage audit at sawyer D = 3 evaluates
+        element-level phi at all 2^X = 64 x cells, for either family, and
+        reads no phi table (``variant_residue_table`` patched to fail).  So
+        it never shares an entry with the packed build before it, which
+        makes no ``phi_for_family`` call and is the one ``_pairs`` entry."""
         D = 3
         X = phi_input_depth(SAW, D, 2)
         calls = []
@@ -573,17 +566,17 @@ class TestCrossSection:
         build_set_cells(kakeya_line_family(ring), SAW, D)
         assert calls == []
         monkeypatch.setattr(measure, "variant_residue_table", _no_table)
-        generic = [dataclasses.replace(make(ring), cells_eval=None)
-                   for make in (kakeya_line_family, nikodym_line_family)]
-        build_set_cells(generic[0], SAW, D)
-        assert len(calls) == 2 ** X == 64
-        for fam in generic:
+        runs = 0
+        for make in (kakeya_line_family, nikodym_line_family):
+            fam = dataclasses.replace(make(ring), cells_eval=None)
+            build_set_cells(fam, SAW, D)
             for wc in range(1, 2 ** D):
                 w = vector(element_from_cell(ring, wc, D, D + 3))
                 cross_section_cells(fam, SAW, w, D)
             direction_coverage(fam, SAW, D)
-        assert len(calls) == 2 ** X
-        assert measure._pairs.cache_info().currsize == 2
+            runs += 1 + (2 ** D - 1) + 1
+            assert len(calls) == runs * 2 ** X
+        assert measure._pairs.cache_info().currsize == 1
 
 
 class TestDecay:
@@ -759,13 +752,13 @@ class TestCoverage:
         if not packed:
             fam = dataclasses.replace(fam, cells_eval=None)
         D, lost = 3, 5
-        pairs = measure._pairs
+        pairs = measure._family_pairs
 
         def lossy(*args, **kwargs):
             dirs, ys = pairs(*args, **kwargs)
             assert lost in dirs
             return dirs[dirs != lost], ys[dirs != lost]
-        monkeypatch.setattr(measure, "_pairs", lossy)
+        monkeypatch.setattr(measure, "_family_pairs", lossy)
         rep = direction_coverage(fam, variant, D)
         assert rep.missing == tuple((lost, w) for w in range(2 ** D))
 

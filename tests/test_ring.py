@@ -94,9 +94,10 @@ class TestConstruction:
             RingSpec(1, RingMode.POWER_SERIES)
 
     def test_ell_from_2_64_refused(self):
-        """The Miller-Rabin bases are exact only below 2^64: this composite
-        passes all twelve of them, so it is refused by size in either mode.
-        The largest prime below 2^64 is still a ring."""
+        """The Miller-Rabin bases are proved exact for 64-bit inputs, and
+        this composite is the first to pass all twelve of them: it is
+        refused by size in either mode.  The largest prime below 2^64 is
+        still a ring."""
         ell = 318665857834031151167461
         assert ell == 399165290221 * 798330580441
         for mode in RingMode:
