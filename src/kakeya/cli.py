@@ -11,6 +11,8 @@ is plain ``key=value`` lines keyed by long flag names.  Output is
 pipeline-stable (no colour, no TTY detection) and file writes are atomic
 (temp file + rename).  The environment variable ``KAKEYA_BUDGET_CELLS``
 replaces the default cell budget, so a config file or flag still beats it.
+The cell budget counts hit-set cells, held eight per byte: the default 2^28
+cells bound one hit-set at 32 MB.
 """
 
 from __future__ import annotations
@@ -293,7 +295,10 @@ def _add_common(sp: argparse.ArgumentParser):
 
 
 def _add_budget(sp: argparse.ArgumentParser):
-    sp.add_argument("--budget-cells", dest="budget_cells", type=int, default=None)
+    sp.add_argument("--budget-cells", dest="budget_cells", type=int,
+                    default=None,
+                    help="most hit-set cells stored, eight per byte (default "
+                    "2^28, 32 MB, or KAKEYA_BUDGET_CELLS)")
     sp.add_argument("--budget-pairs", dest="budget_pairs", type=int, default=None)
 
 

@@ -56,9 +56,11 @@ class FamilyDescriptor:
     y_res)`` takes the 1-D code arrays of the (x, y) pairs once, which may
     repeat, and returns ``(z_at, bitmap)``: ``z_at`` maps one int w code to
     the 1-D row of the pairs' z codes, one per pair, and ``bitmap()``
-    returns the (ell^D, ell^D) bool hit array whose row w is set at
-    ``z_at(w)``: repeats dropped, full top-digit groups of pairs lifted
-    from depth D - 1, the rest folded (see
+    returns the hits packed, eight per byte: a uint8 array of shape
+    (ell^D, ceil(ell^D / 8)) whose row w is ``np.packbits`` of the ell^D
+    flags set at ``z_at(w)``, padding bits zero (the rows of
+    :class:`~kakeya.measure.CellSet`): repeats dropped, full top-digit
+    groups of pairs lifted from depth D - 1, the rest folded (see
     :func:`~kakeya.ring.residue_mul_sub`, the kakeya ``cells_eval``, which
     nikodym calls with its arguments swapped).  Per-pair work that does not
     depend on w is done once, in the call that prepares them.  Without

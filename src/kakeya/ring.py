@@ -705,8 +705,10 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     codes (each in [0, ell^D)).
 
     Returns ``(z_at, bitmap)``.  ``z_at`` maps one int w code to the 1-D
-    row of depth-D codes of a*w - c.  ``bitmap()`` returns the bool array of
-    shape (ell^D, ell^D) whose row w is set exactly at ``z_at(w)``.
+    row of depth-D codes of a*w - c.  ``bitmap()`` returns the hits packed,
+    eight z cells per byte: a uint8 array of shape (ell^D, ceil(ell^D / 8))
+    whose row w is ``np.packbits`` of the ell^D flags set exactly at
+    ``z_at(w)`` (z = 8k + i is bit 7 - i of byte k), its padding bits zero.
 
     ``bitmap`` splits w = u + t*ell^(D-1) and c = c1 + s*ell^(D-1), with
     u, c1 < ell^(D-1) and t, s < ell.  In both rings a*w - c =
@@ -720,10 +722,17 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       D >= 2 their hits are the ell^2 lifts, over t and z's top digit, of
       the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
       which lifts its own full groups in turn.  Repeated pairs count once.
+      With no other pair, the packed lower rows are tiled straight into
+      the output where a row of ell^(D-1) cells fills whole bytes
+      (ell = 2, D >= 4), and block by block otherwise.
     * Fold.  The other pairs of class g (a = g mod ell) hit in row w their
       cells of row u moved by g*t*ell^(D-1) mod ell^D.  One :func:`_walk`,
-      set up once, visits the rows u of each class (:func:`_fold_class`),
-      so each is stepped and scattered ell^(D-1) times, not ell^D.
+      set up once, gives each class its own block generator over the rows
+      u, all of the largest class's block size; :func:`_fold` zips them,
+      so each is stepped and scattered ell^(D-1) times, not ell^D, and
+      each block of rows u is finished for every t in a small bool
+      working block, then packed and written once.  No ell^(2D) bool
+      array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
 
@@ -745,82 +754,120 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         # full group; with fewer than ell keys both sides are empty
         starts = np.flatnonzero(grp[ell - 1:]
                                 == grp[:max(len(grp) - ell + 1, 0)])
+        lower = None
         if D > 1 and len(starts):  # ar = g*top + a // ell, the key's a
             ar, c1 = np.divmod(grp[starts], top)
             _, lower = residue_mul_sub(ring, D - 1, ar * ell % top + ar // top,
                                        c1)
-            bits = np.empty((ell, top, m), dtype=bool)
-            bits.reshape(ell, top, ell, top)[:] = lower()[:, None, :]
+            lower = lower()
             rest = np.ones(len(grp), dtype=bool)
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
-        else:
-            bits = np.zeros((ell, top, m), dtype=bool)
-        if len(grp):  # a walk's set-up took 26-100 us, pairs or none
-            ar, c1 = np.divmod(grp, top)
-            cls, q = np.divmod(ar, top)
-            ends = np.cumsum(np.bincount(cls, minlength=ell)).tolist()
-            blocks = _walk(ring, D, q * ell + cls, c1 + s * top)
-            for g, (lo, hi) in enumerate(zip([0] + ends, ends)):
-                if lo < hi:
-                    _fold_class(bits, g, blocks(slice(lo, hi)))
-        return bits.reshape(m, m)
+        out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
+        if not len(grp):  # a walk's set-up took 26-100 us, pairs or none
+            if lower is None:
+                out[:] = 0
+            elif top % 8 == 0:
+                out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
+            else:  # through bool, a bounded block of rows at a time
+                B = ell ** _block_digits(ell, D, 0)
+                for u0 in range(0, top, B):
+                    out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
+                        lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
+            return out.reshape(m, -1)
+        ar, c1 = np.divmod(grp, top)
+        cls, q = np.divmod(ar, top)
+        ends = np.cumsum(np.bincount(cls, minlength=ell)).tolist()
+        classes = [(g, hi - lo) for g, (lo, hi)
+                   in enumerate(zip([0] + ends, ends)) if lo < hi]
+        n = max(k for _, k in classes)
+        blocks = _walk(ring, D, q * ell + cls, c1 + s * top)
+        _fold(out, lower, ell ** _block_digits(ell, D, n), classes,
+              [blocks(slice(ends[g] - k, ends[g]), n) for g, k in classes])
+        return out.reshape(m, -1)
 
     return z_at, bitmap
 
 
-def _fold_class(bits: np.ndarray, g: int, blocks):
-    """Set in ``bits`` (axes: w's top digit t, its low code u, z) the hits
-    of the class g, whose rows at u ``blocks`` yields.  Class 0 is set in
-    t = 0 and copied to every t, so it must come first, into bits equal at
-    every t; another class is set in a scratch of each block's rows, or-ed
-    into each t rolled by g*t*ell^(D-1)."""
-    ell, top, m = bits.shape
-    flat = bits.reshape(-1)
-    offsets = None
-    for u0, Z in blocks:
-        rows = len(Z)
-        if offsets is None:  # row r of Z sets bitmap row u0 + r
-            # materialized: adding a broadcast column took 2.5x as long
-            offsets = np.broadcast_to(np.arange(0, rows * m, m)[:, None],
-                                      Z.shape).copy()
-            scratch = np.empty(rows * m if g else 0, dtype=bool)
-        if g == 0:
-            flat[u0 * m:(u0 + rows) * m][Z + offsets] = True
-            continue
-        scratch[:] = False
-        scratch[Z + offsets] = True
-        hit = scratch.reshape(rows, m)
-        for t in range(ell):
-            s = g * t % ell * top
-            dst = bits[t, u0:u0 + rows]
-            part = dst[:, s:]
-            part |= hit[:, :m - s]
-            if s:
-                part = dst[:, :s]
-                part |= hit[:, m - s:]
-    if g == 0:
-        bits[1:] = bits[0]
+def _fold(out: np.ndarray, lower, B: int, classes: list, walks: list):
+    """Write into ``out`` (axes: w's top digit t, its low code u, packed z)
+    the hits of ``classes``, a list of (g, its number of pairs) in order
+    of g, block by block of B rows u: the walks of the classes, zipped,
+    yield each block's ``(u0, Z)`` per class.  A block starts from the rows
+    of ``lower``, the packed depth-(D-1) lift, tiled over t and z's top
+    digit (or from no cell), and is finished in a bool working block,
+    packed and written once: the lift and class 0 hit the same cells at
+    every t, so they are set once, and packed once when no other class
+    follows; another class is set in a scratch, or-ed into a copy for each
+    t rolled by g*t*ell^(D-1)."""
+    ell, top, _ = out.shape
+    m = ell * top
+    rolled = any(g for g, _ in classes)
+    work = np.empty((ell if rolled else 1, B, m), dtype=bool)
+    scratch = np.empty((B, m) if rolled else 0, dtype=bool)
+    # row r of Z sets working row r; the offsets are materialized, since
+    # adding a broadcast column took 2.5x as long
+    n = max(k for _, k in classes)
+    offsets = np.broadcast_to(np.arange(0, B * m, m)[:, None], (B, n)).copy()
+    flat = np.empty(B * n, dtype=np.int64)  # one scatter's index at a time
+    index = [(g, flat[:B * k].reshape(B, k), offsets[:, :k])
+             for g, k in classes]
+    for steps in zip(*walks):
+        u0 = steps[0][0]
+        base = work[0]
+        if lower is None:
+            base[:] = False
+        else:
+            base.reshape(B, ell, top)[:] = np.unpackbits(
+                lower[u0:u0 + B], axis=1, count=top).view(bool)[:, None, :]
+        hits = zip(index, steps)
+        if classes[0][0] == 0:
+            (_, idx, off), (_, Z) = next(hits)
+            base.reshape(-1)[np.add(Z, off, out=idx)] = True
+        work[1:] = base
+        for (g, idx, off), (_, Z) in hits:
+            scratch[:] = False
+            scratch.reshape(-1)[np.add(Z, off, out=idx)] = True
+            for t in range(ell):
+                sh = g * t % ell * top
+                part = work[t, :, sh:]
+                part |= scratch[:, :m - sh]
+                if sh:
+                    part = work[t, :, :sh]
+                    part |= scratch[:, m - sh:]
+        out[:, u0:u0 + B] = np.packbits(work, axis=-1)
+
+
+def _block_digits(ell: int, D: int, n: int) -> int:
+    """The J of :func:`_walk`'s blocks of B = ell^J rows for n pairs: the
+    largest (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES`` and
+    B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no
+    more bytes than a block of codes."""
+    J = 0
+    while (J < D - 1 and ell ** (J + 1) * max(8 * n, ell ** D)
+           <= 8 * WALK_BLOCK_ENTRIES):
+        J += 1
+    return J
 
 
 def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """The rows z_at(u) = a*u - c of :func:`residue_mul_sub` at the w codes
     u < ell^(D-1), in blocks.
 
-    Returns ``blocks(pairs)``, which visits every such u once for the
-    pairs in the slice ``pairs``, yielding one ``(u0, Z)`` per step: row r
-    of the 2-D ``Z`` is ``z_at(u0 + r)[pairs]``, and the next step may
-    overwrite ``Z``.  The addends a*t^i (code a*ell^i mod ell^D in either
-    ring) and the fq ell >= 3 addition table are built once, here.
+    Returns ``blocks(pairs, n=None)``, which visits every such u once for
+    the pairs in the slice ``pairs``, yielding one ``(u0, Z)`` per step:
+    row r of the 2-D ``Z`` is ``z_at(u0 + r)[pairs]``, and the next step
+    may overwrite ``Z``.  The addends a*t^i (code a*ell^i mod ell^D in
+    either ring) and the fq ell >= 3 addition table are built once, here.
+    Slices walked with one ``n`` step through the same u0, in the same
+    order, so their generators zip.
 
-    A block holds the B = ell^J rows of the J low digits of u, J the largest
-    (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES`` for the slice's n
-    pairs and B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so the fold's scratch
-    flags take no more bytes than the codes.  The first block (u0 = 0) is
-    filled by ell-ary doubling from the row -c: rows k*ell^j + r are rows
-    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
-    Each later step raises one digit i of u0, J <= i <= D - 2, and adds
-    a*t^i to the whole block:
+    A block holds the B = ell^J rows of the J low digits of u, J from
+    :func:`_block_digits` for n pairs (default: the slice's).  The first
+    block (u0 = 0) is filled by ell-ary doubling from the row -c: rows
+    k*ell^j + r are rows (k-1)*ell^j + r plus a*t^j, for j < J,
+    k = 1..ell-1 and r < ell^j.  Each later step raises one digit i of u0,
+    J <= i <= D - 2, and adds a*t^i to the whole block:
 
     * PADIC steps u0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
       at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
@@ -895,11 +942,8 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
 
         return step, lambda: z
 
-    def blocks(pairs: slice):
-        J, n = 0, len(z0[pairs])
-        while (J < D - 1 and ell ** (J + 1) * max(8 * n, m)
-               <= 8 * WALK_BLOCK_ENTRIES):
-            J += 1
+    def blocks(pairs: slice, n: int | None = None):
+        J = _block_digits(ell, D, len(z0[pairs]) if n is None else n)
         B = ell ** J
         step, block = steps(pairs, B)
         for j in range(J):

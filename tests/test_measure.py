@@ -51,7 +51,8 @@ from kakeya.ring import (add, cell_index, element_from_cell,
                          element_from_digits, mul, neg, one, sub, truncate,
                          vector, vector_from_cell, zero)
 
-from conftest import ALL_RINGS, F2, F3, F5, LARGE_RINGS, Z2, Z3, Z5, Z7
+from conftest import (ALL_RINGS, F2, F3, F5, F7, F11, LARGE_RINGS, Z2, Z3, Z5,
+                      Z7, Z11)
 
 SAW, DH = PhiVariant.SAWYER, PhiVariant.DH
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -59,6 +60,20 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def _no_table(*args, **kwargs):
     raise AssertionError("phi built before the arguments were checked")
+
+
+def _plane_family(ring):
+    """f(x, y, w) = (x w - y_0, y_1 w - x): one w and two z entries, with
+    no ``cells_eval``, so its hit-sets take the element route."""
+    def f_eval(x, y, w, depth):
+        return vector(sub(mul(x[0], w[0]), y[0]),
+                      sub(mul(y[1], w[0]), x[0]))
+
+    def unused(*args):
+        raise AssertionError("not needed to build a hit-set")
+    return FamilyDescriptor("plane", ring, p_dim=1, q_dim=2, d_dim=1,
+                            n_dim=3, eval=f_eval, dfdx=unused, dfdy=unused,
+                            dfdy_right_inverse=unused)
 
 
 def brute_force_cells(fam, variant, D):
@@ -635,15 +650,7 @@ class TestDecay:
         """One w and two z entries: the bits reshape to three (ell,
         ell^(D-1)) entry pairs, and the projection of each depth equals the
         build one depth up.  Element route (no cells_eval)."""
-        def f_eval(x, y, w, depth):
-            return vector(sub(mul(x[0], w[0]), y[0]),
-                          sub(mul(y[1], w[0]), x[0]))
-
-        def unused(*args):
-            raise AssertionError("not needed to build a hit-set")
-        fam = FamilyDescriptor("plane", ring, p_dim=1, q_dim=2, d_dim=1,
-                               n_dim=3, eval=f_eval, dfdx=unused, dfdy=unused,
-                               dfdy_right_inverse=unused)
+        fam = _plane_family(ring)
         sets = [build_set_cells(fam, SAW, D) for D in (1, 2, 3)]
         assert sets[0].total_cells == ring.ell ** 3
         for shallow, deep in zip(sets, sets[1:]):
@@ -936,3 +943,117 @@ class TestCellSet:
         empty = CellSet(depth=1, ell=2, w_dim=1, z_dim=1,
                         bits=np.zeros(4, dtype=bool))
         assert full.estimate() == 1 and empty.estimate() == 0
+
+
+def _or_reduced(cs):
+    """The projection of ``cs`` by the definition, on unpacked bools: the
+    flat bits reshape to (ell, ell^(D-1)) per entry, or-reduced over the
+    top digits."""
+    ell, k = cs.ell, cs.w_dim + cs.z_dim
+    split = cs.bits.reshape((ell, ell ** (cs.depth - 1)) * k)
+    return np.logical_or.reduce(split, axis=tuple(range(0, 2 * k, 2))).ravel()
+
+
+# Row widths ell^(z_dim D) that are not a multiple of 8: ell^D is odd for
+# ell >= 3, and 2 or 4 at ell = 2, D = 1, 2.
+PACKED_DEPTHS = [pytest.param(r, D, id=f"{r}-D{D}")
+                 for rings, depths in (((F2, Z2), (1, 2)), ((F3, Z3), (1, 2, 3)),
+                                       ((F5, Z5), (1, 2)), ((F7, Z7), (1, 2)),
+                                       ((F11, Z11), (1,)))
+                 for r in rings for D in depths]
+
+
+class TestPackedRows:
+    """Every hit-set is held as packed uint8 rows, eight cells per byte."""
+
+    @staticmethod
+    def _check_packed(cs):
+        """Layout, zero padding, count, ``contains``, ``__eq__`` and the
+        read-only ``bits`` of one cell set against its unpacked bits."""
+        n_w = cs.ell ** (cs.w_dim * cs.depth)
+        n_z = cs.ell ** (cs.z_dim * cs.depth)
+        assert cs.rows.shape == (n_w, -(-n_z // 8))
+        assert cs.rows.dtype == np.uint8 and not cs.rows.flags.writeable
+        assert not np.unpackbits(cs.rows, axis=1)[:, n_z:].any()
+        bits = cs.bits
+        assert bits.shape == (n_w * n_z,) and bits.dtype == bool
+        assert not bits.flags.writeable
+        assert cs.hit_count == np.count_nonzero(bits)
+        for w in range(n_w):
+            assert cs.contains(w, n_z - 1) == bits[w * n_z + n_z - 1]
+        same = CellSet(cs.depth, cs.ell, cs.w_dim, cs.z_dim, bits)
+        assert same == cs and np.array_equal(same.rows, cs.rows)
+        flipped = bits.copy()
+        flipped[-1] = not flipped[-1]
+        other = CellSet(cs.depth, cs.ell, cs.w_dim, cs.z_dim, flipped)
+        assert other != cs
+        assert abs(other.hit_count - cs.hit_count) == 1
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    @pytest.mark.parametrize("ring, D", PACKED_DEPTHS)
+    def test_builds_projections_and_cross_sections(self, ring, D, make,
+                                                   variant):
+        """Builds, their projections (against a bool or-reduce of the
+        bits) and the cross-section at the last w cell."""
+        fam = make(ring)
+        cs = build_set_cells(fam, variant, D)
+        self._check_packed(cs)
+        if D > 1:
+            low = measure._project(cs)
+            self._check_packed(low)
+            assert np.array_equal(low.bits, _or_reduced(cs))
+            assert low == build_set_cells(fam, variant, D - 1)
+        w = vector(element_from_cell(ring, ring.ell ** D - 1, D, D))
+        section = cross_section_cells(fam, variant, w, D)
+        self._check_packed(section)
+        m = ring.ell ** D
+        assert np.array_equal(section.bits, cs.bits[(m - 1) * m:])
+
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for r, depths in ((F2, (2, 3)), (Z2, (2, 3)), (F3, (2,)), (Z3, (2,)),
+                          (F5, (1,)))
+        for D in depths])
+    def test_element_route_plane_family(self, ring, D):
+        """The element route packs its rows too: the plane family's builds
+        and projections, two z entries per row (ell^(2D) flags)."""
+        cs = build_set_cells(_plane_family(ring), SAW, D)
+        self._check_packed(cs)
+        if D > 1:
+            low = measure._project(cs)
+            self._check_packed(low)
+            assert np.array_equal(low.bits, _or_reduced(cs))
+
+    @pytest.mark.parametrize("ring, D", [(F2, 2), (F2, 5), (Z3, 3), (F5, 2)],
+                             ids=str)
+    def test_projection_chunks(self, ring, D, monkeypatch):
+        """Unpacked a few rows at a time, or one row at a time, the
+        projection is the same or-reduce."""
+        cs = build_set_cells(nikodym_line_family(ring), SAW, D)
+        want = _or_reduced(cs)
+        for flags in (1, 3 * ring.ell ** D):
+            monkeypatch.setattr(measure, "PROJECT_BLOCK_FLAGS", flags)
+            low = measure._project(cs)
+            self._check_packed(low)
+            assert np.array_equal(low.bits, want)
+
+    def test_rows_hold_one_bit_per_cell(self):
+        """fq:3 sawyer D 4 holds ell^D rows of ceil(ell^D / 8) bytes."""
+        cs = build_set_cells(kakeya_line_family(F3), SAW, 4)
+        assert cs.rows.nbytes == 81 * 11
+
+    def test_decay_table_allocates_no_unpacked_hit_set(self):
+        """The fq:2 sawyer table to D 12 peaks below 3/8 of ell^(2D) bytes
+        (6 MiB) of traced allocations, its phi table included: a bool
+        hit-set at D 12 alone would take 16 MiB."""
+        import tracemalloc
+        fam = kakeya_line_family(F2)
+        tracemalloc.start()
+        try:
+            decay_report(fam, SAW, 2, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 24 // 8

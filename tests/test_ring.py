@@ -578,13 +578,22 @@ class TestResidueLayer:
                     ring, D, a, c, cap, oracle, pairs) == {ring.ell ** J}
 
     @staticmethod
+    def _unpacked(rows, m):
+        """The (ell^D, ell^D) bool hits of the packed ``bitmap()`` rows,
+        after checking their shape, dtype and zero padding bits."""
+        assert rows.shape == (m, -(-m // 8)) and rows.dtype == np.uint8
+        flags = np.unpackbits(rows, axis=1)
+        assert not flags[:, m:].any()
+        return flags[:, :m].view(bool)
+
+    @staticmethod
     def _check_bitmap(ring, D, a, c):
-        """``bitmap()`` of residue_mul_sub equals a per-w scatter of
-        ``z_at`` and one of the Element oracle (:func:`_element_hits`),
-        over every w."""
+        """``bitmap()`` of residue_mul_sub, unpacked, equals a per-w
+        scatter of ``z_at`` and one of the Element oracle
+        (:func:`_element_hits`), over every w."""
         m = ring.ell ** D
         z_at, bitmap = residue_mul_sub(ring, D, a, c)
-        got = bitmap()
+        got = TestResidueLayer._unpacked(bitmap(), m)
         assert got.shape == (m, m) and got.dtype == bool
         want = np.zeros((m, m), dtype=bool)
         for w in range(m):
@@ -805,7 +814,8 @@ class TestResidueLayer:
         for u in range(top):
             low[u, z_low(u)] = True
         want = np.tile(low, (ell, ell))
-        assert np.array_equal(residue_mul_sub(ring, D, a, c)[1](), want)
+        assert np.array_equal(
+            self._unpacked(residue_mul_sub(ring, D, a, c)[1](), m), want)
 
 def _oracle(ring, op, a, b):
     """(depth, lowest degree, digits over [lowest, depth)) of a op b, where
