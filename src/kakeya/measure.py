@@ -557,7 +557,8 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     (:func:`_family_pairs`) and keeps one flag per depth-D direction cell,
     set when some x reaches it; each unreached direction is missing with
     every w cell, in (direction, w) order, so the ell^(p D) x ell^(d D)
-    cells charged bound that list.
+    cells charged bound that list.  The pairs are read once and no w is
+    visited, so they are charged once, not once per w cell.
     Every direction cell is x mod ell^D for some enumerated x, so
     ``missing`` is empty unless the enumeration itself is broken (the tests
     simulate that by patching :func:`_family_pairs`).  The failures the audit does
@@ -571,7 +572,7 @@ def direction_coverage(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int,
     n_dirs = ell ** (fam.p_dim * D)
     n_w = ell ** (fam.d_dim * D)
     X = _check_build(fam, phi_variant, D, None, budget_cells, budget_pairs,
-                     cells=n_dirs * n_w)
+                     cells=n_dirs * n_w, n_w=1)
     dirs, _ = _family_pairs(fam, phi_variant, D, X)
     reached = np.zeros(n_dirs, dtype=bool)
     reached[dirs] = True

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -726,13 +727,14 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       the output where a row of ell^(D-1) cells fills whole bytes
       (ell = 2, D >= 4), and block by block otherwise.
     * Fold.  The other pairs of class g (a = g mod ell) hit in row w their
-      cells of row u moved by g*t*ell^(D-1) mod ell^D.  One :func:`_walk`,
-      set up once, gives each class its own block generator over the rows
-      u, all of the largest class's block size; :func:`_fold` zips them,
-      so each is stepped and scattered ell^(D-1) times, not ell^D, and
-      each block of rows u is finished for every t in a small bool
-      working block, then packed and written once.  No ell^(2D) bool
-      array is allocated.
+      cells of row u moved by g*t*ell^(D-1) mod ell^D.  They are laid out
+      as one row of pairs per class, each padded to the largest class's
+      length by repeating its own pairs (a repeat sets no new cell), and
+      one :func:`_walk` steps all the rows together over the rows u, so
+      each pair is stepped and scattered ell^(D-1) times, not ell^D.
+      :func:`_fold` finishes each block of rows u for every t in a small
+      bool working block, then packs and writes it once.  No ell^(2D)
+      bool array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
 
@@ -775,59 +777,56 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
                     out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
                         lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
             return out.reshape(m, -1)
-        ar, c1 = np.divmod(grp, top)
-        cls, q = np.divmod(ar, top)
-        ends = np.cumsum(np.bincount(cls, minlength=ell)).tolist()
-        classes = [(g, hi - lo) for g, (lo, hi)
-                   in enumerate(zip([0] + ends, ends)) if lo < hi]
-        n = max(k for _, k in classes)
-        blocks = _walk(ring, D, q * ell + cls, c1 + s * top)
-        _fold(out, lower, ell ** _block_digits(ell, D, n), classes,
-              [blocks(slice(ends[g] - k, ends[g]), n) for g, k in classes])
+        counts = np.bincount(grp // top ** 2, minlength=ell)  # per class
+        classes = np.flatnonzero(counts)
+        k = counts[classes, None]
+        # row p takes class p's run of pairs, repeated up to the largest
+        # class's length: a repeated pair sets no new cell
+        pick = np.cumsum(counts)[classes, None] - k + np.arange(k.max()) % k
+        ar, c1 = np.divmod(grp[pick], top)
+        _fold(out, lower, classes.tolist(), _walk(
+            ring, D, ar % top * ell + ar // top, c1 + s[pick] * top))
         return out.reshape(m, -1)
 
     return z_at, bitmap
 
 
-def _fold(out: np.ndarray, lower, B: int, classes: list, walks: list):
+def _fold(out: np.ndarray, lower, classes: list, walk):
     """Write into ``out`` (axes: w's top digit t, its low code u, packed z)
-    the hits of ``classes``, a list of (g, its number of pairs) in order
-    of g, block by block of B rows u: the walks of the classes, zipped,
-    yield each block's ``(u0, Z)`` per class.  A block starts from the rows
-    of ``lower``, the packed depth-(D-1) lift, tiled over t and z's top
-    digit (or from no cell), and is finished in a bool working block,
-    packed and written once: the lift and class 0 hit the same cells at
-    every t, so they are set once, and packed once when no other class
+    the hits of the class rows that ``walk`` (:func:`_walk`) yields, one
+    ``(u0, Z)`` per block of B rows u, where ``Z[p]`` holds the rows of
+    class ``classes[p]`` (the classes in increasing order).  A block starts
+    from the rows of ``lower``, the packed depth-(D-1) lift, tiled over t
+    and z's top digit (or from no cell), and is finished in a bool working
+    block, packed and written once: the lift and class 0 hit the same cells
+    at every t, so they are set once, and packed once when no other class
     follows; another class is set in a scratch, or-ed into a copy for each
     t rolled by g*t*ell^(D-1)."""
     ell, top, _ = out.shape
     m = ell * top
-    rolled = any(g for g, _ in classes)
+    first = next(walk)
+    B, n = first[1].shape[1:]
+    rolled = classes[-1] > 0
     work = np.empty((ell if rolled else 1, B, m), dtype=bool)
     scratch = np.empty((B, m) if rolled else 0, dtype=bool)
-    # row r of Z sets working row r; the offsets are materialized, since
-    # adding a broadcast column took 2.5x as long
-    n = max(k for _, k in classes)
+    # row r of a class's block sets working row r; the offsets are
+    # materialized, since adding a broadcast column took 2.5x as long
     offsets = np.broadcast_to(np.arange(0, B * m, m)[:, None], (B, n)).copy()
-    flat = np.empty(B * n, dtype=np.int64)  # one scatter's index at a time
-    index = [(g, flat[:B * k].reshape(B, k), offsets[:, :k])
-             for g, k in classes]
-    for steps in zip(*walks):
-        u0 = steps[0][0]
+    idx = np.empty((B, n), dtype=np.int64)  # one scatter's index at a time
+    for u0, Z in itertools.chain([first], walk):
         base = work[0]
         if lower is None:
             base[:] = False
         else:
             base.reshape(B, ell, top)[:] = np.unpackbits(
                 lower[u0:u0 + B], axis=1, count=top).view(bool)[:, None, :]
-        hits = zip(index, steps)
-        if classes[0][0] == 0:
-            (_, idx, off), (_, Z) = next(hits)
-            base.reshape(-1)[np.add(Z, off, out=idx)] = True
+        rows = zip(classes, Z)
+        if classes[0] == 0:
+            base.reshape(-1)[np.add(next(rows)[1], offsets, out=idx)] = True
         work[1:] = base
-        for (g, idx, off), (_, Z) in hits:
+        for g, z in rows:
             scratch[:] = False
-            scratch.reshape(-1)[np.add(Z, off, out=idx)] = True
+            scratch.reshape(-1)[np.add(z, offsets, out=idx)] = True
             for t in range(ell):
                 sh = g * t % ell * top
                 part = work[t, :, sh:]
@@ -839,10 +838,10 @@ def _fold(out: np.ndarray, lower, B: int, classes: list, walks: list):
 
 
 def _block_digits(ell: int, D: int, n: int) -> int:
-    """The J of :func:`_walk`'s blocks of B = ell^J rows for n pairs: the
-    largest (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES`` and
-    B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no
-    more bytes than a block of codes."""
+    """The J of :func:`_walk`'s blocks of B = ell^J rows for rows of n
+    pairs: the largest (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES``
+    and B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no
+    more bytes than a block of one row's codes."""
     J = 0
     while (J < D - 1 and ell ** (J + 1) * max(8 * n, ell ** D)
            <= 8 * WALK_BLOCK_ENTRIES):
@@ -852,22 +851,23 @@ def _block_digits(ell: int, D: int, n: int) -> int:
 
 def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     """The rows z_at(u) = a*u - c of :func:`residue_mul_sub` at the w codes
-    u < ell^(D-1), in blocks.
+    u < ell^(D-1), in blocks, for every row of pairs at once.
 
-    Returns ``blocks(pairs, n=None)``, which visits every such u once for
-    the pairs in the slice ``pairs``, yielding one ``(u0, Z)`` per step:
-    row r of the 2-D ``Z`` is ``z_at(u0 + r)[pairs]``, and the next step
-    may overwrite ``Z``.  The addends a*t^i (code a*ell^i mod ell^D in
-    either ring) and the fq ell >= 3 addition table are built once, here.
-    Slices walked with one ``n`` step through the same u0, in the same
-    order, so their generators zip.
+    ``a`` and ``c`` have shape (C, n), C rows of n pairs (the classes of
+    ``bitmap``), or (n,) for one row.  The generator visits every such u
+    once, yielding one ``(u0, Z)`` per step: ``Z`` has shape (C, B, n), or
+    (B, n), and row r of the contiguous block ``Z[p]`` is ``z_at(u0 + r)``
+    of row p's pairs; the next step may overwrite ``Z``.  The addends
+    a*t^i (code a*ell^i mod ell^D in either ring), the fq ell >= 3 addition
+    table and the block buffers are built once, for all rows, and each step
+    is one set of numpy calls over all of them.
 
     A block holds the B = ell^J rows of the J low digits of u, J from
-    :func:`_block_digits` for n pairs (default: the slice's).  The first
-    block (u0 = 0) is filled by ell-ary doubling from the row -c: rows
-    k*ell^j + r are rows (k-1)*ell^j + r plus a*t^j, for j < J,
-    k = 1..ell-1 and r < ell^j.  Each later step raises one digit i of u0,
-    J <= i <= D - 2, and adds a*t^i to the whole block:
+    :func:`_block_digits` for n pairs.  The first block (u0 = 0) is filled
+    by ell-ary doubling from the row -c: rows k*ell^j + r are rows
+    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
+    Each later step raises one digit i of u0, J <= i <= D - 2, and adds
+    a*t^i to the whole block:
 
     * PADIC steps u0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
       at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
@@ -882,9 +882,15 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       it).  A step with i >= h changes only the high half.
     """
     ell, m = ring.ell, ring.ell ** D
-    z0 = residue_neg(ring, D, c)
-    adds = [a * ell ** i % m for i in range(D - 1)]
-    if ring.mode is RingMode.POWER_SERIES and ell > 2:
+    J = _block_digits(ell, D, a.shape[-1])
+    B = ell ** J
+    # the addends and -c broadcast over a block's rows; a step's src and
+    # dst index the rows of every pair row at once
+    adds = [(a * ell ** i % m)[..., None, :] for i in range(D - 1)]
+    z0 = residue_neg(ring, D, c)[..., None, :]
+    z = np.empty(a.shape[:-1] + (B, a.shape[-1]), dtype=np.int64)
+    split = ring.mode is RingMode.POWER_SERIES and ell > 2
+    if split:
         h = (D + 1) // 2
         half = ell ** h
         u = np.arange(half, dtype=np.int64)
@@ -896,38 +902,28 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         # ``scaled``, making the row hi + lo.
         lo_adds = [x % half * half for x in adds[:h]]
         adds = [x // half for x in adds]  # the high halves, for the walk
+        lo, hi = np.empty_like(z), np.empty_like(z)
+        lo[..., :1, :] = z0 % half
+        hi[..., :1, :] = z0 - lo[..., :1, :]
+        # z holds a step's take indices, in range, so mode="clip" takes
+        # unbuffered, and between steps the block hi + lo
 
-    def steps(pairs: slice, B: int):
-        """``(step, block)`` over B rows of the slice's pairs, row 0 set to
-        their -c: ``step(src, dst, i)`` sets the rows ``dst`` (a slice) to
-        the rows ``src`` plus a*t^i, ``block()`` returns the codes."""
-        add = [x[pairs] for x in adds]
-        z = np.empty((B, len(z0[pairs])), dtype=np.int64)
-        if ring.mode is RingMode.POWER_SERIES and ell > 2:
-            lo_add = [x[pairs] for x in lo_adds]
-            lo, hi = np.empty_like(z), np.empty_like(z)
-            lo[0] = z0[pairs] % half
-            hi[0] = z0[pairs] - lo[0]
-            idx = np.empty_like(z)  # in range, so mode="clip" takes unbuffered
-
-            def step(src, dst, i):
-                if i < h:
-                    np.add(lo_add[i], lo[src], out=idx[dst])
-                    table.take(idx[dst], out=lo[dst], mode="clip")
-                elif src != dst:
-                    lo[dst] = lo[src]
-                np.add(add[i], hi[src], out=idx[dst])
-                scaled.take(idx[dst], out=hi[dst], mode="clip")
-
-            return step, lambda: np.add(hi, lo, out=z)
-
-        z[0] = z0[pairs]
+        def step(src, dst, i):
+            if i < h:
+                np.add(lo_adds[i], lo[src], out=z[dst])
+                table.take(z[dst], out=lo[dst], mode="clip")
+            elif src != dst:
+                lo[dst] = lo[src]
+            np.add(adds[i], hi[src], out=z[dst])
+            scaled.take(z[dst], out=hi[dst], mode="clip")
+    else:
+        z[..., :1, :] = z0
         if ring.mode is RingMode.POWER_SERIES:
             def step(src, dst, i):
-                np.bitwise_xor(z[src], add[i], out=z[dst])
+                np.bitwise_xor(z[src], adds[i], out=z[dst])
         elif ell == 2:  # a mask is 3-5x cheaper than %
             def step(src, dst, i):
-                np.add(z[src], add[i], out=z[dst])
+                np.add(z[src], adds[i], out=z[dst])
                 np.bitwise_and(z[dst], m - 1, out=z[dst])
         else:
             # z + a*ell^i < 2m; z - m wraps above z as uint64 exactly when
@@ -936,35 +932,31 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             zu, tu = z.view(np.uint64), t.view(np.uint64)
 
             def step(src, dst, i):
-                np.add(z[src], add[i], out=z[dst])
+                np.add(z[src], adds[i], out=z[dst])
                 np.subtract(z[dst], m, out=t[dst])
                 np.minimum(zu[dst], tu[dst], out=zu[dst])
 
-        return step, lambda: z
+    def block():
+        return np.add(hi, lo, out=z) if split else z
 
-    def blocks(pairs: slice, n: int | None = None):
-        J = _block_digits(ell, D, len(z0[pairs]) if n is None else n)
-        B = ell ** J
-        step, block = steps(pairs, B)
-        for j in range(J):
-            s = ell ** j
-            for k in range(1, ell):
-                step(slice((k - 1) * s, k * s), slice(k * s, (k + 1) * s), j)
-        yield 0, block()
-        u0, ud, every = 0, [0] * D, slice(None)
-        for k in range(1, m // ell // B):
-            if ring.mode is RingMode.PADIC:
-                i, u0 = J, u0 + B
-            else:
-                i = D - 2
-                while k % ell ** (D - 1 - i) == 0:
-                    i -= 1
-                ud[i] = (ud[i] + 1) % ell
-                u0 += ell ** i if ud[i] else -(ell - 1) * ell ** i
-            step(every, every, i)
-            yield u0, block()
-
-    return blocks
+    for j in range(J):
+        s = ell ** j
+        for k in range(1, ell):
+            step(np.s_[..., (k - 1) * s:k * s, :],
+                 np.s_[..., k * s:(k + 1) * s, :], j)
+    yield 0, block()
+    u0, ud = 0, [0] * D
+    for k in range(1, m // ell // B):
+        if ring.mode is RingMode.PADIC:
+            i, u0 = J, u0 + B
+        else:
+            i = D - 2
+            while k % ell ** (D - 1 - i) == 0:
+                i -= 1
+            ud[i] = (ud[i] + 1) % ell
+            u0 += ell ** i if ud[i] else -(ell - 1) * ell ** i
+        step(..., ..., i)
+        yield u0, block()
 
 
 def residue_shift_down(ring: RingSpec, k: int, a):

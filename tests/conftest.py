@@ -49,3 +49,17 @@ def elements(draw, ring: RingSpec, min_low: int = 0, max_low: int = 0,
     ds = draw(st.lists(st.integers(0, ring.ell - 1), min_size=0, max_size=n))
     return element_from_digits(ds, low, ring, depth)
 
+
+def check_class_rows(ell: int, a, c, folded):
+    """The arrays ``a``, ``c`` that ``bitmap()`` walks in its fold, of
+    shape (C, n): one row per class a mod ell of the distinct ``folded``
+    pairs, in increasing class order, n the largest class's size.  Each
+    row's distinct pairs are its class's folded pairs, so the padding of a
+    smaller class repeats only its own pairs."""
+    by_class = {}
+    for p in folded:
+        by_class.setdefault(p[0] % ell, set()).add(p)
+    assert a.shape == c.shape == (len(by_class),
+                                  max(map(len, by_class.values())))
+    for g, ra, rc in zip(sorted(by_class), a.tolist(), c.tolist()):
+        assert set(zip(ra, rc)) == by_class[g]

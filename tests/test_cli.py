@@ -270,6 +270,15 @@ class TestCoverage:
                            "--family", "nikodym", "--phi", "dh")
         assert code == 0 and "missing:0" in out
 
+    def test_pairs_charged_once_not_per_w(self, capsys):
+        """The audit reads its 2^15 dh pairs once and visits no w, so the
+        default pair budget (2^28) admits D 14, whose 2^14 w cells would
+        have charged 2^29; its 2^28 cells fit the cell budget."""
+        code, out, err = run(capsys, "coverage", "--phi", "dh", "--ell", "2",
+                             "--depth", "14")
+        assert code == 0, err
+        assert "missing:0" in out
+
     def test_depth_below_one_exit1(self, capsys):
         """Both phi variants refuse a depth below 1 with one error line and
         no traceback."""

@@ -52,7 +52,7 @@ from kakeya.ring import (add, cell_index, element_from_cell,
                          vector, vector_from_cell, zero)
 
 from conftest import (ALL_RINGS, F2, F3, F5, F7, F11, LARGE_RINGS, Z2, Z3, Z5,
-                      Z7, Z11)
+                      Z7, Z11, check_class_rows)
 
 SAW, DH = PhiVariant.SAWYER, PhiVariant.DH
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -280,7 +280,7 @@ class TestBuildSetCells:
         def spy(name, depth, real):
             def call(rg, d, a, c):
                 if d == depth:
-                    seen[name].extend(zip(a.tolist(), c.tolist()))
+                    seen[name].append((a, c))
                 return real(rg, d, a, c)
             return call
         monkeypatch.setattr(ring_module, "residue_mul_sub",
@@ -301,11 +301,12 @@ class TestBuildSetCells:
             for a, c in pairs:
                 groups.setdefault((a, c % top), set()).add(c // top)
             full = {g for g, s in groups.items() if len(s) == ell}
-            assert sorted(seen["lift"]) == sorted((a % top, c1)
-                                                  for a, c1 in full)
-            assert sorted(seen["fold"]) == sorted(
-                p for p in pairs if (p[0], p[1] % top) not in full)
-            assert ell * len(seen["lift"]) + len(seen["fold"]) == len(pairs)
+            lift = [p for a, c in seen["lift"]
+                    for p in zip(a.tolist(), c.tolist())]
+            assert sorted(lift) == sorted((a % top, c1) for a, c1 in full)
+            folded = {p for p in pairs if (p[0], p[1] % top) not in full}
+            (fa, fc), = seen["fold"]
+            check_class_rows(ell, fa, fc, folded)
             assert got == build_set_cells(generic, SAW, D, x_cells=cells)
             lifted += len(full)
         assert (lifted > 0) == (make is nikodym_line_family)

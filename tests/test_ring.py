@@ -55,8 +55,8 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import (ALL_RINGS, F2, F3, LARGE_RINGS, Z2, Z3, Z5, Z7,
-                      elements)
+from conftest import (ALL_RINGS, F2, F3, F5, LARGE_RINGS, Z2, Z3, Z5, Z7,
+                      check_class_rows, elements)
 
 
 class TestConstruction:
@@ -533,28 +533,36 @@ class TestResidueLayer:
         return [code[p] for p in pairs]
 
     @staticmethod
-    def _walk_blocks(ring, D, a, c, cap, oracle, pairs=slice(None)):
-        """Walk a*u - c over the low w codes u < ell^(D-1), for the slice
-        ``pairs`` of the pairs, with blocks capped at ``cap`` entries: every
-        u is visited exactly once, each block covers the contiguous run
-        u0 .. u0 + len(Z) - 1, and each row is ``z_at`` at its u and the
-        Element oracle's (memoized per u in ``oracle``), restricted to
-        ``pairs``.  The top digit of w is the fold's, checked by
-        ``_check_bitmap``.  Returns the block lengths."""
+    def _walk_blocks(ring, D, a, c, cap, oracle, rows=None):
+        """Walk a*u - c over the low w codes u < ell^(D-1) for the pairs
+        ``rows`` of ``a``, ``c`` (an index array of shape (n,), or (C, n)
+        for C rows walked at once; default: every pair, as one row), with
+        blocks capped at ``cap`` entries: every u is visited exactly once,
+        each block covers the contiguous run u0 .. u0 + B - 1, each row's
+        block ``Z[p]`` is contiguous, and row r of it is ``z_at`` at
+        u0 + r and the Element oracle's (memoized per u in ``oracle``),
+        restricted to row p's pairs.  The top digit of w is the fold's,
+        checked by ``_check_bitmap``.  Returns the block lengths B."""
+        if rows is None:
+            rows = np.arange(len(a))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
             z_at, _ = residue_mul_sub(ring, D, a, c)
             seen, lengths = [], set()
-            for u0, Z in ring_module._walk(ring, D, a, c)(pairs):
+            for u0, Z in ring_module._walk(ring, D, a[rows], c[rows]):
                 assert isinstance(u0, int)
-                assert Z.ndim == 2 and Z.shape[1] == len(a[pairs])
-                lengths.add(len(Z))
-                for u, z in enumerate(Z, start=u0):
-                    assert np.array_equal(z, z_at(u)[pairs])
+                assert Z.ndim == rows.ndim + 1
+                assert Z.shape[:-2] + Z.shape[-1:] == rows.shape
+                lengths.add(Z.shape[-2])
+                for p in np.ndindex(rows.shape[:-1]):
+                    assert Z[p].flags.c_contiguous
+                for r in range(Z.shape[-2]):
+                    u, z = u0 + r, Z[..., r, :]
+                    assert np.array_equal(z, z_at(u)[rows])
                     if u not in oracle:
-                        oracle[u] = TestResidueLayer._oracle_row(ring, D, a,
-                                                                 c, u)
-                    assert z.tolist() == oracle[u][pairs]
+                        oracle[u] = np.asarray(TestResidueLayer._oracle_row(
+                            ring, D, a, c, u), dtype=np.int64)
+                    assert np.array_equal(z, oracle[u][rows])
                     seen.append(u)
         assert sorted(seen) == list(range(ring.ell ** (D - 1)))
         return lengths
@@ -563,19 +571,24 @@ class TestResidueLayer:
     def _check_walk(ring, D, a, c):
         """The walk under every block size a cap can give: ell^J rows for
         each J < D, and one-row blocks when even one row is over the cap;
-        over all pairs and over an inner slice of them, as ``bitmap`` walks
-        each class of a mod ell.  A block of ell^J rows needs the cap to
-        hold ell^J * max(8n, ell^D) / 8 entries for n pairs.  Only blocks
+        over all pairs as one row, and over three rows of n pairs walked at
+        once, as ``bitmap`` walks its classes: an inner run of the pairs,
+        two pairs repeated and one pair repeated, as a small class is
+        padded.  A block of ell^J rows needs the cap to hold
+        ell^J * max(8n, ell^D) / 8 entries for n pairs a row.  Only blocks
         of J < D - 1 rows take the high-digit steps."""
         assert len(a) > 5
         oracle = {}
-        for pairs in (slice(None), slice(3, len(a) - 2)):
-            per_row = max(8 * len(a[pairs]), ring.ell ** D)
+        n = len(a) - 5
+        for rows in (np.arange(len(a)),
+                     np.stack([np.arange(3, 3 + n), np.arange(n) % 2,
+                               np.full(n, len(a) - 1)])):
+            per_row = max(8 * rows.shape[-1], ring.ell ** D)
             for J in range(D):
                 cap = -(-ring.ell ** J * per_row // 8) if J else \
                     -(-per_row // 8) - 1
                 assert TestResidueLayer._walk_blocks(
-                    ring, D, a, c, cap, oracle, pairs) == {ring.ell ** J}
+                    ring, D, a, c, cap, oracle, rows) == {ring.ell ** J}
 
     @staticmethod
     def _unpacked(rows, m):
@@ -662,31 +675,40 @@ class TestResidueLayer:
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_empty_pairs(self, ring):
-        """No pairs: one block of every low w, each row empty, and an
-        empty bitmap."""
+        """No pairs: one block of every low w, each row empty, for one row
+        and for two, and an empty bitmap."""
         empty = np.zeros(0, dtype=np.int64)
         z_at, bitmap = residue_mul_sub(ring, 3, empty, empty)
         assert z_at(5).shape == (0,)
-        assert self._walk_blocks(ring, 3, empty, empty, WALK_BLOCK_ENTRIES,
-                                 {}) == {ring.ell ** 2}
+        for rows in (empty, np.zeros((2, 0), dtype=np.int64)):
+            assert self._walk_blocks(ring, 3, empty, empty,
+                                     WALK_BLOCK_ENTRIES, {},
+                                     rows) == {ring.ell ** 2}
         assert not bitmap().any()
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_mul_sub_block_sizes_at_the_cap(self, ring):
         """Under the module cap: a short pair array fits every low w of
         depth 2 in one block, one longer than the cap gets one-row blocks.
-        The long array repeats 22 pairs, so the oracle stays cheap."""
+        The block size follows the length of a row, not the number of
+        rows: 800 rows of the short array, over the cap together, still
+        take one block, and two rows of the long one take one-row blocks.
+        The long rows repeat 22 pairs, so the oracle stays cheap."""
         D = 2
         m = ring.ell ** D
         rnd = random.Random(ring.ell)
         a = np.asarray([rnd.randrange(m) for _ in range(20)] + [0, m - 1],
                        dtype=np.int64)
         c = np.asarray([rnd.randrange(m) for _ in a], dtype=np.int64)
-        assert self._walk_blocks(ring, D, a, c, WALK_BLOCK_ENTRIES,
-                                 {}) == {ring.ell}
-        n = WALK_BLOCK_ENTRIES + 1
-        assert self._walk_blocks(ring, D, np.resize(a, n), np.resize(c, n),
-                                 WALK_BLOCK_ENTRIES, {}) == {1}
+        short = np.arange(len(a))
+        assert 800 * len(short) > WALK_BLOCK_ENTRIES
+        for rows in (short, np.stack([np.roll(short, p) for p in range(800)])):
+            assert self._walk_blocks(ring, D, a, c, WALK_BLOCK_ENTRIES,
+                                     {}, rows) == {ring.ell}
+        long = np.resize(short, WALK_BLOCK_ENTRIES + 1)
+        for rows in (long, np.stack([long, long[::-1]])):
+            assert self._walk_blocks(ring, D, a, c, WALK_BLOCK_ENTRIES,
+                                     {}, rows) == {1}
 
     @staticmethod
     def _fold_codes(ring, D, kind, rnd):
@@ -728,6 +750,42 @@ class TestResidueLayer:
         a, c = (x, y) if order == "kakeya" else (y, x)
         self._check_bitmap(ring, D, a, c)
 
+    @pytest.mark.parametrize("big", ("class_0", "class_last"))
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for r, D in ((Z2, 4), (F2, 4), (Z3, 3), (F3, 3), (Z5, 2), (F5, 2))])
+    def test_bitmap_pads_unbalanced_classes(self, ring, D, big):
+        """One class of a mod ell holds a single pair and another 40: the
+        fold walks them as two rows of 40 pairs, the single pair repeated
+        (``check_class_rows``), and the bitmap equals a per-w scatter of
+        ``z_at`` and of the Element oracle.  c's top digit is never
+        ell - 1, so no group is full and every pair is folded."""
+        ell, m = ring.ell, ring.ell ** D
+        top = m // ell
+        rnd = random.Random(f"{ring}-{D}-{big}")
+        g_big, g_one = (0, ell - 1) if big == "class_0" else (ell - 1, 0)
+
+        def pair(g):
+            return (rnd.randrange(top) * ell + g,
+                    rnd.randrange(top) + rnd.randrange(ell - 1) * top)
+        many = set()
+        while len(many) < 40:
+            many.add(pair(g_big))
+        pairs = sorted(many | {pair(g_one)})
+        a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        c = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        walked, real = [], ring_module._walk
+
+        def spy(rg, depth, a, c):
+            walked.append((a, c))
+            return real(rg, depth, a, c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring_module, "_walk", spy)
+            self._check_bitmap(ring, D, a, c)
+        (wa, wc), = walked
+        assert wa.shape == (2, 40)
+        check_class_rows(ell, wa, wc, pairs)
+
     @staticmethod
     def _lift_pairs(ring, D, rnd):
         """(a, c) pairs of up to four distinct groups (a, c mod ell^(D-1)):
@@ -759,7 +817,7 @@ class TestResidueLayer:
         and by c, as nikodym does): the bitmap against a per-w scatter of
         ``z_at`` and of the Element oracle.  The full groups, and only they,
         go one depth down, projected once each; every other distinct pair
-        is folded."""
+        is folded, in the walk row of its class a mod ell."""
         ell, m = ring.ell, ring.ell ** D
         top = m // ell
         pairs = self._lift_pairs(ring, D, random.Random(f"{ring}-{D}"))
@@ -779,8 +837,7 @@ class TestResidueLayer:
 
             def spy(name, real):
                 def call(rg, depth, a, c):
-                    seen.setdefault((name, depth), []).extend(
-                        zip(a.tolist(), c.tolist()))
+                    seen.setdefault((name, depth), []).append((a, c))
                     return real(rg, depth, a, c)
                 return call
             with pytest.MonkeyPatch.context() as mp:
@@ -789,8 +846,10 @@ class TestResidueLayer:
                 mp.setattr(ring_module, "_walk",
                            spy("fold", ring_module._walk))
                 self._check_bitmap(ring, D, a, c)
-            assert sorted(seen.get(("lift", D - 1), [])) == lifted
-            assert sorted(seen[("fold", D)]) == folded
+            assert sorted(p for la, lc in seen.get(("lift", D - 1), [])
+                          for p in zip(la.tolist(), lc.tolist())) == lifted
+            (fa, fc), = seen[("fold", D)]
+            check_class_rows(ell, fa, fc, folded)
 
     @pytest.mark.parametrize("ring, D", [
         pytest.param(r, D, id=f"{r}-D{D}")
