@@ -30,12 +30,12 @@ from .phi import (
     alpha,
     input_partial,
     lambda_floor,
-    phi_eval,
     phi_input_depth,
-    phi_partial,
     projection,
-    series_term,
+    series_sum,
+    series_terms,
     summand_valuation_floor,
+    tail_cutoff,
 )
 from .ring import (
     INF,
@@ -48,6 +48,7 @@ from .ring import (
     mul,
     sub,
     truncate,
+    vector,
 )
 
 
@@ -159,12 +160,16 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
         raise InsufficientDepth(need, x.depth, f"decomposition input (N={N})")
 
     cfg = PhiConfig(fam.ring, p_dim=fam.p_dim, q_dim=fam.q_dim)
-    phi = phi_eval(x, cfg, D)
-    phi_n = phi_partial(x, cfg, N)
+    # each series term once: phi (phi_eval's sum to the cutoff K), phi^(N)
+    # (phi_partial's) and slice N are read from one list
+    K = tail_cutoff(D, fam.ring.ell)
+    terms = series_terms(x, cfg, max(K, N) + 1)
+    phi = series_sum(terms[:K + 1], cfg, D)
+    phi_n = series_sum(terms[:N], cfg, x.depth)
     x_n = input_partial(x, N)
     x_n1 = input_partial(x, N + 1)
     p_n = projection(x, N)
-    slice_n = series_term(x, cfg, N)
+    slice_n = terms[N]
     phi_n1 = phi_n + slice_n  # the series' own step to phi^(N+1)
 
     dx = fam.dfdx(x, phi, w, D)
@@ -182,7 +187,7 @@ def term_decomposition(fam: FamilyDescriptor, x: ElementVector,
     term_v = mat_vec(dy, slice_n) + mat_vec(dx, p_n)
 
     def cut(v: ElementVector) -> ElementVector:
-        return ElementVector(tuple(truncate(e, D) for e in v))
+        return vector(*[truncate(e, D) for e in v.entries])
 
     return TermDecomposition(
         cut(term_i), cut(term_ii), cut(term_iii), cut(term_iv), cut(term_v),

@@ -27,6 +27,7 @@ counterexample.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -41,6 +42,7 @@ from .ring import (
     RingSpec,
     _canonical,
     _element,
+    add,
     cell_index,
     element_from_digits,
     mat_vec,
@@ -48,6 +50,7 @@ from .ring import (
     residue_add,
     residue_mul,
     truncate,
+    vector,
     vector_cell_index,
     zero,
 )
@@ -104,7 +107,7 @@ def summand_valuation_floor(k: int, ell: int) -> int:
 
 def projection(x: ElementVector, j: int) -> ElementVector:
     """Componentwise digit slice of degrees [alpha(j), alpha(j+1))."""
-    return ElementVector(tuple(projection_element(e, j) for e in x))
+    return vector(*[projection_element(e, j) for e in x.entries])
 
 
 def projection_element(e: Element, j: int) -> Element:
@@ -164,8 +167,10 @@ class MatrixFn:
     """One member r_j of the enumeration: a q-by-p matrix of functions from
     depth-k_block cells of R^p into S_k_block.
 
-    The table is decoded lazily, one (entry, cell) slot at a time, so members
-    with astronomically large indices are still usable.  Decoding is a pure
+    The table is decoded lazily: nothing at construction, every slot's digit
+    at the first read (by :func:`_radix_digits`, divide and conquer), and
+    each S_k value, and each cell's matrix of them at a depth, as it is
+    first asked for.  Decoding is a pure
     mixed-radix read of ``inner_index``: entries in row-major order are the
     outermost radix, input cells by ascending cell index next, and the
     innermost digit indexes S_k in :func:`sk_elements` order (the first slot
@@ -179,16 +184,26 @@ class MatrixFn:
         self.n_cells = cfg.ring.ell ** (k_block * cfg.p_dim)
         self.n_slots = self.n_cells * cfg.p_dim * cfg.q_dim
         self._m = sk_size(k_block, cfg.ring.ell)
+        self._digits: list[int] | None = None
         self._values: dict[tuple[int, int, int], Element] = {}
+        self._matrices: dict[tuple[int, int], ElementMatrix] = {}
+
+    def _slot(self, row: int, col: int, cell: int) -> int:
+        p, q = self.cfg.p_dim, self.cfg.q_dim
+        if not (0 <= row < q and 0 <= col < p and 0 <= cell < self.n_cells):
+            raise BadIndex(f"slot ({row}, {col}, {cell}) outside a {q}x{p} "
+                           f"member on {self.n_cells} cells")
+        return (row * p + col) * self.n_cells + cell
 
     def slot_weight(self, row: int, col: int, cell: int) -> int:
         """Place value of one (entry, cell) slot in ``inner_index``."""
-        m, n_slots = self._m, self.n_slots
-        slot = (row * self.cfg.p_dim + col) * self.n_cells + cell
-        return m ** (n_slots - 1 - slot)
+        return self._m ** (self.n_slots - 1 - self._slot(row, col, cell))
 
     def value_index(self, row: int, col: int, cell: int) -> int:
-        return (self.inner_index // self.slot_weight(row, col, cell)) % self._m
+        if self._digits is None:
+            self._digits = _radix_digits(self.inner_index, self._m,
+                                         self.n_slots)
+        return self._digits[self._slot(row, col, cell)]
 
     def table_value(self, row: int, col: int, cell: int, W: int | None = None) -> Element:
         """S_k value assigned to one matrix entry on one input cell."""
@@ -202,9 +217,36 @@ class MatrixFn:
             return _element(e.ring, e.lowest_degree, e.sig, W)
         return e
 
+    def matrix(self, cell: int, W: int) -> ElementMatrix:
+        """The q-by-p values on one input cell at depth W, built once."""
+        M = self._matrices.get((cell, W))
+        if M is None:
+            p = self.cfg.p_dim
+            M = self._matrices[cell, W] = ElementMatrix(tuple([
+                tuple([self.table_value(row, col, cell, W) for col in range(p)])
+                for row in range(self.cfg.q_dim)]))
+        return M
+
     def __repr__(self):
         return (f"MatrixFn(k={self.k_block}, inner={self.inner_index}, "
                 f"dims={self.cfg.q_dim}x{self.cfg.p_dim})")
+
+
+def _radix_digits(n: int, m: int, count: int) -> list[int]:
+    """The ``count`` lowest base-m digits of n, most significant first.
+
+    Divide and conquer: one division by m^(count // 2) splits the digits
+    into two halves, each converted alike, so all of them cost about one
+    division of n, where a power and a division per digit cost ``count``
+    of them."""
+    if count <= 32:
+        ds = [0] * count
+        for i in range(count - 1, -1, -1):
+            n, ds[i] = divmod(n, m)
+        return ds
+    half = count // 2
+    hi, lo = divmod(n, m ** half)
+    return _radix_digits(hi, m, count - half) + _radix_digits(lo, m, half)
 
 
 def block_offset(k: int, cfg: PhiConfig) -> int:
@@ -213,7 +255,8 @@ def block_offset(k: int, cfg: PhiConfig) -> int:
                for i in range(1, k))
 
 
-_decode_cache: dict[tuple[PhiConfig, int], MatrixFn] = {}
+# keyed on (ell, mode, p, q, j), which hash faster than the PhiConfig
+_decode_cache: dict[tuple, MatrixFn] = {}
 
 
 def decode_matrix_fn(j: int, cfg: PhiConfig) -> MatrixFn:
@@ -221,7 +264,8 @@ def decode_matrix_fn(j: int, cfg: PhiConfig) -> MatrixFn:
     ...); every j >= 0 decodes."""
     if j < 0:
         raise BadIndex(f"enumeration index must be >= 0, got {j}")
-    cached = _decode_cache.get((cfg, j))
+    key = (cfg.ring.ell, cfg.ring.mode, cfg.p_dim, cfg.q_dim, j)
+    cached = _decode_cache.get(key)
     if cached is not None:
         return cached
     k = next(k for k in itertools.count(1) if j < block_offset(k + 1, cfg))
@@ -230,7 +274,7 @@ def decode_matrix_fn(j: int, cfg: PhiConfig) -> MatrixFn:
     assert k <= max(j, 1), "enumeration blocks are misordered"
     fn = MatrixFn(cfg, k, j - block_offset(k, cfg))
     if j < 4096:
-        _decode_cache[(cfg, j)] = fn
+        _decode_cache[key] = fn
     return fn
 
 
@@ -256,18 +300,17 @@ def matrix_fn_eval(r: MatrixFn, x: ElementVector) -> ElementMatrix:
     k = r.k_block
     if x.depth < k:
         raise InsufficientDepth(k, x.depth, "matrix_fn_eval input")
-    cell = vector_cell_index(x, k)
-    W = max(x.depth, k + 1)
-    rows = tuple(
-        tuple(r.table_value(row, col, cell, W) for col in range(cfg.p_dim))
-        for row in range(cfg.q_dim))
-    return ElementMatrix(rows)
+    return r.matrix(vector_cell_index(x, k), max(x.depth, k + 1))
 
 
 # ---------------------------------------------------------------------------
 # The series evaluator
 # ---------------------------------------------------------------------------
 
+# The depth rules are pure, and every evaluation, table and enumeration
+# asks for them, so each argument set is worked out once.
+
+@functools.cache
 def tail_cutoff(D_out: int, ell: int) -> int:
     """Largest k whose series term can still touch a digit below D_out."""
     if D_out < 1:
@@ -278,6 +321,7 @@ def tail_cutoff(D_out: int, ell: int) -> int:
     return k
 
 
+@functools.cache
 def required_phi_input_depth(D_out: int, ell: int) -> int:
     """Smallest input working depth for which phi_eval at D_out is exact.
 
@@ -287,6 +331,7 @@ def required_phi_input_depth(D_out: int, ell: int) -> int:
     return alpha(tail_cutoff(D_out, ell) + 1)
 
 
+@functools.cache
 def phi_input_depth(variant: PhiVariant, D_out: int, ell: int) -> int:
     """Input depth a variant needs for exact output at depth D_out >= 1."""
     if variant is PhiVariant.SAWYER:
@@ -309,7 +354,7 @@ def phi_eval(x: ElementVector, cfg: PhiConfig, D_out: int) -> ElementVector:
     need = alpha(K + 1)
     if x.depth < need:
         raise InsufficientDepth(need, x.depth, f"phi input for D_out={D_out}")
-    return _series(x, cfg, K + 1, D_out)
+    return series_sum(series_terms(x, cfg, K + 1), cfg, D_out)
 
 
 def phi_partial(x: ElementVector, cfg: PhiConfig, N: int) -> ElementVector:
@@ -318,18 +363,26 @@ def phi_partial(x: ElementVector, cfg: PhiConfig, N: int) -> ElementVector:
         raise ValueError(f"expected dim {cfg.p_dim}, got {x.dim}")
     if N > 0 and x.depth < alpha(N):
         raise InsufficientDepth(alpha(N), x.depth, f"phi_partial N={N}")
-    return _series(x, cfg, N, x.depth)
+    return series_sum(series_terms(x, cfg, N), cfg, x.depth)
 
 
-def _series(x: ElementVector, cfg: PhiConfig, n_terms: int,
-            W: int) -> ElementVector:
-    """sum_{k < n_terms} r_k(x) p_k(x) over x reduced to R, accumulated
-    from zero at depth W."""
-    xr = ElementVector(tuple(reduce_to_R(e) for e in x))
-    acc = ElementVector(tuple(zero(cfg.ring, W) for _ in range(cfg.q_dim)))
-    for k in range(n_terms):
-        acc = acc + series_term(xr, cfg, k)
-    return acc
+def series_terms(x: ElementVector, cfg: PhiConfig,
+                 n_terms: int) -> list[ElementVector]:
+    """The terms r_k(x) p_k(x), k < n_terms, of x reduced to R: one list
+    from which several sums (phi, a partial sum) and a slice are read."""
+    xr = vector(*[reduce_to_R(e) for e in x.entries])
+    return [series_term(xr, cfg, k) for k in range(n_terms)]
+
+
+def series_sum(terms: list[ElementVector], cfg: PhiConfig,
+               W: int) -> ElementVector:
+    """The sum of ``terms``, accumulated from zero at depth W entry by
+    entry, in order, with no vector per partial sum: a term's entries
+    share one depth, so the sums' entries do too."""
+    acc = [zero(cfg.ring, W) for _ in range(cfg.q_dim)]
+    for t in terms:
+        acc = list(map(add, acc, t.entries))
+    return vector(*acc)
 
 
 def series_term(x: ElementVector, cfg: PhiConfig, k: int) -> ElementVector:
@@ -340,7 +393,7 @@ def series_term(x: ElementVector, cfg: PhiConfig, k: int) -> ElementVector:
 
 def input_partial(x: ElementVector, N: int) -> ElementVector:
     """Sum of the first N digit slices of x: its depth-alpha(N) truncation."""
-    return ElementVector(tuple(truncate(e, alpha(N)) for e in x))
+    return vector(*[truncate(e, alpha(N)) for e in x.entries])
 
 
 def continuity_modulus(A: int, cfg: PhiConfig) -> int:

@@ -16,7 +16,9 @@ pessimistically, so a result never claims more digits than its inputs
 justify.  Norms are exact rationals; nothing in this module touches floating
 point.  Operations build their results through one private constructor,
 ``_element``, which sets the frozen slots directly and so skips the
-dataclass ``__init__``; ``_canonical`` reduces the fields before calling it.
+dataclass ``__init__``; ``_canonical`` reduces the fields before calling it
+(a product's fields need no reduction past its depth).  :func:`vector`
+sets a one-entry vector's slot the same way.
 
 The module also provides a vectorized "residue" layer (``residue_*``)
 operating on packed cell codes with numpy.  A cell code is the same packing
@@ -239,13 +241,13 @@ def _canonical(ring: RingSpec, lowest: int, sig: int, depth: int) -> Element:
         return _element(ring, 0, 0, depth)
     if ell == 2:
         sig &= (1 << (depth - lowest)) - 1
-    else:
-        sig %= ell ** (depth - lowest)
-    if not sig:
-        return _element(ring, 0, 0, depth)
-    if ell == 2:
+        if not sig:
+            return _element(ring, 0, 0, depth)
         low = (sig & -sig).bit_length() - 1
         return _element(ring, lowest + low, sig >> low, depth)
+    sig %= ell ** (depth - lowest)
+    if not sig:
+        return _element(ring, 0, 0, depth)
     while sig % ell == 0:
         sig //= ell
         lowest += 1
@@ -286,7 +288,7 @@ def from_int(n: int, ring: RingSpec, W: int) -> Element:
 
 
 def _check_same_ring(a: Element, b: Element):
-    if a.ring is not b.ring and a.ring != b.ring:
+    if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
 
 
@@ -302,7 +304,8 @@ def _signed_sum(a: Element, b: Element, sign: int) -> Element:
     """a + sign * b, sign = +1 or -1, exact below min of the operand depths:
     the significands aligned at the lower degree, summed once (the Element
     twin of :func:`_signed_add`)."""
-    _check_same_ring(a, b)
+    if a.ring is not b.ring:  # the factories share one spec per ring
+        _check_same_ring(a, b)
     ell = a.ring.ell
     sa, sb, m = a.sig, b.sig, a.lowest_degree
     if b.lowest_degree < m:
@@ -338,7 +341,8 @@ def mul(a: Element, b: Element) -> Element:
     For zero operands the unknown valuation is bounded below by the zero's
     own depth, which keeps the result depth an integer.
     """
-    _check_same_ring(a, b)
+    if a.ring is not b.ring:
+        _check_same_ring(a, b)
     eff_va = a.lowest_degree if a.sig else a.depth
     eff_vb = b.lowest_degree if b.sig else b.depth
     Wa, Wb = a.depth + eff_vb, b.depth + eff_va
@@ -346,9 +350,11 @@ def mul(a: Element, b: Element) -> Element:
     if not a.sig or not b.sig:
         return _element(a.ring, 0, 0, W)
     lowest = a.lowest_degree + b.lowest_degree
+    span = W - lowest  # >= 1: each operand is known past its valuation
     ell = a.ring.ell
     if a.ring.mode is RingMode.PADIC:
         s = a.sig * b.sig
+        s = s & (1 << span) - 1 if ell == 2 else s % ell ** span
     elif ell == 2:
         # carry-less product: one shifted copy of b per set bit of a
         s, x = 0, a.sig
@@ -356,17 +362,44 @@ def mul(a: Element, b: Element) -> Element:
             bit = x & -x
             s ^= b.sig * bit
             x ^= bit
+        s &= (1 << span) - 1
     else:
-        span = W - lowest
-        da = _unpack_sig(a.sig, ell)[:span]
-        db = _unpack_sig(b.sig, ell)[:span]
-        ds = [0] * span
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db[:span - i], i):
-                    ds[j] += x * y
-        s = _pack_sig(ds, ell)
-    return _canonical(a.ring, lowest, s, W)
+        s = _kronecker(a.sig, b.sig, span, ell)
+    # The operands' lowest digits are units, so their product's is one
+    # (ell is prime): s has no low zero digit and is canonical as it is.
+    return _element(a.ring, lowest, s, W)
+
+
+def _kronecker(sa: int, sb: int, span: int, ell: int) -> int:
+    """Carry-free product of two base-ell significands, to ``span`` digits,
+    by Kronecker substitution: each of the low ``span`` digits of each
+    operand goes into its own f-bit field, one integer product convolves
+    the fields, and each of its low ``span`` fields, reduced mod ell, is a
+    digit of the product.  A field sums at most ``span`` digit products,
+    each below ell^2, so f bits hold it and no field carries into the
+    next."""
+    f = ((ell - 1) ** 2 * span).bit_length()
+    prod = _spread(sa, ell, f, span) * _spread(sb, ell, f, span)
+    mask = (1 << f) - 1
+    ds = []
+    for _ in range(span):
+        if not prod:
+            break
+        ds.append(prod & mask)
+        prod >>= f
+    return _pack_sig(ds, ell)
+
+
+def _spread(sig: int, ell: int, f: int, n: int) -> int:
+    """The lowest n base-ell digits of ``sig``, digit i in bits f*i up."""
+    out, shift = 0, 0
+    for _ in range(n):
+        if not sig:
+            break
+        sig, d = divmod(sig, ell)
+        out |= d << shift
+        shift += f
+    return out
 
 
 def truncate(a: Element, D: int) -> Element:
@@ -403,6 +436,8 @@ def cell_index(a: Element, D: int) -> int:
 def vector_cell_index(v: ElementVector, D: int) -> int:
     """Combined code of the depth-D cell of a vector: the entries'
     :func:`cell_index` codes as base-ell^D digits, the first entry lowest."""
+    if len(v.entries) == 1:
+        return cell_index(v.entries[0], D)
     base = v.ring.ell ** D
     code = 0
     for e in reversed(v.entries):
@@ -422,8 +457,8 @@ def element_from_cell(ring: RingSpec, code: int, D: int, W: int | None = None) -
 def vector_from_cell(ring: RingSpec, code: int, D: int, dim: int) -> ElementVector:
     """Inverse of :func:`vector_cell_index`: canonical entry representatives."""
     base = ring.ell ** D
-    return ElementVector(tuple(element_from_cell(ring, code // base ** i, D)
-                               for i in range(dim)))
+    return vector(*[element_from_cell(ring, code // base ** i, D)
+                    for i in range(dim)])
 
 
 def enumerate_residues(ring: RingSpec, D: int) -> Iterator[Element]:
@@ -495,6 +530,9 @@ class ElementVector:
 
     def __post_init__(self):
         entries = self.entries
+        if type(entries) is tuple and len(entries) == 1 \
+                and type(entries[0]) is Element:
+            return  # one entry: one ring, one depth, nothing to normalize
         if not entries:
             raise ValueError("empty vector")
         r, W = entries[0].ring, entries[0].depth
@@ -532,19 +570,28 @@ class ElementVector:
         return iter(self.entries)
 
     def __add__(self, other: "ElementVector") -> "ElementVector":
-        return ElementVector(tuple(add(a, b) for a, b in
-                                   zip(self.entries, other.entries, strict=True)))
+        return vector(*[add(a, b) for a, b in
+                        zip(self.entries, other.entries, strict=True)])
 
     def __sub__(self, other: "ElementVector") -> "ElementVector":
-        return ElementVector(tuple(sub(a, b) for a, b in
-                                   zip(self.entries, other.entries, strict=True)))
+        return vector(*[sub(a, b) for a, b in
+                        zip(self.entries, other.entries, strict=True)])
 
     def __neg__(self) -> "ElementVector":
-        return ElementVector(tuple(neg(e) for e in self.entries))
+        return vector(*[neg(e) for e in self.entries])
+
+
+_set_entries = ElementVector.entries.__set__
 
 
 def vector(*entries: Element) -> ElementVector:
-    return ElementVector(tuple(entries))
+    """``ElementVector(entries)``; one Element, with nothing to check or
+    normalize, is set in place as ``_element`` sets an Element's slots."""
+    if len(entries) == 1 and type(entries[0]) is Element:
+        v = _new(ElementVector)
+        _set_entries(v, entries)
+        return v
+    return ElementVector(entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -554,6 +601,10 @@ class ElementMatrix:
     rows: tuple[tuple[Element, ...], ...]
 
     def __post_init__(self):
+        rows = self.rows
+        if type(rows) is tuple and len(rows) == 1 and type(rows[0]) is tuple \
+                and len(rows[0]) == 1 and type(rows[0][0]) is Element:
+            return  # 1 x 1: neither ragged nor over two rings
         if not self.rows or not self.rows[0]:
             raise ValueError("empty matrix")
         w = len(self.rows[0])
@@ -590,16 +641,16 @@ class ElementMatrix:
 
 def mat_vec(M: ElementMatrix, v: ElementVector) -> ElementVector:
     """Matrix-vector product; dims (r x c) . (c) -> (r)."""
-    r, c = M.shape
-    if v.dim != c:
+    ve = v.entries
+    if len(ve) != len(M.rows[0]):
         raise ValueError(f"shape mismatch: {M.shape} . {v.dim}")
     out = []
-    for i in range(r):
-        acc = mul(M.rows[i][0], v[0])
-        for j in range(1, c):
-            acc = add(acc, mul(M.rows[i][j], v[j]))
+    for row in M.rows:
+        acc = mul(row[0], ve[0])
+        for j in range(1, len(ve)):
+            acc = add(acc, mul(row[j], ve[j]))
         out.append(acc)
-    return ElementVector(tuple(out))
+    return vector(*out)
 
 
 def mat_mul(A: ElementMatrix, B: ElementMatrix) -> ElementMatrix:
@@ -665,12 +716,22 @@ def residue_mul(ring: RingSpec, D: int, a, b):
     """Depth-D product of packed codes.
 
     POWER_SERIES is a truncated carry-free convolution; ell = 2 uses
-    shift/xor, ell >= 3 a matmul by ``_toeplitz(b)``: pass the smaller as b.
+    shift/xor (by a scalar ``b``, one step per set bit of it), ell >= 3 a
+    matmul by ``_toeplitz(b)``: pass the smaller as b.
     """
     if ring.mode is RingMode.PADIC:
         return (a * b) % ring.ell ** D
     if ring.ell == 2:
         mask = (1 << D) - 1
+        if np.ndim(b) == 0:  # the read-back's z_at(w)
+            aa = np.asarray(a, dtype=np.int64)
+            acc = np.zeros(aa.shape, dtype=np.int64)
+            x = int(b) & mask
+            while x:
+                i = (x & -x).bit_length() - 1
+                acc ^= (aa << i) & mask
+                x &= x - 1
+            return acc
         aa, bb = np.asarray(a), np.asarray(b)
         acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
         for i in range(D):

@@ -27,6 +27,8 @@ F13 = power_series_ring(13)
 ALL_RINGS = (Z2, F2, Z3, F3, Z5, F5, Z7, F7)
 # The larger residue fields, checked at the shallowest depths only.
 LARGE_RINGS = (Z11, F11, Z13, F13)
+# The equivalence tests of the element paths: ALL_RINGS and ell = 11.
+EQUIV_RINGS = ALL_RINGS + (Z11, F11)
 
 
 @pytest.fixture(autouse=True)

@@ -8,9 +8,11 @@ from kakeya.analysis import (
     LEMMA_IDS,
     DigitSampler,
     SampleSpec,
+    TermDecomposition,
     certificate_csv,
     certify_lemma_bounds,
     counterexample_scan_csv,
+    decomposition_input_depth,
     holder_defect,
     lemma_predicate,
     term_decomposition,
@@ -19,10 +21,60 @@ from kakeya.analysis import (
 )
 from kakeya.errors import BadIndex, InsufficientDepth
 from kakeya.families import kakeya_line_family, nikodym_line_family
-from kakeya.phi import alpha, lambda_floor
-from kakeya.ring import INF, from_int, mul, one, vector
+from kakeya.phi import (
+    PhiConfig,
+    alpha,
+    input_partial,
+    lambda_floor,
+    phi_eval,
+    phi_partial,
+    projection,
+    series_term,
+)
+from kakeya.ring import (
+    INF,
+    ElementVector,
+    from_int,
+    mat_vec,
+    mul,
+    one,
+    truncate,
+    vector,
+)
 
-from conftest import F2, F3, Z2, Z3
+from conftest import EQUIV_RINGS, F2, F3, Z2, Z3
+
+
+def _decomposition_oracle(fam, x, w, N, D):
+    """term_decomposition as it was before the series terms were shared:
+    phi, phi^(N) and slice N from phi_eval, phi_partial and series_term,
+    each evaluating its own terms."""
+    cfg = PhiConfig(fam.ring, p_dim=fam.p_dim, q_dim=fam.q_dim)
+    phi = phi_eval(x, cfg, D)
+    phi_n = phi_partial(x, cfg, N)
+    x_n = input_partial(x, N)
+    x_n1 = input_partial(x, N + 1)
+    p_n = projection(x, N)
+    slice_n = series_term(x, cfg, N)
+    phi_n1 = phi_n + slice_n
+    dx = fam.dfdx(x, phi, w, D)
+    dy = fam.dfdy(x, phi, w, D)
+    dy_at_landmark = fam.dfdy(x_n, phi, w, D)
+    f_value = fam.eval(x, phi, w, D)
+    f_xn = fam.eval(x_n, phi, w, D)
+    f_landmark = fam.eval(x_n, phi_n, w, D)
+    term_i = f_value - f_xn - mat_vec(dx, x - x_n)
+    term_ii = f_xn - f_landmark - mat_vec(dy_at_landmark, phi - phi_n)
+    term_iii = mat_vec(dy_at_landmark - dy, phi - phi_n)
+    term_iv = mat_vec(dy, phi - phi_n1) + mat_vec(dx, x - x_n1)
+    term_v = mat_vec(dy, slice_n) + mat_vec(dx, p_n)
+
+    def cut(v):
+        return ElementVector(tuple(truncate(e, D) for e in v))
+
+    return TermDecomposition(
+        cut(term_i), cut(term_ii), cut(term_iii), cut(term_iv), cut(term_v),
+        cut(f_landmark), cut(f_value), N, D)
 
 
 class TestDigitSampler:
@@ -73,6 +125,36 @@ class TestTermDecomposition:
                 floor = alpha(N + 1) - lambda_floor(N + 1, 2)
                 for e in td.term_iv:
                     assert e.is_zero or e.valuation >= floor
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_one_pass_equals_separate_evaluations(self, ring):
+        """The shared list of series terms gives every piece, value and
+        depth, that phi_eval, phi_partial and series_term gave, both for N
+        below the cutoff and past it."""
+        smp = DigitSampler(ring.ell)
+        for make in (kakeya_line_family, nikodym_line_family):
+            fam = make(ring)
+            for D in (3, 12):
+                for N in range(1, 7):
+                    X = decomposition_input_depth(N, D, ring.ell)
+                    for extra in (0, 3):
+                        x = vector(smp.r_element(ring, X + extra))
+                        w = vector(smp.element(ring, 14, valuation=1))
+                        got = term_decomposition(fam, x, w, N, D)
+                        want = _decomposition_oracle(fam, x, w, N, D)
+                        assert (got.N, got.depth) == (want.N, want.depth)
+                        for g, v in zip(got.terms() + (got.f_value,),
+                                        want.terms() + (want.f_value,)):
+                            assert [(e.lowest_degree, e.sig, e.depth)
+                                    for e in g] == \
+                                [(e.lowest_degree, e.sig, e.depth) for e in v]
+
+    def test_x_of_another_dimension_is_refused(self):
+        fam = kakeya_line_family(F2)
+        x = DigitSampler(6).r_element(F2, 21)
+        w = vector(DigitSampler(7).r_element(F2, 14))
+        with pytest.raises(ValueError, match="expected dim 1, got 2"):
+            term_decomposition(fam, vector(x, x), w, 3, 12)
 
     def test_depth_and_index_guards(self):
         fam = kakeya_line_family(F2)

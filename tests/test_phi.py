@@ -26,6 +26,9 @@ from kakeya.phi import (
     phi_residue_table,
     projection,
     required_phi_input_depth,
+    series_sum,
+    series_term,
+    series_terms,
     sk_element_at,
     sk_elements,
     sk_index_of,
@@ -33,6 +36,7 @@ from kakeya.phi import (
     summand_valuation_floor,
     tail_cutoff,
 )
+from kakeya.phi import _radix_digits
 from kakeya.ring import (
     ElementMatrix,
     ElementVector,
@@ -43,13 +47,15 @@ from kakeya.ring import (
     format_element,
     mat_vec,
     mul,
+    reduce_to_R,
     sub,
     truncate,
     vector,
     zero,
 )
 
-from conftest import ALL_RINGS, F2, F3, F5, F7, Z2, Z3, Z5, Z7, elements
+from conftest import (ALL_RINGS, EQUIV_RINGS, F2, F3, F5, F7, Z2, Z3, Z5, Z7,
+                      elements)
 
 CFG_F2 = PhiConfig(F2)
 CFG_Z2 = PhiConfig(Z2)
@@ -194,9 +200,9 @@ class TestEnumeration:
         assert j == block_offset(k, cfg) + inner < block_offset(k + 1, cfg)
         r = decode_matrix_fn(j, cfg)
         assert r.k_block == k
-        # reading every cell took about 25 s at ell = 7, k = 2, 2 x 2
-        # (9,604 slots of an 81,000-bit index); the ends and middle suffice
-        for cell in {0, 1, r.n_cells // 2, r.n_cells - 1}:
+        # every cell of every entry: at ell = 7, k = 2, 2 x 2 that is
+        # 9,604 slots of an index of about 81,000 bits
+        for cell in range(r.n_cells):
             for row in range(q):
                 for col in range(p):
                     assert r.table_value(row, col, cell) == M[row, col]
@@ -399,6 +405,133 @@ class TestRequiredDepth:
                 x_min = cell_vec(F2, code, X)
                 x_deep = cell_vec(F2, code, X, X + 4)
                 assert phi_eval(x_min, CFG_F2, D)[0] == phi_eval(x_deep, CFG_F2, D)[0]
+
+
+class TestDepthRuleCache:
+    """The cached depth rules against the uncached functions they wrap."""
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_cached_equals_uncached(self, ring):
+        ell = ring.ell
+        for D in range(1, 41):
+            assert tail_cutoff(D, ell) == tail_cutoff.__wrapped__(D, ell)
+            assert required_phi_input_depth(D, ell) \
+                == required_phi_input_depth.__wrapped__(D, ell)
+            for variant in PhiVariant:
+                assert phi_input_depth(variant, D, ell) \
+                    == phi_input_depth.__wrapped__(variant, D, ell)
+
+    @pytest.mark.parametrize("variant", tuple(PhiVariant), ids=str)
+    def test_refusal_is_not_cached(self, variant):
+        """A refused depth raises on every call, not only the first."""
+        for _ in range(2):
+            with pytest.raises(BadIndex):
+                phi_input_depth(variant, 0, 2)
+            with pytest.raises(BadIndex):
+                tail_cutoff(0, 2)
+
+
+def _fields(v):
+    return [(e.ring, e.lowest_degree, e.sig, e.depth) for e in v]
+
+
+def _series_oracle(x, cfg, n_terms, W):
+    """sum_{k < n_terms} r_k(x) p_k(x) as the evaluator summed it before
+    the terms were added entry by entry: one ElementVector per partial
+    sum, each normalized to its entries' least depth."""
+    xr = ElementVector(tuple(reduce_to_R(e) for e in x))
+    acc = ElementVector(tuple(zero(cfg.ring, W) for _ in range(cfg.q_dim)))
+    for k in range(n_terms):
+        acc = acc + series_term(xr, cfg, k)
+    return acc
+
+
+class TestSeriesOnePass:
+    """phi_eval and phi_partial sum one list of terms (series_terms,
+    series_sum); values and depths equal the per-term vector sums."""
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_sums_equal_vector_sums(self, ring):
+        ell = ring.ell
+        rnd = np.random.default_rng(ell)
+        for p, q, D in ((1, 1, 1), (1, 1, 4), (1, 1, 7), (2, 2, 2),
+                        (1, 2, 3), (2, 1, 3)):
+            cfg = PhiConfig(ring, p_dim=p, q_dim=q)
+            K = tail_cutoff(D, ell)
+            X = alpha(K + 1)
+            for _ in range(4):
+                # entries built at distinct depths (the vector cuts them to
+                # the least), the second with a digit below degree 0
+                x = ElementVector(tuple(
+                    element_from_digits(
+                        [int(d) for d in rnd.integers(0, ell, X + 2 + i)],
+                        -i, ring, X + 2 * i) for i in range(p)))
+                got = phi_eval(x, cfg, D)
+                assert _fields(got) == _fields(_series_oracle(x, cfg, K + 1, D))
+                for N in range(K + 2):
+                    if alpha(N) <= x.depth:
+                        assert _fields(phi_partial(x, cfg, N)) == _fields(
+                            _series_oracle(x, cfg, N, x.depth))
+                terms = series_terms(x, cfg, K + 1)
+                assert _fields(series_sum(terms, cfg, D)) == _fields(got)
+                xr = ElementVector(tuple(reduce_to_R(e) for e in x))
+                assert [_fields(t) for t in terms] == [
+                    _fields(series_term(xr, cfg, k)) for k in range(K + 1)]
+
+
+class TestMatrixCache:
+    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    def test_cached_matrix_is_at_the_input_depth(self, ring):
+        """Each (cell, depth) matrix is built once and read back: the
+        values of every cell at depth max(x.depth, k + 1), whichever depth
+        was asked for first."""
+        cfg = PhiConfig(ring, p_dim=1, q_dim=2)
+        r = decode_matrix_fn(3, cfg)
+        k = r.k_block
+        for W in (k + 4, k, k + 1, k + 4, k + 9):
+            for cell in range(r.n_cells):
+                M = matrix_fn_eval(r, cell_vec(ring, cell, k, W))
+                assert M is matrix_fn_eval(r, cell_vec(ring, cell, k, W))
+                for row in range(2):
+                    want = r.table_value(row, 0, cell)
+                    assert M[row, 0] == want
+                    assert M[row, 0].depth == max(W, k + 1)
+
+
+class TestRadixDigits:
+    """Every slot decoded at once, against one power and division per
+    slot."""
+
+    def test_digits_equal_per_slot_reads(self):
+        rnd = np.random.default_rng(7)
+        for m in (2, 3, 27, 343):
+            for count in (1, 2, 31, 32, 33, 64, 100, 257):
+                for n in (0, 1, m ** count - 1,
+                          int.from_bytes(rnd.bytes(count * 2), "little")
+                          % m ** count, m ** count + 5):
+                    assert _radix_digits(n, m, count) == [
+                        n // m ** (count - 1 - i) % m for i in range(count)]
+
+    def test_slot_outside_the_member_is_refused(self):
+        r = MatrixFn(PhiConfig(F2, p_dim=1, q_dim=2), 1, 3)
+        for row, col, cell in ((0, 0, -1), (0, 0, r.n_cells), (2, 0, 0),
+                               (-1, 0, 0), (0, 1, 0)):
+            with pytest.raises(BadIndex, match="outside a 2x1 member"):
+                r.value_index(row, col, cell)
+            with pytest.raises(BadIndex, match="outside a 2x1 member"):
+                r.table_value(row, col, cell)
+
+    @pytest.mark.parametrize("ring", (F2, Z3, F5), ids=str)
+    def test_value_index_is_the_mixed_radix_read(self, ring):
+        cfg = PhiConfig(ring, p_dim=2, q_dim=2)
+        for k, inner in ((1, 0), (1, 12345678901234567), (2, 3 ** 200 + 7)):
+            r = MatrixFn(cfg, k, inner % omega_block_size(k, ring.ell, 2, 2))
+            for row in range(2):
+                for col in range(2):
+                    for cell in range(r.n_cells):
+                        assert r.value_index(row, col, cell) == \
+                            r.inner_index // r.slot_weight(row, col, cell) \
+                            % sk_size(k, ring.ell)
 
 
 class TestContinuityModulus:

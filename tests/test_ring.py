@@ -55,8 +55,8 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import (ALL_RINGS, F2, F3, F5, LARGE_RINGS, Z2, Z3, Z5, Z7,
-                      check_class_rows, elements)
+from conftest import (ALL_RINGS, EQUIV_RINGS, F2, F3, F5, LARGE_RINGS, Z2,
+                      Z3, Z5, Z7, check_class_rows, elements)
 
 
 class TestConstruction:
@@ -454,6 +454,190 @@ class TestVectorsMatrices:
         for i in range(2):
             for j in range(2):
                 assert P[i, j] == M[i, j]
+
+
+class TestOneEntryPaths:
+    """One-entry vectors and 1 x 1 matrices skip the multi-entry checks and
+    normalization; what they build and what they refuse are unchanged."""
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_one_entry_vector_keeps_its_entry(self, ring):
+        for e in (zero(ring, 3), element_from_cell(ring, 5, 4, 9),
+                  element_from_digits([1, 2 % ring.ell], -2, ring, 4)):
+            entries = (e,)
+            v = ElementVector(entries)
+            assert v.entries is entries and v.depth == e.depth
+            assert ElementVector([e]).entries == entries
+            assert type(ElementVector([e]).entries) is tuple
+            M = ElementMatrix((entries,))
+            assert M.rows == (entries,) and M.shape == (1, 1)
+            fast = vector(e)  # its slot set in place, no __init__
+            assert type(fast) is ElementVector and fast.entries == entries
+            assert fast == v and hash(fast) == hash(v)
+            assert repr(fast) == repr(v)
+            assert pickle.loads(pickle.dumps(fast)) == v
+            for built in (v, fast):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    built.entries = ()
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_one_entry_cell_index_is_the_entry_code(self, ring):
+        """The one-entry code is the entry's cell_index, as the base-ell^D
+        loop gives it, with the entry's refusals."""
+        for D in (1, 3, 6):
+            for code in (0, 1, ring.ell ** D - 1):
+                e = element_from_cell(ring, code, D, D + 2)
+                assert vector_cell_index(vector(e), D) == code \
+                    == cell_index(e, D)
+        with pytest.raises(BadDepth):
+            vector_cell_index(vector(one(ring, 3)), 4)
+        with pytest.raises(NegativeValuation):
+            vector_cell_index(vector(element_from_digits([1], -1, ring, 3)), 2)
+
+    def test_refusals_are_unchanged(self):
+        e, other = one(Z2, 4), one(F2, 4)
+        with pytest.raises(ValueError, match="empty vector"):
+            ElementVector(())
+        with pytest.raises(RingMismatch):
+            ElementVector((e, other))
+        with pytest.raises(AttributeError):
+            ElementVector((5,))
+        with pytest.raises(ValueError, match="empty matrix"):
+            ElementMatrix(())
+        with pytest.raises(ValueError, match="empty matrix"):
+            ElementMatrix(((),))
+        with pytest.raises(ValueError, match="ragged"):
+            ElementMatrix(((e,), (e, e)))
+        with pytest.raises(RingMismatch):
+            ElementMatrix(((e,), (other,)))
+        with pytest.raises(AttributeError):
+            ElementMatrix(((5,),))
+
+
+def _digit_loop_mul(a, b):
+    """mul as a schoolbook digit convolution, the loop that the fq product
+    ran before its Kronecker substitution: (lowest degree, sig, depth),
+    carries propagated for zp and each digit reduced mod ell for fq."""
+    ell = a.ring.ell
+    va = a.lowest_degree if a.sig else a.depth
+    vb = b.lowest_degree if b.sig else b.depth
+    W = min(a.depth + vb, b.depth + va)
+    if not a.sig or not b.sig:
+        return 0, 0, W
+    low = a.lowest_degree + b.lowest_degree
+    span = W - low
+    da, db = list(a.digits)[:span], list(b.digits)[:span]
+    ds = [0] * span
+    for i, x in enumerate(da):
+        for j, y in enumerate(db[:span - i], i):
+            ds[j] += x * y
+    if a.ring.mode is RingMode.POWER_SERIES:
+        ds = [d % ell for d in ds]
+    sig = sum(d * ell ** i for i, d in enumerate(ds)) % ell ** span
+    if not sig:
+        return 0, 0, W
+    while sig % ell == 0:
+        sig //= ell
+        low += 1
+    return low, sig, W
+
+
+class TestKroneckerProduct:
+    """Element mul, whose fq ell >= 3 product packs the digits into spaced
+    fields and takes one integer product, against the digit loop."""
+
+    @staticmethod
+    def _check(a, b):
+        got = mul(a, b)
+        assert (got.lowest_degree, got.sig, got.depth) == _digit_loop_mul(a, b)
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_random_operands(self, ring):
+        """Spans 1..40 and beyond the depth of the other operand, valuations
+        -3..3, zero and all-(ell - 1) digit strings among them."""
+        ell = ring.ell
+        rnd = random.Random(f"kronecker {ring}")
+
+        def draw():
+            low = rnd.randint(-3, 3)
+            n = rnd.choice((1, 2, 12, 21, 40, rnd.randint(1, 40)))
+            fill = rnd.choice(("random", "top", "zero"))
+            ds = [ell - 1 if fill == "top" else 0 if fill == "zero"
+                  else rnd.randrange(ell) for _ in range(n)]
+            return element_from_digits(ds, low, ring, low + n + rnd.randint(
+                max(1 - low - n, 0), 3))
+
+        for _ in range(300):
+            self._check(draw(), draw())
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_depth_limits(self, ring):
+        """Zero operands of any depth, a one-digit span, and a long operand
+        cut to the short one's span."""
+        ell = ring.ell
+        top = [ell - 1] * 60
+        cases = [
+            (zero(ring, 5), one(ring, 9)),
+            (one(ring, 9), zero(ring, 2)),
+            (zero(ring, 3), zero(ring, 7)),
+            (element_from_digits([ell - 1], 0, ring, 1),
+             element_from_digits(top, 0, ring, 60)),
+            (element_from_digits(top, -2, ring, 58),
+             element_from_digits([1, ell - 1], 3, ring, 5)),
+            (element_from_digits(top, 0, ring, 60),
+             element_from_digits(top, 0, ring, 60)),
+            (element_from_digits(top, -5, ring, 1),
+             element_from_digits(top[:7], -4, ring, 3)),
+        ]
+        for a, b in cases:
+            self._check(a, b)
+            self._check(b, a)
+
+    def test_wide_fields(self):
+        """A residue field near 2^61, whose fields outgrow any machine word."""
+        ring = power_series_ring(2 ** 61 - 1)
+        rnd = random.Random(61)
+        for n in (1, 5, 30):
+            ds = [rnd.randrange(ring.ell) for _ in range(n)]
+            es = [element_from_digits(ds[:m] or [1], -1, ring, m + 1)
+                  for m in (n, max(n // 2, 1))]
+            self._check(es[0], es[1])
+            self._check(es[0], es[0])
+
+
+class TestScalarResidueMul:
+    """residue_mul by one scalar code, the read-back's z_at(w); fq:2 loops
+    over the scalar's set bits only."""
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_scalar_equals_array_path(self, ring):
+        ell = ring.ell
+        rnd = np.random.default_rng(ell)
+        for D in range(1, 31):
+            m = ell ** D
+            if ell ** (2 * D) >= 2 ** 63:  # the zp product must fit int64
+                break
+            a = np.concatenate([[0, 1, m - 1],
+                                rnd.integers(0, m, 40)]).astype(np.int64)
+            for w in {0, 1, m - 1, m // 2, int(rnd.integers(0, m))}:
+                want = residue_mul(ring, D, a, np.full(a.shape, w))
+                for scalar in (w, np.int64(w)):
+                    got = residue_mul(ring, D, a, scalar)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                got = residue_mul(ring, D, a.reshape(-1, 1), w)
+                assert np.array_equal(got.reshape(-1), want)
+
+    def test_fq2_scalar_path_to_depth_30(self):
+        """fq:2 at every D <= 30, where the array path is the reference;
+        scalar bits at and above D are dropped as the array path drops
+        them."""
+        rnd = np.random.default_rng(30)
+        for D in range(1, 31):
+            m = 2 ** D
+            a = rnd.integers(0, m, 64, dtype=np.int64)
+            for w in (0, 1, m - 1, m, m + 3, int(rnd.integers(0, m))):
+                want = residue_mul(F2, D, a, np.full(a.shape, w))
+                assert np.array_equal(residue_mul(F2, D, a, w), want)
 
 
 # The bitmap checks' rings and depths: every ring of ALL_RINGS at D 1..4,

@@ -31,3 +31,16 @@ def test_run_experiments_reproduces_the_frozen_tables(tmp_path):
         header, *rows = path.read_text().splitlines()
         assert header.split(",")[-1] == "missing" and rows
         assert all(row.split(",")[-1] == "0" for row in rows), path.name
+
+
+def test_freeze_fixtures_check_finds_every_fixture_identical():
+    """``scripts/freeze_fixtures.py --check`` regenerates every fixture in
+    a temporary directory and finds each one byte-identical to
+    tests/fixtures/: exit 0 and "N of N fixtures identical", N the number
+    of files there."""
+    n = sum(1 for p in FIXTURES.iterdir() if p.is_file())
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "freeze_fixtures.py"),
+         "--check"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{n} of {n} fixtures identical" in proc.stdout.splitlines()
