@@ -52,7 +52,10 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 # division-free zp step, and the ell = 11 and 13 tables before Element sums
 # shared one signed step.  The nikodym tables, whose packed route passes
 # the pairs to the w walk in the other order, were frozen by the walk over
-# every w, before the build folded w's top digit.
+# every w, before the build folded w's top digit.  The ell = 2 tables at
+# D = 14 (the deepest the default cell budget admits) were frozen by the
+# one-digit bool fold, before the packed fold of w's top two or three
+# digits.
 DECAY_TABLES = (
     ("kakeya", power_series_ring(2), 2, 10, "fq2"),
     ("kakeya", padic_ring(2), 2, 10, "zp2"),
@@ -60,6 +63,8 @@ DECAY_TABLES = (
     ("kakeya", padic_ring(2), 11, 12, "zp2_deep"),
     ("kakeya", power_series_ring(2), 13, 13, "fq2_d13"),
     ("kakeya", padic_ring(2), 13, 13, "zp2_d13"),
+    ("kakeya", power_series_ring(2), 14, 14, "fq2_d14"),
+    ("kakeya", padic_ring(2), 14, 14, "zp2_d14"),
     ("kakeya", power_series_ring(3), 2, 7, "fq3"),
     ("kakeya", padic_ring(3), 2, 7, "zp3"),
     ("kakeya", power_series_ring(3), 8, 8, "fq3_d8"),

@@ -285,6 +285,8 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     (kakeya_line_family, Z2, 11, 12, "zp2_deep"),
     (kakeya_line_family, F2, 13, 13, "fq2_d13"),
     (kakeya_line_family, Z2, 13, 13, "zp2_d13"),
+    (kakeya_line_family, F2, 14, 14, "fq2_d14"),
+    (kakeya_line_family, Z2, 14, 14, "zp2_d14"),
     (kakeya_line_family, F3, 2, 7, "fq3"),
     (kakeya_line_family, Z3, 2, 7, "zp3"),
     (kakeya_line_family, F3, 8, 8, "fq3_d8"),
@@ -299,18 +301,20 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     (nikodym_line_family, Z2, 2, 10, "zp2"),
     (nikodym_line_family, F3, 2, 6, "fq3"),
     (nikodym_line_family, Z3, 2, 6, "zp3"),
-), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq3", "zp3",
+), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq2_d14",
+        "zp2_d14", "fq3", "zp3",
         "fq3_d8", "zp3_d8", "fq5", "zp5", "fq11", "zp11", "fq13", "zp13",
         "nikodym_fq2", "nikodym_zp2", "nikodym_fq3", "nikodym_zp3"))
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
 def test_frozen_decay_tables(variant, make, ring, dmin, dmax, suffix):
     """The decay tables beyond criteria 08 and 09 (the padic ring,
-    D = 11..13 on both rings, ell = 3 at D = 2..8, ell = 5 at D = 2..5 and
+    D = 11..14 on both rings, ell = 3 at D = 2..8, ell = 5 at D = 2..5 and
     ell = 11 and 13 at D = 1..3) replay their frozen fixtures exactly; they
     were frozen by earlier builds: D <= 12 by the per-x enumeration, before
     pair deduplication, D = 13 from the full ell^X sawyer table, before the
-    minimal table and the w walk, ell = 3 at D <= 7 by the w-block matmul,
+    minimal table and the w walk, D = 14 by the one-digit bool fold, before
+    the packed fold of w's top two or three digits, ell = 3 at D <= 7 by the w-block matmul,
     before the ell-ary Gray walk of fq, ell = 3 at D = 8 and ell = 5 by the
     low-digit-first Gray walk and the % reduction of zp, before the
     high-digit-first order and the division-free zp step, and ell = 11 and
