@@ -804,11 +804,14 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
 
     def bitmap() -> np.ndarray:
         top = m // ell
-        # One sort of the pairs, keyed class-major (a mod ell, a // ell, c1,
-        # s): each group is a run of distinct keys, each class a run of the
+        k = _fold_digits(ell, D)
+        K = ell ** k
+        U = m // K
+        # One sort of the pairs, keyed class-major (a mod K, a // K, c1, s):
+        # each group is a run of distinct keys, each class a run of the
         # folded pairs.  A stable argsort raised general_ell's peak RSS by
         # 0.1-0.2 MB, and np.unique (numpy 2.4) took 4x as long on 1,024 keys.
-        keys = (a % ell * top + a // ell) * m + c % top * ell + c // top
+        keys = (a % K * U + a // K) * m + c % top * ell + c // top
         keys.sort()
         distinct = np.ones(len(keys), dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]
@@ -818,38 +821,57 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         starts = np.flatnonzero(grp[ell - 1:]
                                 == grp[:max(len(grp) - ell + 1, 0)])
         lower = None
-        if D > 1 and len(starts):  # ar = g*top + a // ell, the key's a
+        if D > 1 and len(starts):  # ar = g*U + a // K, the key's a
             ar, c1 = np.divmod(grp[starts], top)
-            _, lower = residue_mul_sub(ring, D - 1, ar * ell % top + ar // top,
+            _, lower = residue_mul_sub(ring, D - 1, ar % U * K % top + ar // U,
                                        c1)
             lower = lower()
             rest = np.ones(len(grp), dtype=bool)
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
         out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
-        if not len(grp):  # a walk's set-up took 26-100 us, pairs or none
-            if lower is None:
-                out[:] = 0
-            elif top % 8 == 0:
-                out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-            else:  # through bool, a bounded block of rows at a time
-                B = ell ** _block_digits(ell, D, 0)
-                for u0 in range(0, top, B):
-                    out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
-                        lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
-            return out.reshape(m, -1)
-        counts = np.bincount(grp // top ** 2, minlength=ell)  # per class
-        classes = np.flatnonzero(counts)
-        k = counts[classes, None]
-        # row p takes class p's run of pairs, repeated up to the largest
-        # class's length: a repeated pair sets no new cell
-        pick = np.cumsum(counts)[classes, None] - k + np.arange(k.max()) % k
-        ar, c1 = np.divmod(grp[pick], top)
-        _fold(out, lower, classes.tolist(), _walk(
-            ring, D, ar % top * ell + ar // top, c1 + s[pick] * top))
+        if len(grp):  # a walk's set-up took 26-100 us, pairs or none
+            counts = np.bincount(grp // (top * U), minlength=K)  # per class
+            classes = np.flatnonzero(counts)
+            n = counts[classes, None]
+            # row p takes class p's run of pairs, repeated up to the largest
+            # class's length: a repeated pair sets no new cell
+            pick = np.cumsum(counts)[classes, None] - n + np.arange(n.max()) % n
+            ar, c1 = np.divmod(grp[pick], top)
+            walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
+                         D - k, _block_digits(ell, D, n.max(), D - k,
+                                              len(classes) if k > 1 else 1))
+            if k == 1:  # each bool block starts from the lift
+                _fold(out, lower, classes.tolist(), walk)
+                return out.reshape(m, -1)
+        if lower is None:
+            out[:] = 0
+        elif top % 8 == 0:
+            out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
+        else:  # through bool, a bounded block of rows at a time
+            B = ell ** _block_digits(ell, D, 0, D - 1)
+            for u0 in range(0, top, B):
+                out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
+                    lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
+        if len(grp):  # row w = t*U + u; a chunk of U z cells is whole bytes
+            j = np.arange(K)
+            perms = residue_sub(ring, k, j, residue_mul(
+                ring, k, j[:, None], classes[:, None, None]))
+            _fold_packed(out.reshape(K, U, K, U // 8), [
+                None if g == 0 else p
+                for g, p in zip(classes.tolist(), perms)], walk)
         return out.reshape(m, -1)
 
     return z_at, bitmap
+
+
+def _fold_digits(ell: int, D: int) -> int:
+    """How many top digits k of w ``bitmap`` folds at depth D: at ell = 2,
+    k = D - 6 up to 3, and 1 below D = 8 and at ell >= 3.  Each chunk of
+    z's ell^(D-k) low cells is then whole bytes.  Timed on the sawyer
+    pairs (``BENCH_27.json``), the bool fold of one digit was fastest up
+    to D = 7, k = 2 at D = 8, and k = 3 from D = 9 to 16."""
+    return min(3, max(1, D - 6)) if ell == 2 else 1
 
 
 def _fold(out: np.ndarray, lower, classes: list, walk):
@@ -898,19 +920,59 @@ def _fold(out: np.ndarray, lower, classes: list, walk):
         out[:, u0:u0 + B] = np.packbits(work, axis=-1)
 
 
-def _block_digits(ell: int, D: int, n: int) -> int:
-    """The J of :func:`_walk`'s blocks of B = ell^J rows for rows of n
-    pairs: the largest (at most D - 1) with B * n <= ``WALK_BLOCK_ENTRIES``
-    and B * ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no
-    more bytes than a block of one row's codes."""
+def _fold_packed(out: np.ndarray, perms: list, walk):
+    """OR into ``out`` (axes: w's top k digits t, its low code u, z's top
+    k digits, packed bytes of z's low code) the hits of the class rows
+    that ``walk`` (:func:`_walk`) yields, one ``(u0, Z)`` per block of B
+    rows u; ``Z[p]`` holds the rows of the p-th class and ``perms[p]``
+    its chunk map: row w = u + t*ell^(D-k) takes, as its chunk j, chunk
+    ``perms[p][t, j]`` of row u (None for class 0, which maps every chunk
+    to itself).  ``out`` already holds the lift, or no cell.  Each block
+    of every class is set in one bool scratch, packed once, and each class
+    is or-ed, its chunks gathered, into the block's rows for every t."""
+    K, U, _, cb = out.shape
+    m = K * cb * 8
+    first = next(walk)
+    C, B, n = first[1].shape
+    S = min(8, U // B)  # blocks a round: no more packed bytes than flags
+    flags = np.empty((C, B, m), dtype=bool)
+    offsets = np.broadcast_to(np.arange(0, C * B * m, m).reshape(C, B, 1),
+                              (C, B, n)).copy()
+    idx = np.empty((C, B, n), dtype=np.int64)
+    packed = np.empty((C, S * B, K, cb), dtype=np.uint8)
+    moved = np.empty((S * B, K, K, cb), dtype=np.uint8)
+    for done, (u0, Z) in enumerate(itertools.chain([first], walk), 1):
+        flags.fill(False)
+        flags.reshape(-1)[np.add(Z, offsets, out=idx)] = True
+        r = u0 % (S * B)
+        packed[:, r:r + B] = np.packbits(flags, axis=-1).reshape(C, B, K, cb)
+        if done % S:
+            continue
+        rows = out[:, u0 - r:u0 - r + S * B]
+        for perm, P in zip(perms, packed):
+            if perm is None:
+                rows |= P
+            else:
+                P.take(perm, axis=1, out=moved)
+                rows |= moved.transpose(1, 0, 2, 3)
+
+
+def _block_digits(ell: int, D: int, n: int, digits: int,
+                  rows: int = 1) -> int:
+    """The J of :func:`_walk`'s blocks of B = ell^J rows for ``rows`` rows
+    of n pairs, walking ``digits`` digits: the largest (at most ``digits``)
+    with rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B * ell^D <=
+    8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no more bytes than
+    a block of codes."""
     J = 0
-    while (J < D - 1 and ell ** (J + 1) * max(8 * n, ell ** D)
+    while (J < digits and rows * ell ** (J + 1) * max(8 * n, ell ** D)
            <= 8 * WALK_BLOCK_ENTRIES):
         J += 1
     return J
 
 
-def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
+def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray,
+          digits: int, J: int):
     """The rows z_at(u) = a*u - c of :func:`residue_mul_sub` at the w codes
     u < ell^(D-1), in blocks, for every row of pairs at once.
 
@@ -943,11 +1005,10 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       it).  A step with i >= h changes only the high half.
     """
     ell, m = ring.ell, ring.ell ** D
-    J = _block_digits(ell, D, a.shape[-1])
     B = ell ** J
     # the addends and -c broadcast over a block's rows; a step's src and
     # dst index the rows of every pair row at once
-    adds = [(a * ell ** i % m)[..., None, :] for i in range(D - 1)]
+    adds = [(a * ell ** i % m)[..., None, :] for i in range(digits)]
     z0 = residue_neg(ring, D, c)[..., None, :]
     z = np.empty(a.shape[:-1] + (B, a.shape[-1]), dtype=np.int64)
     split = ring.mode is RingMode.POWER_SERIES and ell > 2
@@ -1007,13 +1068,14 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
                  np.s_[..., k * s:(k + 1) * s, :], j)
     yield 0, block()
     u0, ud = 0, [0] * D
-    for k in range(1, m // ell // B):
+    for k in range(1, ell ** digits // B):
         if ring.mode is RingMode.PADIC:
             i, u0 = J, u0 + B
         else:
-            i = D - 2
-            while k % ell ** (D - 1 - i) == 0:
-                i -= 1
+            v = 0  # v_ell(k)
+            while k % ell ** (v + 1) == 0:
+                v += 1
+            i = J + v if ell == 2 else digits - 1 - v
             ud[i] = (ud[i] + 1) % ell
             u0 += ell ** i if ud[i] else -(ell - 1) * ell ** i
         step(..., ..., i)

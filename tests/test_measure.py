@@ -278,10 +278,10 @@ class TestBuildSetCells:
         seen = {}
 
         def spy(name, depth, real):
-            def call(rg, d, a, c):
+            def call(rg, d, a, c, *rest):
                 if d == depth:
                     seen[name].append((a, c))
-                return real(rg, d, a, c)
+                return real(rg, d, a, c, *rest)
             return call
         monkeypatch.setattr(ring_module, "residue_mul_sub",
                             spy("lift", D - 1, ring_module.residue_mul_sub))

@@ -717,23 +717,29 @@ class TestResidueLayer:
         return [code[p] for p in pairs]
 
     @staticmethod
-    def _walk_blocks(ring, D, a, c, cap, oracle, rows=None):
-        """Walk a*u - c over the low w codes u < ell^(D-1) for the pairs
-        ``rows`` of ``a``, ``c`` (an index array of shape (n,), or (C, n)
-        for C rows walked at once; default: every pair, as one row), with
-        blocks capped at ``cap`` entries: every u is visited exactly once,
-        each block covers the contiguous run u0 .. u0 + B - 1, each row's
-        block ``Z[p]`` is contiguous, and row r of it is ``z_at`` at
-        u0 + r and the Element oracle's (memoized per u in ``oracle``),
-        restricted to row p's pairs.  The top digit of w is the fold's,
-        checked by ``_check_bitmap``.  Returns the block lengths B."""
+    def _walk_blocks(ring, D, a, c, cap, oracle, rows=None, digits=None):
+        """Walk a*u - c over the low w codes u < ell^digits (default
+        digits = D - 1) for the pairs ``rows`` of ``a``, ``c`` (an index
+        array of shape (n,), or (C, n) for C rows walked at once; default:
+        every pair, as one row), in the blocks that :func:`_block_digits`
+        gives one row of n pairs under a cap of ``cap`` entries: every u is
+        visited exactly once, each block covers the contiguous run u0 ..
+        u0 + B - 1, each row's block ``Z[p]`` is contiguous, and row r of it
+        is ``z_at`` at u0 + r and the Element oracle's (memoized per u in
+        ``oracle``), restricted to row p's pairs.  The top digits of w are
+        the fold's, checked by ``_check_bitmap``.  Returns the block
+        lengths B."""
         if rows is None:
             rows = np.arange(len(a))
+        if digits is None:
+            digits = D - 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
             z_at, _ = residue_mul_sub(ring, D, a, c)
             seen, lengths = [], set()
-            for u0, Z in ring_module._walk(ring, D, a[rows], c[rows]):
+            J = ring_module._block_digits(ring.ell, D, rows.shape[-1], digits)
+            for u0, Z in ring_module._walk(ring, D, a[rows], c[rows], digits,
+                                           J):
                 assert isinstance(u0, int)
                 assert Z.ndim == rows.ndim + 1
                 assert Z.shape[:-2] + Z.shape[-1:] == rows.shape
@@ -748,7 +754,7 @@ class TestResidueLayer:
                             ring, D, a, c, u), dtype=np.int64)
                     assert np.array_equal(z, oracle[u][rows])
                     seen.append(u)
-        assert sorted(seen) == list(range(ring.ell ** (D - 1)))
+        assert sorted(seen) == list(range(ring.ell ** digits))
         return lengths
 
     @staticmethod
@@ -960,9 +966,9 @@ class TestResidueLayer:
         c = np.asarray([p[1] for p in pairs], dtype=np.int64)
         walked, real = [], ring_module._walk
 
-        def spy(rg, depth, a, c):
+        def spy(rg, depth, a, c, *rest):
             walked.append((a, c))
-            return real(rg, depth, a, c)
+            return real(rg, depth, a, c, *rest)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "_walk", spy)
             self._check_bitmap(ring, D, a, c)
@@ -1020,9 +1026,9 @@ class TestResidueLayer:
             seen = {}
 
             def spy(name, real):
-                def call(rg, depth, a, c):
+                def call(rg, depth, a, c, *rest):
                     seen.setdefault((name, depth), []).append((a, c))
-                    return real(rg, depth, a, c)
+                    return real(rg, depth, a, c, *rest)
                 return call
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ring_module, "residue_mul_sub",
