@@ -596,7 +596,8 @@ def vector(*entries: Element) -> ElementVector:
 
 @dataclass(frozen=True, slots=True)
 class ElementMatrix:
-    """Row-major matrix of elements; norm is the max entry norm."""
+    """Row-major matrix of elements, its rows a tuple of tuples (as given,
+    or made so, so that a matrix hashes); norm is the max entry norm."""
 
     rows: tuple[tuple[Element, ...], ...]
 
@@ -605,11 +606,14 @@ class ElementMatrix:
         if type(rows) is tuple and len(rows) == 1 and type(rows[0]) is tuple \
                 and len(rows[0]) == 1 and type(rows[0][0]) is Element:
             return  # 1 x 1: neither ragged nor over two rings
-        if not self.rows or not self.rows[0]:
+        if type(rows) is not tuple or any(type(r) is not tuple for r in rows):
+            rows = tuple(tuple(r) for r in rows)
+            object.__setattr__(self, "rows", rows)
+        if not rows or not rows[0]:
             raise ValueError("empty matrix")
-        w = len(self.rows[0])
-        r = self.rows[0][0].ring
-        for row in self.rows:
+        w = len(rows[0])
+        r = rows[0][0].ring
+        for row in rows:
             if len(row) != w:
                 raise ValueError("ragged matrix")
             for e in row:
@@ -716,8 +720,10 @@ def residue_mul(ring: RingSpec, D: int, a, b):
     """Depth-D product of packed codes.
 
     POWER_SERIES is a truncated carry-free convolution; ell = 2 uses
-    shift/xor (by a scalar ``b``, one step per set bit of it), ell >= 3 a
-    matmul by ``_toeplitz(b)``: pass the smaller as b.
+    shift/xor, one step per bit set in the scalar ``b``, else per bit set
+    in any code of ``a`` (a phi table summand's multiplicand holds only its
+    own digits); ell >= 3 a matmul by ``_toeplitz(b)``: pass the smaller
+    as b.
     """
     if ring.mode is RingMode.PADIC:
         return (a * b) % ring.ell ** D
@@ -734,8 +740,11 @@ def residue_mul(ring: RingSpec, D: int, a, b):
             return acc
         aa, bb = np.asarray(a), np.asarray(b)
         acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
-        for i in range(D):
+        x = int(np.bitwise_or.reduce(aa, axis=None)) & mask if aa.size else 0
+        while x:
+            i = (x & -x).bit_length() - 1
             acc ^= ((aa >> i) & 1) * ((bb << i) & mask)
+            x &= x - 1
         return acc
     da = _unpack_digits(ring, a, D)[..., None, :]
     prod = np.matmul(da, _toeplitz(ring, D, b))[..., 0, :]

@@ -52,15 +52,16 @@ def elements(draw, ring: RingSpec, min_low: int = 0, max_low: int = 0,
     return element_from_digits(ds, low, ring, depth)
 
 
-def check_class_rows(ell: int, a, c, folded):
+def check_class_rows(K: int, a, c, folded):
     """The arrays ``a``, ``c`` that ``bitmap()`` walks in its fold, of
-    shape (C, n): one row per class a mod ell of the distinct ``folded``
-    pairs, in increasing class order, n the largest class's size.  Each
-    row's distinct pairs are its class's folded pairs, so the padding of a
-    smaller class repeats only its own pairs."""
+    shape (C, n): one row per class a mod K of the distinct ``folded``
+    pairs (K = ell^k for a fold of k top digits of w), in increasing class
+    order, n the largest class's size.  Each row's distinct pairs are its
+    class's folded pairs, so the padding of a smaller class repeats only
+    its own pairs."""
     by_class = {}
     for p in folded:
-        by_class.setdefault(p[0] % ell, set()).add(p)
+        by_class.setdefault(p[0] % K, set()).add(p)
     assert a.shape == c.shape == (len(by_class),
                                   max(map(len, by_class.values())))
     for g, ra, rc in zip(sorted(by_class), a.tolist(), c.tolist()):

@@ -512,6 +512,37 @@ class TestOneEntryPaths:
             ElementMatrix(((e,), (other,)))
         with pytest.raises(AttributeError):
             ElementMatrix(((5,),))
+        # the same refusals for rows built as lists
+        with pytest.raises(ValueError, match="empty matrix"):
+            ElementMatrix([])
+        with pytest.raises(ValueError, match="empty matrix"):
+            ElementMatrix([[]])
+        with pytest.raises(ValueError, match="ragged"):
+            ElementMatrix([[e], [e, e]])
+        with pytest.raises(RingMismatch):
+            ElementMatrix([[e], [other]])
+        with pytest.raises(AttributeError):
+            ElementMatrix([[5]])
+
+    @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
+    def test_list_built_matrix_holds_tuples_and_hashes(self, ring):
+        """Rows given as lists, or as a list of tuples, are stored as a
+        tuple of tuples: the matrix hashes, and it equals (with the same
+        hash) the matrix built from tuples.  A tuple-built matrix keeps the
+        very rows it was given."""
+        e, f = one(ring, 4), from_int(2, ring, 4)
+        for tuples in (((e,),), ((e, f), (f, e)), ((e,), (f,))):
+            for given in ([list(r) for r in tuples], list(tuples),
+                          tuple(list(r) for r in tuples)):
+                M = ElementMatrix(given)
+                assert type(M.rows) is tuple
+                assert all(type(r) is tuple for r in M.rows)
+                assert M == ElementMatrix(tuples)
+                assert hash(M) == hash(ElementMatrix(tuples))
+                assert M.shape == (len(tuples), len(tuples[0]))
+            assert ElementMatrix(tuples).rows is tuples
+            assert len({ElementMatrix(tuples), ElementMatrix(
+                [list(r) for r in tuples])}) == 1
 
 
 def _digit_loop_mul(a, b):
@@ -1065,6 +1096,115 @@ class TestResidueLayer:
         want = np.tile(low, (ell, ell))
         assert np.array_equal(
             self._unpacked(residue_mul_sub(ring, D, a, c)[1](), m), want)
+
+
+# (ring, D, k) of the packed fold: every depth from the first whose chunks
+# of 2^(D-k) z cells are whole bytes (D - k = 3) to D = 9, for k = 2 and 3
+PACKED_FOLDS = [pytest.param(r, D, k, id=f"{r}-D{D}-k{k}")
+                for r in (F2, Z2) for D in range(5, 10) for k in (2, 3)
+                if D - k >= 3]
+
+
+class TestPackedFold:
+    """At ell = 2 ``bitmap()`` folds the top k digits of w in packed bytes:
+    row w = u + t*2^(D-k) of class g = a mod 2^k is row u with z's 2^k
+    chunks permuted, z's top k digits moved by g*t (+ on zp, the carry-free
+    product's xor on fq).  Each test forces k (and k = 1, the bool fold,
+    for comparison) through ``_fold_digits``."""
+
+    @staticmethod
+    def _pairs(D, kind, rnd):
+        """(a, c) code pairs of one kind: random; one class of a mod 8 (so
+        one mod 4); every class mod 8, of unequal sizes; one pair; a few
+        pairs each repeated; or full groups (both top digits of c over one
+        (a, c mod 2^(D-1))) mixed with folded pairs, some repeated."""
+        m, top = 2 ** D, 2 ** (D - 1)
+        if kind == "random":
+            return [(rnd.randrange(m), rnd.randrange(m)) for _ in range(60)]
+        if kind == "one_class":
+            return [(8 * rnd.randrange(m // 8) + 3, rnd.randrange(m))
+                    for _ in range(30)]
+        if kind == "every_class":
+            return [(8 * rnd.randrange(m // 8) + g, rnd.randrange(m))
+                    for g in range(8) for _ in range(1 + 3 * g)]
+        if kind == "single":
+            return [(rnd.randrange(1, m, 2), rnd.randrange(m))]
+        if kind == "repeated":
+            few = [(rnd.randrange(m), rnd.randrange(m)) for _ in range(3)]
+            return few * 5
+        heads = [(rnd.randrange(m), rnd.randrange(top)) for _ in range(6)]
+        full = [(ac, c1 + s * top) for ac, c1 in heads for s in range(2)]
+        folded = [(rnd.randrange(m), rnd.randrange(m)) for _ in range(20)]
+        return full + folded + full[:3] + folded[:3]
+
+    @staticmethod
+    def _bitmap(ring, D, a, c, k, cap=WALK_BLOCK_ENTRIES):
+        """``bitmap()`` with ``_fold_digits`` forced to k at every depth
+        whose chunks are whole bytes, and 1 below, and walk blocks capped
+        at ``cap`` entries; and the arrays and block lengths of each packed
+        fold's walk at depth D."""
+        walked = []
+        real = ring_module._walk
+
+        def spy(rg, depth, a, c, digits, J):
+            if depth == D:
+                walked.append((a, c, digits, 2 ** J))
+            return real(rg, depth, a, c, digits, J)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring_module, "_fold_digits",
+                       lambda ell, depth: k if depth - k >= 3 else 1)
+            mp.setattr(ring_module, "_walk", spy)
+            mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
+            return residue_mul_sub(ring, D, a, c)[1](), walked
+
+    @pytest.mark.parametrize("cap", (WALK_BLOCK_ENTRIES, 1),
+                             ids=("blocks", "one_row_blocks"))
+    @pytest.mark.parametrize("kind", ("random", "one_class", "every_class",
+                                      "single", "repeated", "lift_and_fold"))
+    @pytest.mark.parametrize("ring, D, k", PACKED_FOLDS)
+    def test_packed_fold_equals_bool_fold_and_z_at(self, ring, D, k, kind,
+                                                   cap):
+        """Row for row, the packed fold equals the bool fold of one digit
+        and ``np.packbits`` of a per-w scatter of ``z_at``; its walk steps
+        one row per class a mod 2^k over the 2^(D-k) low w codes.  Under
+        the module's cap the rows often fit one block; under a cap of one
+        entry each block is one row, and the fold ors rounds of 8 blocks."""
+        m, top = 2 ** D, 2 ** (D - 1)
+        pairs = self._pairs(D, kind, random.Random(f"{ring}-{D}-{k}-{kind}"))
+        a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        c = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        got, walked = self._bitmap(ring, D, a, c, k, cap)
+        bool_fold, _ = self._bitmap(ring, D, a, c, 1)
+        z_at, _ = residue_mul_sub(ring, D, a, c)
+        flags = np.zeros((m, m), dtype=bool)
+        for w in range(m):
+            flags[w, z_at(w)] = True
+        want = np.packbits(flags, axis=1)
+        assert got.shape == want.shape and got.dtype == np.uint8
+        for w in range(m):
+            assert np.array_equal(got[w], want[w]), w
+        assert np.array_equal(got, bool_fold)
+        groups = {}
+        for ac, cc in pairs:
+            groups.setdefault((ac, cc % top), set()).add(cc // top)
+        folded = {p for p in pairs if len(groups[p[0], p[1] % top]) < 2}
+        assert folded
+        if kind == "lift_and_fold":
+            assert len(folded) < len(set(pairs))
+        (fa, fc, digits, B), = walked
+        assert digits == D - k and (B == 1 or cap > 1)
+        check_class_rows(2 ** k, fa, fc, folded)
+
+    def test_fold_digits_rule(self):
+        """The bool fold of one digit up to D = 7 and at ell >= 3, k = 2 at
+        D = 8 and k = 3 from D = 9, where a chunk is whole bytes."""
+        fold = ring_module._fold_digits
+        assert [fold(2, D) for D in range(1, 17)] == \
+            [1] * 7 + [2] + [3] * 8
+        assert all(D - fold(2, D) >= 3 for D in range(8, 17))
+        assert {fold(ell, D) for ell in (3, 5, 7) for D in range(1, 12)} \
+            == {1}
+
 
 def _oracle(ring, op, a, b):
     """(depth, lowest degree, digits over [lowest, depth)) of a op b, where
