@@ -32,7 +32,8 @@ route takes one pair per phi-table code, repeats included, cached for the
 read-backs (:func:`_pairs`); its bitmap
 (:func:`~kakeya.ring.residue_mul_sub`) sorts them once, the one place
 repeats are dropped, lifts the full top-digit groups from depth D - 1 and
-folds w's top digit for the rest.  The element route reads no phi table
+folds w's top digit (two or three top digits at ell = 2 from D = 8) for
+the rest.  The element route reads no phi table
 and caches nothing: it keeps one pair per distinct key and calls ``eval``
 on each pair's depth-D cell representatives, so a family whose z-cell
 reads deeper digits is refused with :class:`~kakeya.errors.BadDepth`.
@@ -152,8 +153,9 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     entries on the packed route, every depth-X x cell on the element
     route; the element route's charges are upper bounds, since it
     evaluates one entry per distinct pair.  A packed hit-set ``build`` is
-    charged only the ell^(D-1) w cells its fold steps, an upper bound
-    since the lift steps fewer (:func:`~kakeya.ring.residue_mul_sub`).
+    charged only ell^(D-1) w cells, an upper bound: its fold steps
+    ell^(D-k) for k >= 1 folded top digits of w, and the lift fewer
+    (:func:`~kakeya.ring.residue_mul_sub`).
 
     The cell budget counts cells, not bytes: a hit-set holds its cells
     packed, eight per byte (:class:`CellSet`), so one at the default

@@ -781,30 +781,36 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     whose row w is ``np.packbits`` of the ell^D flags set exactly at
     ``z_at(w)`` (z = 8k + i is bit 7 - i of byte k), its padding bits zero.
 
-    ``bitmap`` splits w = u + t*ell^(D-1) and c = c1 + s*ell^(D-1), with
-    u, c1 < ell^(D-1) and t, s < ell.  In both rings a*w - c =
-    (a*u - c1) + ((a mod ell)*t - s)*ell^(D-1) mod ell^D: the second term
-    touches only z's top digit (a carry past digit D - 1 vanishes mod ell^D
-    and fq has none), and z's low part (a*u - c1) mod ell^(D-1) reads only
-    a mod ell^(D-1), u and c1.
+    ``bitmap`` rests on two identities, true in both rings since a carry
+    past digit D - 1 vanishes mod ell^D (and fq has none).  With c = c1 +
+    s*ell^(D-1) (c1 < ell^(D-1), s < ell), a*w - c = (a*w - c1) -
+    s*ell^(D-1): s moves only z's top digit, and z mod ell^(D-1) reads only
+    a, w and c1 mod ell^(D-1).  With w = u + t*ell^(D-k) (u < ell^(D-k),
+    t < ell^k), a*w - c = (a*u - c) + g*t*ell^(D-k) for g = a mod ell^k,
+    g*t taken at depth k (carry-free on fq): t moves only z's top k digits.
 
     * Lift.  Pairs sharing a and c1 and taking all ell values of s (a full
       group) hit, at every w, each top digit over that low part.  For
-      D >= 2 their hits are the ell^2 lifts, over t and z's top digit, of
-      the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
+      D >= 2 their hits are the ell^2 lifts, over w's and z's top digit,
+      of the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
       which lifts its own full groups in turn.  Repeated pairs count once.
-      With no other pair, the packed lower rows are tiled straight into
-      the output where a row of ell^(D-1) cells fills whole bytes
-      (ell = 2, D >= 4), and block by block otherwise.
-    * Fold.  The other pairs of class g (a = g mod ell) hit in row w their
-      cells of row u moved by g*t*ell^(D-1) mod ell^D.  They are laid out
-      as one row of pairs per class, each padded to the largest class's
-      length by repeating its own pairs (a repeat sets no new cell), and
-      one :func:`_walk` steps all the rows together over the rows u, so
-      each pair is stepped and scattered ell^(D-1) times, not ell^D.
-      :func:`_fold` finishes each block of rows u for every t in a small
-      bool working block, then packs and writes it once.  No ell^(2D)
-      bool array is allocated.
+      The packed lower rows are tiled straight into the output where a row
+      of ell^(D-1) cells fills whole bytes (ell = 2, D >= 4), and block by
+      block otherwise.
+    * Fold.  The other pairs of class g hit in row w their cells of row u
+      with z's top k digits moved by g*t.  They are laid out as one row of
+      pairs per class, each padded to the largest class's length by
+      repeating its own pairs (a repeat sets no new cell), and one
+      :func:`_walk` steps all the rows together over the ell^(D-k) rows u,
+      so each pair is stepped and scattered ell^(D-k) times, not ell^D.
+      k is one digit but at ell = 2 from D = 8, where it is 2 or 3
+      (:func:`_fold_digits`): there each of z's 2^k chunks of 2^(D-k)
+      cells is whole bytes, so the move is a permutation of the chunks of
+      a packed row, and :func:`_fold_packed` ors each class's packed rows,
+      chunks permuted, into the output, which starts as the tiled lift.
+      With k = 1, :func:`_fold` finishes each block of rows u for every t
+      in a small bool working block, then packs and writes it once.  No
+      ell^(2D) bool array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
 
@@ -884,8 +890,10 @@ def _fold_digits(ell: int, D: int) -> int:
 
 
 def _fold(out: np.ndarray, lower, classes: list, walk):
-    """Write into ``out`` (axes: w's top digit t, its low code u, packed z)
-    the hits of the class rows that ``walk`` (:func:`_walk`) yields, one
+    """The fold of w's top digit (k = 1) in bool: at ell >= 3, and at
+    ell = 2 below D = 8, where the packed fold measured no faster.  Write
+    into ``out`` (axes: w's top digit t, its low code u, packed z) the
+    hits of the class rows that ``walk`` (:func:`_walk`) yields, one
     ``(u0, Z)`` per block of B rows u, where ``Z[p]`` holds the rows of
     class ``classes[p]`` (the classes in increasing order).  A block starts
     from the rows of ``lower``, the packed depth-(D-1) lift, tiled over t
@@ -930,15 +938,23 @@ def _fold(out: np.ndarray, lower, classes: list, walk):
 
 
 def _fold_packed(out: np.ndarray, perms: list, walk):
-    """OR into ``out`` (axes: w's top k digits t, its low code u, z's top
-    k digits, packed bytes of z's low code) the hits of the class rows
-    that ``walk`` (:func:`_walk`) yields, one ``(u0, Z)`` per block of B
-    rows u; ``Z[p]`` holds the rows of the p-th class and ``perms[p]``
-    its chunk map: row w = u + t*ell^(D-k) takes, as its chunk j, chunk
-    ``perms[p][t, j]`` of row u (None for class 0, which maps every chunk
-    to itself).  ``out`` already holds the lift, or no cell.  Each block
-    of every class is set in one bool scratch, packed once, and each class
-    is or-ed, its chunks gathered, into the block's rows for every t."""
+    """The fold of w's top k >= 2 digits at ell = 2, in packed bytes.  Or
+    into ``out`` (axes: w's top k digits t, its low code u, z's top k
+    digits j, the bytes of z's 2^(D-k) low cells) the hits of the class
+    rows that ``walk`` (:func:`_walk`) yields, one ``(u0, Z)`` per block of
+    B rows u; ``Z[p]`` holds the rows of the p-th class, and ``perms[p]``
+    its chunk map: row u + t*2^(D-k) takes, as its chunk j, chunk
+    ``perms[p][t, j]`` of row u (None for class 0, whose chunks stay).
+    ``out`` already holds the tiled lift, or no cell.
+
+    Each block of every class is scattered into one bool scratch and
+    packed once into a round of S blocks, S <= 8, whose packed rows take
+    no more bytes than the scratch.  The walk's aligned runs of S blocks
+    cover aligned runs of S*B rows u, so after each run every class is
+    or-ed into those rows for every t: class 0 as it is, another class
+    with its chunks gathered by one ``take``.  The ors thus run once per
+    S blocks, on S times the rows; one round per block took 1.25-1.35x
+    as long at D = 10 to 14 (``BENCH_27.json``)."""
     K, U, _, cb = out.shape
     m = K * cb * 8
     first = next(walk)
@@ -968,11 +984,12 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
 
 def _block_digits(ell: int, D: int, n: int, digits: int,
                   rows: int = 1) -> int:
-    """The J of :func:`_walk`'s blocks of B = ell^J rows for ``rows`` rows
-    of n pairs, walking ``digits`` digits: the largest (at most ``digits``)
-    with rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B * ell^D <=
-    8 * ``WALK_BLOCK_ENTRIES``, so B rows of flags take no more bytes than
-    a block of codes."""
+    """The J of :func:`_walk`'s blocks of B = ell^J rows u < ell^digits,
+    for ``rows`` rows of n pairs scattered at once: the largest J <=
+    ``digits`` with rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B *
+    ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so the flags of a block take no
+    more bytes than its codes.  The bool fold scatters one class at a time
+    (rows = 1), the packed fold every class of the block at once."""
     J = 0
     while (J < digits and rows * ell ** (J + 1) * max(8 * n, ell ** D)
            <= 8 * WALK_BLOCK_ENTRIES):
@@ -983,7 +1000,9 @@ def _block_digits(ell: int, D: int, n: int, digits: int,
 def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray,
           digits: int, J: int):
     """The rows z_at(u) = a*u - c of :func:`residue_mul_sub` at the w codes
-    u < ell^(D-1), in blocks, for every row of pairs at once.
+    u < ell^digits (digits = D - k for a fold of k top digits of w), in
+    blocks of B = ell^J rows (J <= digits, from :func:`_block_digits`),
+    for every row of pairs at once.
 
     ``a`` and ``c`` have shape (C, n), C rows of n pairs (the classes of
     ``bitmap``), or (n,) for one row.  The generator visits every such u
@@ -994,24 +1013,27 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray,
     table and the block buffers are built once, for all rows, and each step
     is one set of numpy calls over all of them.
 
-    A block holds the B = ell^J rows of the J low digits of u, J from
-    :func:`_block_digits` for n pairs.  The first block (u0 = 0) is filled
-    by ell-ary doubling from the row -c: rows k*ell^j + r are rows
-    (k-1)*ell^j + r plus a*t^j, for j < J, k = 1..ell-1 and r < ell^j.
-    Each later step raises one digit i of u0, J <= i <= D - 2, and adds
-    a*t^i to the whole block:
+    A block holds the rows of the J low digits of u.  The first block
+    (u0 = 0) is filled by ell-ary doubling from the row -c: rows
+    k*ell^j + r are rows (k-1)*ell^j + r plus a*t^j, for j < J,
+    k = 1..ell-1 and r < ell^j.  Each later step raises one digit i of u0,
+    J <= i < digits, and adds a*t^i to the whole block:
 
     * PADIC steps u0 by B: Z += a*B mod ell^D.  At ell = 2 a mask reduces;
       at ell >= 3 Z + a*B < 2 ell^D, so one conditional subtraction does,
       taken as the unsigned minimum of Z and Z - ell^D into a reused
       scratch block: no division.
-    * POWER_SERIES walks the digits J..D-2 in an ell-ary (modular) Gray
-      order, highest digit first: step k raises digit i = D - 2 - v_ell(k)
-      of u0 by 1 mod ell.  At ell = 2 the step is Z ^= a*t^i.  At
-      ell >= 3 Z is held as a low half of h = ceil(D/2) digits and a high
-      half of D - h digits; each half is added with one ``take`` from the
-      ell^h x ell^h carry-free addition table (so ``z_at`` never allocates
-      it).  A step with i >= h changes only the high half.
+    * POWER_SERIES walks the digits J..digits-1 in an ell-ary (modular)
+      Gray order: step k raises digit i of u0 by 1 mod ell, i = J +
+      v_ell(k) (lowest digit first) at ell = 2 and i = digits - 1 -
+      v_ell(k) (highest first) at ell >= 3.  At ell = 2 the step is
+      Z ^= a*t^i, and, as on PADIC, each aligned run of 2^s steps covers
+      an aligned run of 2^s blocks, which :func:`_fold_packed` ors
+      together.  At ell >= 3 Z is held as a low half of h = ceil(D/2)
+      digits and a high half of D - h digits; each half is added with one
+      ``take`` from the ell^h x ell^h carry-free addition table (so
+      ``z_at`` never allocates it).  A step with i >= h changes only the
+      high half.
     """
     ell, m = ring.ell, ring.ell ** D
     B = ell ** J
