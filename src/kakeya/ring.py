@@ -855,7 +855,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             ar, c1 = np.divmod(grp[pick], top)
             walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
                          D - k, _block_digits(ell, D, n.max(), D - k,
-                                              len(classes) if k > 1 else 1))
+                                              2 * len(classes) if k > 1 else 1))
             if k == 1:  # each bool block starts from the lift
                 _fold(out, lower, classes.tolist(), walk)
                 return out.reshape(m, -1)
@@ -985,11 +985,12 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
 def _block_digits(ell: int, D: int, n: int, digits: int,
                   rows: int = 1) -> int:
     """The J of :func:`_walk`'s blocks of B = ell^J rows u < ell^digits,
-    for ``rows`` rows of n pairs scattered at once: the largest J <=
-    ``digits`` with rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B *
-    ell^D <= 8 * ``WALK_BLOCK_ENTRIES``, so the flags of a block take no
-    more bytes than its codes.  The bool fold scatters one class at a time
-    (rows = 1), the packed fold every class of the block at once."""
+    for ``rows`` rows of n pairs: the largest J <= ``digits`` with
+    rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B * ell^D <= 8 *
+    ``WALK_BLOCK_ENTRIES``, so the flags of a block take no more bytes
+    than its codes.  The bool fold scatters one class at a time (rows =
+    1); the packed fold scatters its C classes at once and holds a round
+    of packed rows as large as their flags, so it passes rows = 2C."""
     J = 0
     while (J < digits and rows * ell ** (J + 1) * max(8 * n, ell ** D)
            <= 8 * WALK_BLOCK_ENTRIES):
