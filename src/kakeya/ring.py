@@ -953,8 +953,8 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
     cover aligned runs of S*B rows u, so after each run every class is
     or-ed into those rows for every t: class 0 as it is, another class
     with its chunks gathered by one ``take``.  The ors thus run once per
-    S blocks, on S times the rows; one round per block took 1.25-1.35x
-    as long at D = 10 to 14 (``BENCH_27.json``)."""
+    S blocks, on S times the rows; one round per block took 1.3-1.6x as
+    long at D = 10 to 14 (``BENCH_27.json``)."""
     K, U, _, cb = out.shape
     m = K * cb * 8
     first = next(walk)
