@@ -845,36 +845,37 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
         out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
+        if k > 1 or not len(grp):  # a bool fold's block starts from lower
+            if lower is None:
+                out[:] = 0
+            elif top % 8 == 0:
+                out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
+            else:  # through bool, a bounded block of rows at a time
+                B = ell ** _block_digits(ell, D, 0, D - 1)
+                for u0 in range(0, top, B):
+                    out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
+                        lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
         if len(grp):  # a walk's set-up took 26-100 us, pairs or none
             counts = np.bincount(grp // (top * U), minlength=K)  # per class
             classes = np.flatnonzero(counts)
             n = counts[classes, None]
             # row p takes class p's run of pairs, repeated up to the largest
             # class's length: a repeated pair sets no new cell
-            pick = np.cumsum(counts)[classes, None] - n + np.arange(n.max()) % n
+            pick = (np.cumsum(counts)[classes, None] - n
+                    + np.arange(n.max()) % n)
             ar, c1 = np.divmod(grp[pick], top)
+            rows = 2 * len(classes) if k > 1 else 1  # see _block_digits
             walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
-                         D - k, _block_digits(ell, D, n.max(), D - k,
-                                              2 * len(classes) if k > 1 else 1))
-            if k == 1:  # each bool block starts from the lift
+                         D - k, _block_digits(ell, D, n.max(), D - k, rows))
+            if k == 1:
                 _fold(out, lower, classes.tolist(), walk)
-                return out.reshape(m, -1)
-        if lower is None:
-            out[:] = 0
-        elif top % 8 == 0:
-            out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-        else:  # through bool, a bounded block of rows at a time
-            B = ell ** _block_digits(ell, D, 0, D - 1)
-            for u0 in range(0, top, B):
-                out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
-                    lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
-        if len(grp):  # row w = t*U + u; a chunk of U z cells is whole bytes
-            j = np.arange(K)
-            perms = residue_sub(ring, k, j, residue_mul(
-                ring, k, j[:, None], classes[:, None, None]))
-            _fold_packed(out.reshape(K, U, K, U // 8), [
-                None if g == 0 else p
-                for g, p in zip(classes.tolist(), perms)], walk)
+            else:  # row w = t*U + u; a chunk of U z cells is whole bytes
+                j = np.arange(K)
+                perms = residue_sub(ring, k, j, residue_mul(
+                    ring, k, j[:, None], classes[:, None, None]))
+                _fold_packed(out.reshape(K, U, K, U // 8), [
+                    None if g == 0 else p
+                    for g, p in zip(classes.tolist(), perms)], walk)
         return out.reshape(m, -1)
 
     return z_at, bitmap
