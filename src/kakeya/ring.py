@@ -845,7 +845,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
         out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
-        if k > 1 or not len(grp):  # a bool fold's block starts from lower
+        if k > 1 or not len(grp):  # else _fold starts each block from lower
             if lower is None:
                 out[:] = 0
             elif top % 8 == 0:
