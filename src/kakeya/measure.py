@@ -49,6 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ring
 from .errors import BadDepth, BadIndex, BudgetExceeded, InvariantViolated
 from .families import FamilyDescriptor, phi_for_family
 from .phi import (PhiConfig, PhiVariant, phi_input_depth, residue_table_cells,
@@ -141,21 +142,22 @@ def _check_headroom(ell: int, D: int):
 def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
                  x_cells, budget_cells: int, budget_pairs: int, *,
                  X: int | None = None, cells: int | None = None,
-                 n_w: int | None = None, build: bool = False) -> int:
+                 n_w: int | None = None) -> int:
     """Depth, range of ``x_cells``, budget and int64 headroom of one
     depth-D enumeration, before any array is built.  Returns its input
     depth: ``X``, or by default :func:`~kakeya.phi.phi_input_depth`.
 
-    ``cells`` is what the caller stores (default: every cell of the
-    hit-set) and ``n_w`` the w cells it visits (default: every one).  Each
-    w is charged the entries evaluated for it: ``len(x_cells)`` when given
-    (each code once), the :func:`~kakeya.phi.residue_table_cells`
-    entries on the packed route, every depth-X x cell on the element
-    route; the element route's charges are upper bounds, since it
-    evaluates one entry per distinct pair.  A packed hit-set ``build`` is
-    charged only ell^(D-1) w cells, an upper bound: its fold steps
-    ell^(D-k) for k >= 1 folded top digits of w, and the lift fewer
-    (:func:`~kakeya.ring.residue_mul_sub`).
+    A read-back passes ``cells``, what it stores, and ``n_w``, the w cells
+    it visits.  By default a hit-set build is charged: every cell, at
+    ell^(d D) w rows on the element route and ell^(d (D-1)) on the packed
+    route, an upper bound there: its fold steps ell^(D-k) for k >= 1
+    folded top digits of w, and the lift fewer
+    (:func:`~kakeya.ring.residue_mul_sub`).  Each w row is charged the
+    entries evaluated for it: ``len(x_cells)`` when given (each code
+    once), the :func:`~kakeya.phi.residue_table_cells` entries on the
+    packed route, every depth-X x cell on the element route; the element
+    route's charges are upper bounds, since it evaluates one entry per
+    distinct pair.
 
     The cell budget counts cells, not bytes: a hit-set holds its cells
     packed, eight per byte (:class:`CellSet`), so one at the default
@@ -176,12 +178,10 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
         per_w = residue_table_cells(variant, D, X, ell)
     else:
         per_w = n_x
-    if n_w is None:
-        n_w = ell ** (fam.d_dim * D)
     if cells is None:
-        cells = n_w * ell ** (fam.out_dim * D)
-    if build and fam.cells_eval is not None:
-        n_w = ell ** (fam.d_dim * (D - 1))
+        cells = ell ** ((fam.d_dim + fam.out_dim) * D)
+    if n_w is None:
+        n_w = ell ** (fam.d_dim * (D if fam.cells_eval is None else D - 1))
     if cells > budget_cells or per_w * n_w > budget_pairs:
         raise BudgetExceeded(cells, per_w * n_w, budget_cells, budget_pairs)
     _check_headroom(ell, D)
@@ -304,7 +304,7 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     if x_cells is not None:
         x_cells = sorted(set(x_cells))
     X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
-                     X=input_depth, build=True)
+                     X=input_depth)
 
     _, bitmap = _hits(fam, phi_variant, D, X, x_cells)
     return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
@@ -382,8 +382,7 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
     otherwise, and the D_min row also carries the check."""
     if D_min > D_max:
         raise ValueError(f"bad depth range [{D_min}, {D_max}]")
-    _check_build(fam, phi_variant, D_min, None, budget_cells, budget_pairs,
-                 build=True)
+    _check_build(fam, phi_variant, D_min, None, budget_cells, budget_pairs)
     build = functools.partial(build_set_cells, fam, phi_variant,
                               budget_cells=budget_cells,
                               budget_pairs=budget_pairs)
@@ -406,35 +405,38 @@ def decay_report(fam: FamilyDescriptor, phi_variant: PhiVariant,
                        tuple(reversed(rows)))
 
 
-# Most z flags one chunk of _project unpacks at a time.
-PROJECT_BLOCK_FLAGS = 2 ** 17
-
-
 def _project(cs: CellSet) -> CellSet:
     """The depth-(D - 1) cells under the depth-D ``cs``: a cell is hit iff
     one of its ell^k sub-cells is, k = w_dim + z_dim.  Each entry's
     depth-D code splits into its top digit and the depth-(D - 1) code, so
-    the packed rows reshape to (ell, ell^(D-1)) per w entry and the w
-    top-digit axes are or-reduced byte by byte.  Where z is one entry whose
-    depth-(D - 1) code fills whole bytes (ell = 2, D >= 4), its top digit
-    is or-reduced on the bytes in the same call.  Otherwise chunks of at
-    most ``PROJECT_BLOCK_FLAGS`` z flags are unpacked, reshaped to (ell,
-    ell^(D-1)) per z entry, or-reduced over the top-digit axes and packed
-    again."""
+    the packed rows reshape to (ell, ell^(D-1)) per w entry, and each w
+    top-digit axis is or-reduced byte by byte, one axis at a time, as the
+    ors of its ell slabs.  Where z is one entry whose depth-(D - 1) code
+    fills whole bytes (ell = 2, D >= 4), its top digit is or-reduced on
+    the bytes the same way.  Otherwise chunks of rows are unpacked, at
+    most 8 * ``ring.WALK_BLOCK_ENTRIES`` z flags at a time (the bound of
+    every bool pass over packed rows), reshaped to (ell, ell^(D-1)) per z
+    entry, or-reduced over the top-digit axes and packed again."""
     ell, w_dim, z_dim = cs.ell, cs.w_dim, cs.z_dim
     low = ell ** (cs.depth - 1)
-    w_axes = tuple(range(0, 2 * w_dim, 2))
-    if z_dim == 1 and low % 8 == 0:
-        rows = np.bitwise_or.reduce(
-            cs.rows.reshape((ell, low) * w_dim + (ell, low // 8)),
-            axis=w_axes + (2 * w_dim,))
+    whole = z_dim == 1 and low % 8 == 0
+    rows = cs.rows.reshape((ell, low) * w_dim
+                           + ((ell, low // 8) if whole else (-1,)))
+    # after i reductions the next top-digit axis is axis i.  Or-ing its
+    # slabs took 0.2-0.6x the time of np.bitwise_or.reduce over axes (0, 2)
+    # at ell = 2, D 8-12; np.moveaxis in place of the index cost about
+    # 4 us more a call.
+    for i in range(w_dim + whole):
+        lead = (slice(None),) * i
+        rows = functools.reduce(np.bitwise_or,
+                                (rows[lead + (s,)] for s in range(ell)))
+    if whole:
         return CellSet(cs.depth - 1, ell, w_dim, 1,
                        rows=rows.reshape(-1, low // 8))
-    rows = np.bitwise_or.reduce(cs.rows.reshape((ell, low) * w_dim + (-1,)),
-                                axis=w_axes).reshape(-1, cs.rows.shape[1])
+    rows = rows.reshape(-1, cs.rows.shape[1])
     n_z = ell ** (z_dim * cs.depth)
     out = np.empty((len(rows), -(-low ** z_dim // 8)), dtype=np.uint8)
-    step = max(1, PROJECT_BLOCK_FLAGS // n_z)
+    step = max(1, 8 * ring.WALK_BLOCK_ENTRIES // n_z)
     for i in range(0, len(rows), step):
         flags = np.unpackbits(rows[i:i + step], axis=1, count=n_z).view(bool)
         flags = np.logical_or.reduce(flags.reshape((-1,) + (ell, low) * z_dim),

@@ -763,8 +763,10 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
-# Most int64 entries in one block of walk rows (see _walk).  Each
-# walk step moves a whole block with a few numpy calls, so a block must be
+# Most int64 entries in one block of walk rows (see _walk), and an eighth
+# of the most flags any bool pass over packed rows unpacks at once: the
+# bool lift tile of residue_mul_sub and measure's projection.  Each walk
+# step moves a whole block with a few numpy calls, so a block must be
 # large enough to amortize the Python step and small enough to stay in
 # cache.  BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast,
 # and 2^14 holds the least memory.
@@ -794,9 +796,6 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       D >= 2 their hits are the ell^2 lifts, over w's and z's top digit,
       of the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
       which lifts its own full groups in turn.  Repeated pairs count once.
-      The packed lower rows are tiled straight into the output where a row
-      of ell^(D-1) cells fills whole bytes (ell = 2, D >= 4), and block by
-      block otherwise.
     * Fold.  The other pairs of class g hit in row w their cells of row u
       with z's top k digits moved by g*t.  They are laid out as one row of
       pairs per class, each padded to the largest class's length by
@@ -807,10 +806,18 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
       (:func:`_fold_digits`): there each of z's 2^k chunks of 2^(D-k)
       cells is whole bytes, so the move is a permutation of the chunks of
       a packed row, and :func:`_fold_packed` ors each class's packed rows,
-      chunks permuted, into the output, which starts as the tiled lift.
-      With k = 1, :func:`_fold` finishes each block of rows u for every t
-      in a small bool working block, then packs and writes it once.  No
-      ell^(2D) bool array is allocated.
+      chunks permuted, into the output.  With k = 1, :func:`_fold`
+      finishes each block of rows u for every t in a small bool working
+      block, then packs and ors it in once.
+
+    The output is started in one place: it holds the tiled lift, or no
+    cell; a fold ors its rows in.  The packed lower rows are tiled straight
+    into it where a row of ell^(D-1) cells fills whole bytes (ell = 2,
+    D >= 4), and through bool a block of rows at a time otherwise: like
+    every bool pass over packed rows (measure's projection too), it
+    unpacks at most 8 * ``WALK_BLOCK_ENTRIES`` flags at once.  The folds'
+    bool blocks are bounded by :func:`_block_digits`, so no ell^(2D) bool
+    array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
 
@@ -845,16 +852,15 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
         out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
-        if k > 1 or not len(grp):  # else _fold starts each block from lower
-            if lower is None:
-                out[:] = 0
-            elif top % 8 == 0:
-                out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-            else:  # through bool, a bounded block of rows at a time
-                B = ell ** _block_digits(ell, D, 0, D - 1)
-                for u0 in range(0, top, B):
-                    out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
-                        lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
+        if lower is None:
+            out[:] = 0
+        elif top % 8 == 0:
+            out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
+        else:  # through bool, a bounded block of rows at a time
+            B = max(1, 8 * WALK_BLOCK_ENTRIES // m)
+            for u0 in range(0, top, B):
+                out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
+                    lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
         if len(grp):  # a walk's set-up took 26-100 us, pairs or none
             counts = np.bincount(grp // (top * U), minlength=K)  # per class
             classes = np.flatnonzero(counts)
@@ -868,7 +874,7 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
                          D - k, _block_digits(ell, D, n.max(), D - k, rows))
             if k == 1:
-                _fold(out, lower, classes.tolist(), walk)
+                _fold(out, classes.tolist(), walk)
             else:  # row w = t*U + u; a chunk of U z cells is whole bytes
                 j = np.arange(K)
                 perms = residue_sub(ring, k, j, residue_mul(
@@ -890,19 +896,18 @@ def _fold_digits(ell: int, D: int) -> int:
     return min(3, max(1, D - 6)) if ell == 2 else 1
 
 
-def _fold(out: np.ndarray, lower, classes: list, walk):
+def _fold(out: np.ndarray, classes: list, walk):
     """The fold of w's top digit (k = 1) in bool: at ell >= 3, and at
-    ell = 2 below D = 8, where the packed fold measured no faster.  Write
+    ell = 2 below D = 8, where the packed fold measured no faster.  Or
     into ``out`` (axes: w's top digit t, its low code u, packed z) the
     hits of the class rows that ``walk`` (:func:`_walk`) yields, one
     ``(u0, Z)`` per block of B rows u, where ``Z[p]`` holds the rows of
-    class ``classes[p]`` (the classes in increasing order).  A block starts
-    from the rows of ``lower``, the packed depth-(D-1) lift, tiled over t
-    and z's top digit (or from no cell), and is finished in a bool working
-    block, packed and written once: the lift and class 0 hit the same cells
-    at every t, so they are set once, and packed once when no other class
-    follows; another class is set in a scratch, or-ed into a copy for each
-    t rolled by g*t*ell^(D-1)."""
+    class ``classes[p]`` (the classes in increasing order).
+
+    Each block is finished in a bool working block, packed and or-ed in
+    once: class 0 hits the same cells at every t, so it is set once, and
+    packed once when no other class follows; another class is set in a
+    scratch, or-ed into a copy for each t rolled by g*t*ell^(D-1)."""
     ell, top, _ = out.shape
     m = ell * top
     first = next(walk)
@@ -916,11 +921,7 @@ def _fold(out: np.ndarray, lower, classes: list, walk):
     idx = np.empty((B, n), dtype=np.int64)  # one scatter's index at a time
     for u0, Z in itertools.chain([first], walk):
         base = work[0]
-        if lower is None:
-            base[:] = False
-        else:
-            base.reshape(B, ell, top)[:] = np.unpackbits(
-                lower[u0:u0 + B], axis=1, count=top).view(bool)[:, None, :]
+        base[:] = False
         rows = zip(classes, Z)
         if classes[0] == 0:
             base.reshape(-1)[np.add(next(rows)[1], offsets, out=idx)] = True
@@ -935,7 +936,7 @@ def _fold(out: np.ndarray, lower, classes: list, walk):
                 if sh:
                     part = work[t, :, :sh]
                     part |= scratch[:, m - sh:]
-        out[:, u0:u0 + B] = np.packbits(work, axis=-1)
+        out[:, u0:u0 + B] |= np.packbits(work, axis=-1)
 
 
 def _fold_packed(out: np.ndarray, perms: list, walk):
@@ -946,7 +947,6 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
     B rows u; ``Z[p]`` holds the rows of the p-th class, and ``perms[p]``
     its chunk map: row u + t*2^(D-k) takes, as its chunk j, chunk
     ``perms[p][t, j]`` of row u (None for class 0, whose chunks stay).
-    ``out`` already holds the tiled lift, or no cell.
 
     Each block of every class is scattered into one bool scratch and
     packed once into a round of S blocks, S <= 8, whose packed rows take

@@ -835,21 +835,21 @@ class TestBudget:
         """fq:2 dh at D = 14: the packed build is charged its 2^15 pairs at
         the 2^13 w rows the fold steps, 2^28, and its 2^28 cells, so it
         fits the default budgets, checked without building anything.
-        Charged every w cell, as the coverage audit and the element route
-        are, it would not."""
+        Charged every w cell (``n_w`` = 2^14), as the element route is, it
+        would not."""
         monkeypatch.setattr(measure, "variant_residue_table", _no_table)
         monkeypatch.setattr(measure, "phi_for_family", _no_table)
         fam, D = kakeya_line_family(F2), 14
         budgets = (measure.DEFAULT_CELL_BUDGET, measure.DEFAULT_PAIR_BUDGET)
         assert budgets == (2 ** 28, 2 ** 28)
-        assert measure._check_build(fam, DH, D, None, *budgets, build=True) \
+        assert measure._check_build(fam, DH, D, None, *budgets) \
             == phi_input_depth(DH, D, 2)
         with pytest.raises(BudgetExceeded) as ei:
-            measure._check_build(fam, DH, D, None, *budgets)
+            measure._check_build(fam, DH, D, None, *budgets, n_w=2 ** 14)
         assert ei.value.pairs_needed == 2 ** 15 * 2 ** 14
         element = dataclasses.replace(fam, cells_eval=None)
         with pytest.raises(BudgetExceeded) as ei:
-            measure._check_build(element, DH, D, None, *budgets, build=True)
+            measure._check_build(element, DH, D, None, *budgets)
         assert ei.value.pairs_needed == 2 ** phi_input_depth(DH, D, 2) * 2 ** D
 
     @pytest.mark.parametrize("ring", (F2, Z3, F5), ids=str)
@@ -1030,12 +1030,13 @@ class TestPackedRows:
     @pytest.mark.parametrize("ring, D", [(F2, 2), (F2, 5), (Z3, 3), (F5, 2)],
                              ids=str)
     def test_projection_chunks(self, ring, D, monkeypatch):
-        """Unpacked a few rows at a time, or one row at a time, the
-        projection is the same or-reduce."""
+        """Unpacked one row at a time (two at fq:2 D 2, whose rows are 4
+        flags) or 24 rows at a time, the projection is the same or-reduce:
+        8 * ``ring.WALK_BLOCK_ENTRIES`` flags bound its chunks."""
         cs = build_set_cells(nikodym_line_family(ring), SAW, D)
         want = _or_reduced(cs)
-        for flags in (1, 3 * ring.ell ** D):
-            monkeypatch.setattr(measure, "PROJECT_BLOCK_FLAGS", flags)
+        for cap in (1, 3 * ring.ell ** D):
+            monkeypatch.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
             low = measure._project(cs)
             self._check_packed(low)
             assert np.array_equal(low.bits, want)

@@ -55,8 +55,8 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import (ALL_RINGS, EQUIV_RINGS, F2, F3, F5, LARGE_RINGS, Z2,
-                      Z3, Z5, Z7, check_class_rows, elements)
+from conftest import (ALL_RINGS, EQUIV_RINGS, F2, F3, F5, F7, LARGE_RINGS,
+                      Z2, Z3, Z5, Z7, check_class_rows, elements)
 
 
 class TestConstruction:
@@ -1096,6 +1096,53 @@ class TestResidueLayer:
         want = np.tile(low, (ell, ell))
         assert np.array_equal(
             self._unpacked(residue_mul_sub(ring, D, a, c)[1](), m), want)
+
+    @pytest.mark.parametrize("cap", (WALK_BLOCK_ENTRIES, 1),
+                             ids=("blocks", "one_row_blocks"))
+    @pytest.mark.parametrize("ring, D", [
+        pytest.param(r, D, id=f"{r}-D{D}")
+        for rings, depths in (((F3, Z3, F5, Z5), (2, 3, 4)),
+                              ((F7, Z7), (2,)), ((F2, Z2), range(2, 8)))
+        for r in rings for D in depths])
+    def test_bitmap_lift_and_bool_fold_across_blocks(self, ring, D, cap):
+        """Six full groups mixed with random pairs, some of both repeated:
+        the tiled lift with the bool fold or-ed into it equals, row for
+        row, ``np.packbits`` of a per-w scatter of ``z_at``.  Under a cap
+        of one entry every block of the bool lift tile (where a lower row
+        is not whole bytes) and of the fold is one row u, so each must land
+        at its own rows; under the module's cap they are larger."""
+        ell, m = ring.ell, ring.ell ** D
+        top = m // ell
+        rnd = random.Random(f"{ring}-{D}-lift-fold")
+        heads = [(rnd.randrange(m), rnd.randrange(top)) for _ in range(6)]
+        full = [(ac, c1 + s * top) for ac, c1 in heads for s in range(ell)]
+        folded = [(rnd.randrange(m), rnd.randrange(m)) for _ in range(20)]
+        pairs = full + folded + full[:3] + folded[:3]
+        a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        c = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        seen = {}
+
+        def spy(name, real):
+            def call(rg, depth, *args):
+                seen.setdefault((name, depth), []).append(args[-1])
+                return real(rg, depth, *args)
+            return call
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
+            mp.setattr(ring_module, "residue_mul_sub",
+                       spy("lift", residue_mul_sub))
+            mp.setattr(ring_module, "_walk", spy("fold", ring_module._walk))
+            rows = residue_mul_sub(ring, D, a, c)[1]()
+        assert ("lift", D - 1) in seen
+        (J,), = [seen[("fold", D)]]
+        assert (J == 0) == (cap == 1)
+        z_at, _ = residue_mul_sub(ring, D, a, c)
+        assert rows.shape == (m, -(-m // 8)) and rows.dtype == np.uint8
+        row = np.empty(m, dtype=bool)
+        for w in range(m):
+            row[:] = False
+            row[z_at(w)] = True
+            assert np.array_equal(rows[w], np.packbits(row)), w
 
 
 # (ring, D, k) of the packed fold: every depth from the first whose chunks

@@ -44,3 +44,26 @@ def test_freeze_fixtures_check_finds_every_fixture_identical():
          "--check"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f"{n} of {n} fixtures identical" in proc.stdout.splitlines()
+
+
+def test_count_lines_counts_every_module():
+    """``scripts/count_lines.py`` exits 0 and prints one row per
+    ``src/kakeya`` module and a total: all its lines, as ``splitlines``
+    reads them, and fewer code lines, the total row summing both
+    columns."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_lines.py")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = (line.split() for line in proc.stdout.splitlines())
+    assert header == ["module", "lines", "code"]
+    *modules, total = [(name, int(lines), int(code))
+                       for name, lines, code in rows]
+    package = ROOT / "src" / "kakeya"
+    assert [m[0] for m in modules] == sorted(
+        p.name for p in package.glob("*.py"))
+    for name, lines, code in modules:
+        assert lines == len((package / name).read_text().splitlines())
+        assert 0 < code < lines
+    assert total == ("total", sum(m[1] for m in modules),
+                     sum(m[2] for m in modules))
