@@ -1120,22 +1120,24 @@ class TestResidueLayer:
         pairs = full + folded + full[:3] + folded[:3]
         a = np.asarray([p[0] for p in pairs], dtype=np.int64)
         c = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        seen = {}
+        lifts, blocks, real_walk = [], [], ring_module._walk
 
-        def spy(name, real):
-            def call(rg, depth, *args):
-                seen.setdefault((name, depth), []).append(args[-1])
-                return real(rg, depth, *args)
-            return call
+        def lift(rg, depth, a, c):
+            lifts.append(depth)
+            return residue_mul_sub(rg, depth, a, c)
+
+        def walk(rg, depth, a, c, digits, J):
+            if depth == D:
+                blocks.append(ell ** J)
+            return real_walk(rg, depth, a, c, digits, J)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
-            mp.setattr(ring_module, "residue_mul_sub",
-                       spy("lift", residue_mul_sub))
-            mp.setattr(ring_module, "_walk", spy("fold", ring_module._walk))
+            mp.setattr(ring_module, "residue_mul_sub", lift)
+            mp.setattr(ring_module, "_walk", walk)
             rows = residue_mul_sub(ring, D, a, c)[1]()
-        assert ("lift", D - 1) in seen
-        (J,), = [seen[("fold", D)]]
-        assert (J == 0) == (cap == 1)
+        assert D - 1 in lifts
+        (B,) = blocks
+        assert (B == 1) == (cap == 1)
         z_at, _ = residue_mul_sub(ring, D, a, c)
         assert rows.shape == (m, -(-m // 8)) and rows.dtype == np.uint8
         row = np.empty(m, dtype=bool)
