@@ -422,10 +422,8 @@ def _project(cs: CellSet) -> CellSet:
     whole = z_dim == 1 and low % 8 == 0
     rows = cs.rows.reshape((ell, low) * w_dim
                            + ((ell, low // 8) if whole else (-1,)))
-    # after i reductions the next top-digit axis is axis i.  Or-ing its
-    # slabs took 0.2-0.6x the time of np.bitwise_or.reduce over axes (0, 2)
-    # at ell = 2, D 8-12; np.moveaxis in place of the index cost about
-    # 4 us more a call.
+    # after i reductions the next top-digit axis is axis i; or-ing its
+    # slabs beats one multi-axis reduce
     for i in range(w_dim + whole):
         lead = (slice(None),) * i
         rows = functools.reduce(np.bitwise_or,

@@ -1030,12 +1030,15 @@ class TestPackedRows:
     @pytest.mark.parametrize("ring, D", [(F2, 2), (F2, 5), (Z3, 3), (F5, 2)],
                              ids=str)
     def test_projection_chunks(self, ring, D, monkeypatch):
-        """Unpacked one row at a time (two at fq:2 D 2, whose rows are 4
-        flags) or 24 rows at a time, the projection is the same or-reduce:
-        8 * ``ring.WALK_BLOCK_ENTRIES`` flags bound its chunks."""
+        """Unpacked one row at a time or three rows at a time (a partial
+        last chunk at fq:5 D 2), the projection is the same or-reduce:
+        8 * ``ring.WALK_BLOCK_ENTRIES`` flags bound its chunks.  fq:2 D 5
+        takes the whole-byte path, which never chunks."""
         cs = build_set_cells(nikodym_line_family(ring), SAW, D)
         want = _or_reduced(cs)
-        for cap in (1, 3 * ring.ell ** D):
+        # cap 0 gives chunks of one row; the second cap, 3 * ell^D flags
+        # rounded up to whole entries, gives chunks of three rows at ell >= 3
+        for cap in (0, -(-3 * ring.ell ** D // 8)):
             monkeypatch.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
             low = measure._project(cs)
             self._check_packed(low)

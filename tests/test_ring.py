@@ -1108,9 +1108,11 @@ class TestResidueLayer:
         """Six full groups mixed with random pairs, some of both repeated:
         the tiled lift with the bool fold or-ed into it equals, row for
         row, ``np.packbits`` of a per-w scatter of ``z_at``.  Under a cap
-        of one entry every block of the bool lift tile (where a lower row
-        is not whole bytes) and of the fold is one row u, so each must land
-        at its own rows; under the module's cap they are larger."""
+        of one entry every block of the fold is one row u, and every block
+        of the bool lift tile (where a lower row is not whole bytes) is at
+        most 8 // ell^D rows, one row but at ell = 2 D 2, so each must land
+        at its own rows; under the module's cap they are larger.  Only the
+        fold's block size is asserted."""
         ell, m = ring.ell, ring.ell ** D
         top = m // ell
         rnd = random.Random(f"{ring}-{D}-lift-fold")
