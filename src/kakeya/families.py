@@ -59,11 +59,10 @@ class FamilyDescriptor:
     returns the hits packed, eight per byte: a uint8 array of shape
     (ell^D, ceil(ell^D / 8)) whose row w is ``np.packbits`` of the ell^D
     flags set at ``z_at(w)``, padding bits zero (the rows of
-    :class:`~kakeya.measure.CellSet`): repeats dropped, full top-digit
-    groups of pairs lifted from depth D - 1, the rest folded (see
-    :func:`~kakeya.ring.residue_mul_sub`, the kakeya ``cells_eval``, which
-    nikodym calls with its arguments swapped).  Per-pair work that does not
-    depend on w is done once, in the call that prepares them.  Without
+    :class:`~kakeya.measure.CellSet`); :func:`~kakeya.ring.residue_mul_sub`,
+    the kakeya ``cells_eval``, which nikodym calls with its arguments
+    swapped, gives the build.  Per-pair work that does not depend on w is
+    done once, in the call that prepares them.  Without
     ``cells_eval``, a hit-set enumeration takes its element-level twin
     (:func:`~kakeya.measure._element_eval`), with the same contract on
     combined cell codes: it calls ``eval`` on the depth-D cell

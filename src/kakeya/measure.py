@@ -29,14 +29,12 @@ reading only the row at its w; the direction-coverage audit reads stage 1
 only.  Both routes are exact, and the tests require them to produce
 identical cell sets, cross-sections and coverage reports.  The packed
 route takes one pair per phi-table code, repeats included, cached for the
-read-backs (:func:`_pairs`); its bitmap
-(:func:`~kakeya.ring.residue_mul_sub`) sorts them once, the one place
-repeats are dropped, lifts the full top-digit groups from depth D - 1 and
-folds w's top digit (two or three top digits at ell = 2 from D = 8) for
-the rest.  The element route reads no phi table
-and caches nothing: it keeps one pair per distinct key and calls ``eval``
-on each pair's depth-D cell representatives, so a family whose z-cell
-reads deeper digits is refused with :class:`~kakeya.errors.BadDepth`.
+read-backs (:func:`_pairs`); its bitmap is the one place repeats are
+dropped (:func:`~kakeya.ring.residue_mul_sub` gives the build).  The
+element route reads no phi table and caches nothing: it keeps one pair
+per distinct key and calls ``eval`` on each pair's depth-D cell
+representatives, so a family whose z-cell reads deeper digits is refused
+with :class:`~kakeya.errors.BadDepth`.
 """
 
 from __future__ import annotations

@@ -530,9 +530,6 @@ class ElementVector:
 
     def __post_init__(self):
         entries = self.entries
-        if type(entries) is tuple and len(entries) == 1 \
-                and type(entries[0]) is Element:
-            return  # one entry: one ring, one depth, nothing to normalize
         if not entries:
             raise ValueError("empty vector")
         r, W = entries[0].ring, entries[0].depth
@@ -851,12 +848,10 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
             rest = np.ones(len(grp), dtype=bool)
             rest[starts[:, None] + np.arange(ell)] = False
             grp, s = grp[rest], s[rest]
-        out = np.empty((ell, top, -(-m // 8)), dtype=np.uint8)
-        if lower is None:
-            out[:] = 0
-        elif top % 8 == 0:
+        out = np.zeros((ell, top, -(-m // 8)), dtype=np.uint8)
+        if lower is not None and top % 8 == 0:
             out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-        else:  # through bool, a bounded block of rows at a time
+        elif lower is not None:  # through bool, B rows at a time
             B = max(1, 8 * WALK_BLOCK_ENTRIES // m)
             for u0 in range(0, top, B):
                 out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(

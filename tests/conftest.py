@@ -1,5 +1,8 @@
 """Shared strategies and helpers for the test suite."""
 
+import importlib.util
+import pathlib
+
 import pytest
 from hypothesis import strategies as st
 
@@ -29,6 +32,22 @@ ALL_RINGS = (Z2, F2, Z3, F3, Z5, F5, Z7, F7)
 LARGE_RINGS = (Z11, F11, Z13, F13)
 # The equivalence tests of the element paths: ALL_RINGS and ell = 11.
 EQUIV_RINGS = ALL_RINGS + (Z11, F11)
+
+
+def _freeze_script():
+    """``scripts/freeze_fixtures.py`` as a module: its work runs only under
+    its ``__main__`` guard, so loading it only defines its names."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+            / "freeze_fixtures.py")
+    spec = importlib.util.spec_from_file_location("freeze_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (family, ring, first D, last D, file suffix) of every frozen decay table:
+# the fixture script's ``DECAY_TABLES``, its one list.
+FROZEN_DECAY_TABLES = _freeze_script().DECAY_TABLES
 
 
 @pytest.fixture(autouse=True)

@@ -21,7 +21,11 @@ from kakeya.analysis import (
     term_decomposition,
     vsd_counterexample_scan,
 )
-from kakeya.families import kakeya_line_family, nikodym_line_family
+from kakeya.families import (
+    BUILTIN_FAMILIES,
+    kakeya_line_family,
+    nikodym_line_family,
+)
 from kakeya.measure import (
     build_set_cells,
     decay_csv,
@@ -61,11 +65,10 @@ from kakeya.ring import (
     zero,
 )
 
+from conftest import FROZEN_DECAY_TABLES
+
 Z2, F2 = padic_ring(2), power_series_ring(2)
 Z3, F3 = padic_ring(3), power_series_ring(3)
-Z5, F5 = padic_ring(5), power_series_ring(5)
-Z11, F11 = padic_ring(11), power_series_ring(11)
-Z13, F13 = padic_ring(13), power_series_ring(13)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -279,52 +282,22 @@ def test_criterion_09_measure_decay_digit_shift_phi():
     report(9, "measure decay, digit-shift phi; carry non-additivity pinned")
 
 
-@pytest.mark.parametrize("make, ring, dmin, dmax, suffix", (
-    (kakeya_line_family, Z2, 2, 10, "zp2"),
-    (kakeya_line_family, F2, 11, 12, "fq2_deep"),
-    (kakeya_line_family, Z2, 11, 12, "zp2_deep"),
-    (kakeya_line_family, F2, 13, 13, "fq2_d13"),
-    (kakeya_line_family, Z2, 13, 13, "zp2_d13"),
-    (kakeya_line_family, F2, 14, 14, "fq2_d14"),
-    (kakeya_line_family, Z2, 14, 14, "zp2_d14"),
-    (kakeya_line_family, F3, 2, 7, "fq3"),
-    (kakeya_line_family, Z3, 2, 7, "zp3"),
-    (kakeya_line_family, F3, 8, 8, "fq3_d8"),
-    (kakeya_line_family, Z3, 8, 8, "zp3_d8"),
-    (kakeya_line_family, F5, 2, 5, "fq5"),
-    (kakeya_line_family, Z5, 2, 5, "zp5"),
-    (kakeya_line_family, F11, 1, 3, "fq11"),
-    (kakeya_line_family, Z11, 1, 3, "zp11"),
-    (kakeya_line_family, F13, 1, 3, "fq13"),
-    (kakeya_line_family, Z13, 1, 3, "zp13"),
-    (nikodym_line_family, F2, 2, 10, "fq2"),
-    (nikodym_line_family, Z2, 2, 10, "zp2"),
-    (nikodym_line_family, F3, 2, 6, "fq3"),
-    (nikodym_line_family, Z3, 2, 6, "zp3"),
-), ids=("zp2", "fq2_deep", "zp2_deep", "fq2_d13", "zp2_d13", "fq2_d14",
-        "zp2_d14", "fq3", "zp3",
-        "fq3_d8", "zp3_d8", "fq5", "zp5", "fq11", "zp11", "fq13", "zp13",
-        "nikodym_fq2", "nikodym_zp2", "nikodym_fq3", "nikodym_zp3"))
+REPLAYED_TABLES = [table for table in FROZEN_DECAY_TABLES
+                   if (table[0], table[-1]) != ("kakeya", "fq2")]
+
+
+@pytest.mark.parametrize(
+    "family, ring, dmin, dmax, suffix", REPLAYED_TABLES,
+    ids=[suffix if family == "kakeya" else f"{family}_{suffix}"
+         for family, *_, suffix in REPLAYED_TABLES])
 @pytest.mark.parametrize("variant", (PhiVariant.SAWYER, PhiVariant.DH),
                          ids=("sawyer", "dh"))
-def test_frozen_decay_tables(variant, make, ring, dmin, dmax, suffix):
-    """The decay tables beyond criteria 08 and 09 (the padic ring,
-    D = 11..14 on both rings, ell = 3 at D = 2..8, ell = 5 at D = 2..5 and
-    ell = 11 and 13 at D = 1..3) replay their frozen fixtures exactly; they
-    were frozen by earlier builds: D <= 12 by the per-x enumeration, before
-    pair deduplication, D = 13 from the full ell^X sawyer table, before the
-    minimal table and the w walk, D = 14 by the one-digit bool fold, before
-    the packed fold of w's top two or three digits, ell = 3 at D <= 7 by the w-block matmul,
-    before the ell-ary Gray walk of fq, ell = 3 at D = 8 and ell = 5 by the
-    low-digit-first Gray walk and the % reduction of zp, before the
-    high-digit-first order and the division-free zp step, and ell = 11 and
-    13 before Element sums shared one signed step.  The nikodym tables
-    (fq and zp at ell = 2 for D = 2..10 and ell = 3 for D = 2..6) were
-    frozen by the walk over every w, before the build folded w's top digit;
-    their packed route passes the pairs in the other order."""
-    fam = make(ring)
-    rep = decay_report(fam, variant, dmin, dmax)
-    name = f"decay_{fam.name}_{variant.value}_{suffix}.csv"
+def test_frozen_decay_tables(variant, family, ring, dmin, dmax, suffix):
+    """Every decay table the fixture script freezes (its ``DECAY_TABLES``,
+    whose comment says which build froze each) but kakeya fq2, which
+    criteria 08 and 09 replay, replays its frozen fixture exactly."""
+    rep = decay_report(BUILTIN_FAMILIES[family](ring), variant, dmin, dmax)
+    name = f"decay_{family}_{variant.value}_{suffix}.csv"
     assert strip_timing(decay_csv(rep), "csv") == \
         (FIXTURES / name).read_text()
 

@@ -457,8 +457,9 @@ class TestVectorsMatrices:
 
 
 class TestOneEntryPaths:
-    """One-entry vectors and 1 x 1 matrices skip the multi-entry checks and
-    normalization; what they build and what they refuse are unchanged."""
+    """``vector()`` of one entry and 1 x 1 matrices skip the multi-entry
+    checks and normalization; what they build and what they refuse are
+    unchanged."""
 
     @pytest.mark.parametrize("ring", EQUIV_RINGS, ids=str)
     def test_one_entry_vector_keeps_its_entry(self, ring):
