@@ -56,19 +56,15 @@ from kakeya.ring import (
     element_from_digits,
     mul,
     neg,
-    padic_ring,
     parse_element,
-    power_series_ring,
     sub,
     truncate,
     vector,
     zero,
 )
 
-from conftest import FROZEN_DECAY_TABLES
+from conftest import F2, F3, FROZEN_DECAY_TABLES, Z2, Z3
 
-Z2, F2 = padic_ring(2), power_series_ring(2)
-Z3, F3 = padic_ring(3), power_series_ring(3)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
