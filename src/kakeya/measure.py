@@ -8,8 +8,10 @@ Decay of the estimate with D is the desk-scale shadow of the measure-zero
 property; the decay tables are frozen as regression fixtures, not asserted
 against a rate.  A decay table builds one hit-set, at its deepest depth,
 and reads each shallower row by projection: a depth-D cell is hit iff one
-of its sub-cells is.  One independent build at the shallowest depth checks
-the projections.
+of its sub-cells is.  A projection allocates its output once and ors the
+slabs of the top digits into it a block of rows at a time
+(:func:`_project`), so it holds no reduced copy of the set.  One
+independent build at the shallowest depth checks the projections.
 
 Enumeration cost is governed by an explicit budget of cells stored and
 pairs evaluated, checked by :func:`_check_build` before any array is built;
@@ -29,8 +31,9 @@ reading only the row at its w; the direction-coverage audit reads stage 1
 only.  Both routes are exact, and the tests require them to produce
 identical cell sets, cross-sections and coverage reports.  The packed
 route takes one pair per phi-table code, repeats included, cached for the
-read-backs (:func:`_pairs`); its bitmap is the one place repeats are
-dropped (:func:`~kakeya.ring.residue_mul_sub` gives the build).  The
+read-backs (:func:`_pairs`), and an ``x_cells`` build indexes the same
+pairs; its bitmap is the one place repeats are dropped
+(:func:`~kakeya.ring.residue_mul_sub` gives the build).  The
 element route reads no phi table and caches nothing: it keeps one pair
 per distinct key and calls ``eval`` on each pair's depth-D cell
 representatives, so a family whose z-cell reads deeper digits is refused
@@ -85,9 +88,8 @@ class CellSet:
             rows = np.packbits(np.asarray(bits, dtype=bool).reshape(
                 -1, ell ** (z_dim * depth)), axis=1)
         rows.setflags(write=False)
-        for name, value in (("depth", depth), ("ell", ell), ("w_dim", w_dim),
-                            ("z_dim", z_dim), ("rows", rows)):
-            object.__setattr__(self, name, value)
+        vars(self).update(depth=depth, ell=ell, w_dim=w_dim, z_dim=z_dim,
+                          rows=rows)
 
     @property
     def bits(self) -> np.ndarray:
@@ -141,9 +143,10 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
                  x_cells, budget_cells: int, budget_pairs: int, *,
                  X: int | None = None, cells: int | None = None,
                  n_w: int | None = None) -> int:
-    """Depth, range of ``x_cells``, budget and int64 headroom of one
-    depth-D enumeration, before any array is built.  Returns its input
-    depth: ``X``, or by default :func:`~kakeya.phi.phi_input_depth`.
+    """Depth, integer type and range of ``x_cells``, budget and int64
+    headroom of one depth-D enumeration, before any array is built.
+    Returns its input depth: ``X``, or by default
+    :func:`~kakeya.phi.phi_input_depth`.
 
     A read-back passes ``cells``, what it stores, and ``n_w``, the w cells
     it visits.  By default a hit-set build is charged: every cell, at
@@ -151,8 +154,8 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
     route, an upper bound there: its fold steps ell^(D-k) for k >= 1
     folded top digits of w, and the lift fewer
     (:func:`~kakeya.ring.residue_mul_sub`).  Each w row is charged the
-    entries evaluated for it: ``len(x_cells)`` when given (each code
-    once), the :func:`~kakeya.phi.residue_table_cells` entries on the
+    entries evaluated for it: the distinct ``x_cells`` codes when given,
+    the :func:`~kakeya.phi.residue_table_cells` entries on the
     packed route, every depth-X x cell on the element route; the element
     route's charges are upper bounds, since it evaluates one entry per
     distinct pair.
@@ -168,16 +171,16 @@ def _check_build(fam: FamilyDescriptor, variant: PhiVariant, D: int,
         X = phi_input_depth(variant, D, ell)
     n_x = ell ** (fam.p_dim * X)
     if x_cells is not None:
-        bad = [c for c in x_cells if not 0 <= c < n_x]
+        bad = [c for c in x_cells
+               if not isinstance(c, (int, np.integer)) or not 0 <= c < n_x]
         if bad:
-            raise BadIndex(f"x cells {bad[:3]} outside [0, {n_x})")
-        per_w = len(x_cells)
+            raise BadIndex(f"x cells {bad[:3]}: not integers in [0, {n_x})")
+        per_w = len(set(x_cells))
     elif fam.cells_eval is not None:
         per_w = residue_table_cells(variant, D, X, ell)
     else:
         per_w = n_x
-    if cells is None:
-        cells = ell ** ((fam.d_dim + fam.out_dim) * D)
+    cells = ell ** ((fam.d_dim + fam.out_dim) * D) if cells is None else cells
     if n_w is None:
         n_w = ell ** (fam.d_dim * (D if fam.cells_eval is None else D - 1))
     if cells > budget_cells or per_w * n_w > budget_pairs:
@@ -197,11 +200,14 @@ def _pairs(ring, variant: PhiVariant, D: int, X: int):
 
     The cache serves the read-backs: every cross-section and coverage audit
     on one (ring, phi, D) after the first, for either family and any w,
-    reuses one table.  Only the variant's own input depth is cached:
-    :func:`_family_pairs` calls ``_pairs.__wrapped__`` for any other X, as
-    the X + 2 build of :func:`input_depth_sufficiency` does, since no
-    read-back asks for those ell^X pairs again.  Tables are built through
-    the module-level ``variant_residue_table``."""
+    reuses one table, and so does an ``x_cells`` build.  Only the
+    variant's own input depth is cached: :func:`_family_pairs` calls
+    ``_pairs.__wrapped__`` for any other X, as the X + 2 build of
+    :func:`input_depth_sufficiency` does, since no read-back asks for those
+    ell^X pairs again.  Both arrays repeat with period n, the table's
+    length: n is ell^X, every code, except for sawyer at its own input
+    depth, where n = ell^D and phi mod ell^D reads only x mod ell^D.
+    Tables are built through the module-level ``variant_residue_table``."""
     n = residue_table_cells(variant, D, X, ring.ell)
     # The table goes first: allocating the x codes before its temporaries
     # took 1.7x the page faults over the D = 2..10 decay tables.
@@ -219,7 +225,8 @@ def _family_pairs(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
     x cell, or of the sorted distinct combined codes ``x_cells``, as two
     arrays.  The packed route reads the module-level
     ``variant_residue_table``: one pair per code, repeats included, through
-    the :func:`_pairs` cache at the variant's own input depth.  The element
+    the :func:`_pairs` cache at the variant's own input depth; ``x_cells``
+    pick theirs at code mod the table's length, its period.  The element
     route reads no table: it calls the module-level ``phi_for_family`` at
     every x cell and keeps one pair of combined cell codes per distinct
     key, in first-seen order.  It is not cached, so every element
@@ -233,13 +240,12 @@ def _family_pairs(fam: FamilyDescriptor, variant: PhiVariant, D: int, X: int,
             y = phi_for_family(fam, variant, x, D)
             keys[vector_cell_index(x, D), vector_cell_index(y, D)] = None
         return np.array([*keys], dtype=np.int64).reshape(-1, 2).T
-    if x_cells is not None:
-        tab = variant_residue_table(variant, PhiConfig(fam.ring, 1, 1), D, X)
-        codes = np.asarray(x_cells, dtype=np.int64)
-        return codes % ell ** D, tab[codes]
-    pairs = (_pairs if X == phi_input_depth(variant, D, ell)
-             else _pairs.__wrapped__)
-    return pairs(fam.ring, variant, D, X)
+    x_res, tab = (_pairs if X == phi_input_depth(variant, D, ell)
+                  else _pairs.__wrapped__)(fam.ring, variant, D, X)
+    if x_cells is not None:  # both have period len(tab): see _pairs
+        codes = np.asarray(x_cells, dtype=np.int64) % len(tab)
+        x_res, tab = x_res[codes], tab[codes]
+    return x_res, tab
 
 
 def _element_eval(fam: FamilyDescriptor, D: int, x_res, y_res):
@@ -294,19 +300,18 @@ def build_set_cells(fam: FamilyDescriptor, phi_variant: PhiVariant, D: int, *,
     (diagnostic use); ``input_depth`` overrides X (used by the input-depth
     sufficiency re-check).  The evaluator on the pairs sets the bitmap
     (see :func:`_hits`).  Repeated ``x_cells`` codes are enumerated and
-    charged once; a code outside [0, ell^(p X)) raises
-    :class:`~kakeya.errors.BadIndex` and a depth D < 1
-    :class:`~kakeya.errors.BadDepth`, before any table is built.
+    charged once; a code that is not an integer (Python or NumPy) or lies
+    outside [0, ell^(p X)) raises :class:`~kakeya.errors.BadIndex` and a
+    depth D < 1 :class:`~kakeya.errors.BadDepth`, before any table is
+    built.
     """
-    ell = fam.ring.ell
-    if x_cells is not None:
-        x_cells = sorted(set(x_cells))
+    x_cells = None if x_cells is None else list(x_cells)
     X = _check_build(fam, phi_variant, D, x_cells, budget_cells, budget_pairs,
                      X=input_depth)
 
-    _, bitmap = _hits(fam, phi_variant, D, X, x_cells)
-    return CellSet(depth=D, ell=ell, w_dim=fam.d_dim, z_dim=fam.out_dim,
-                   rows=bitmap())
+    _, bitmap = _hits(fam, phi_variant, D, X, x_cells and sorted(set(x_cells)))
+    return CellSet(depth=D, ell=fam.ring.ell, w_dim=fam.d_dim,
+                   z_dim=fam.out_dim, rows=bitmap())
 
 
 def cross_section_cells(fam: FamilyDescriptor, phi_variant: PhiVariant,
@@ -407,38 +412,42 @@ def _project(cs: CellSet) -> CellSet:
     """The depth-(D - 1) cells under the depth-D ``cs``: a cell is hit iff
     one of its ell^k sub-cells is, k = w_dim + z_dim.  Each entry's
     depth-D code splits into its top digit and the depth-(D - 1) code, so
-    the packed rows reshape to (ell, ell^(D-1)) per w entry, and each w
-    top-digit axis is or-reduced byte by byte, one axis at a time, as the
-    ors of its ell slabs.  Where z is one entry whose depth-(D - 1) code
-    fills whole bytes (ell = 2, D >= 4), its top digit is or-reduced on
-    the bytes the same way.  Otherwise chunks of rows are unpacked, at
-    most 8 * ``ring.WALK_BLOCK_ENTRIES`` z flags at a time (the bound of
-    every bool pass over packed rows), reshaped to (ell, ell^(D-1)) per z
-    entry, or-reduced over the top-digit axes and packed again."""
+    the packed rows reshape to (ell, ell^(D-1)) per w entry, and each value
+    of w's top digits indexes a slab of rows.  The output is allocated
+    once and filled a block of rows at a time, in the blocks that
+    :func:`~kakeya.ring.block_rows` gives every pass over packed rows.  A
+    block ors its rows of every w slab into one array, then ors that
+    array's z slabs into the output.  Where z is one entry whose
+    depth-(D - 1) code fills whole bytes (ell = 2, D >= 4), z's slabs are
+    the two halves of each row's bytes.  Otherwise the block is unpacked,
+    reshaped to (ell, ell^(D-1)) per z entry, or-reduced over z's
+    top-digit axes and packed.  So no w-reduced copy of the set exists,
+    only one block's arrays.  ``cs`` has w entries, as every built set
+    has: a family's w is never empty."""
     ell, w_dim, z_dim = cs.ell, cs.w_dim, cs.z_dim
     low = ell ** (cs.depth - 1)
-    whole = z_dim == 1 and low % 8 == 0
-    rows = cs.rows.reshape((ell, low) * w_dim
-                           + ((ell, low // 8) if whole else (-1,)))
-    # after i reductions the next top-digit axis is axis i; or-ing its
-    # slabs beats one multi-axis reduce
-    for i in range(w_dim + whole):
-        lead = (slice(None),) * i
-        rows = functools.reduce(np.bitwise_or,
-                                (rows[lead + (s,)] for s in range(ell)))
-    if whole:
-        return CellSet(cs.depth - 1, ell, w_dim, 1,
-                       rows=rows.reshape(-1, low // 8))
-    rows = rows.reshape(-1, cs.rows.shape[1])
     n_z = ell ** (z_dim * cs.depth)
-    out = np.empty((len(rows), -(-low ** z_dim // 8)), dtype=np.uint8)
-    step = max(1, 8 * ring.WALK_BLOCK_ENTRIES // n_z)
-    for i in range(0, len(rows), step):
-        flags = np.unpackbits(rows[i:i + step], axis=1, count=n_z).view(bool)
-        flags = np.logical_or.reduce(flags.reshape((-1,) + (ell, low) * z_dim),
+    whole = z_dim == 1 and low % 8 == 0
+    slabs = cs.rows.reshape((ell, low) * w_dim + (-1,))
+    for j in range(1, w_dim):  # the next top digit is axis j of each slab
+        slabs = [s for x in slabs for s in np.moveaxis(x, j, 0)]
+    out = np.empty((low,) * w_dim + (-(-low ** z_dim // 8),), dtype=np.uint8)
+    B = ring.block_rows(low ** (w_dim - 1) * (n_z // 8 if whole else n_z))
+    for i in range(0, low, B):
+        b, o = slice(i, i + B), out[i:i + B]
+        z = slabs[0][b] | slabs[-1][b]
+        for t in range(1, len(slabs) - 1):
+            z |= slabs[t][b]
+        if whole:
+            np.bitwise_or(z[..., :low // 8], z[..., low // 8:], out=o)
+        else:
+            z = np.unpackbits(z, axis=-1, count=n_z).view(bool)
+            z = np.logical_or.reduce(z.reshape((-1,) + (ell, low) * z_dim),
                                      axis=tuple(range(1, 2 * z_dim, 2)))
-        out[i:i + step] = np.packbits(flags.reshape(len(flags), -1), axis=1)
-    return CellSet(cs.depth - 1, ell, w_dim, z_dim, rows=out)
+            o[...] = np.packbits(z.reshape(o.shape[:-1] + (-1,)), axis=-1)
+        del z  # freed before the next block allocates its own
+    return CellSet(cs.depth - 1, ell, w_dim, z_dim,
+                   rows=out.reshape(-1, out.shape[-1]))
 
 
 def _decimal6(x: Fraction) -> str:

@@ -761,13 +761,23 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
 
 
 # Most int64 entries in one block of walk rows (see _walk), and an eighth
-# of the most flags any bool pass over packed rows unpacks at once: the
-# bool lift tile of residue_mul_sub and measure's projection.  Each walk
-# step moves a whole block with a few numpy calls, so a block must be
-# large enough to amortize the Python step and small enough to stay in
-# cache.  BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast,
-# and 2^14 holds the least memory.
+# of the most bytes one block of any pass over packed rows holds, a bool
+# pass's unpacked flags included (see block_rows).  Each walk step moves a
+# whole block with a few numpy calls, so a block must be large enough to
+# amortize the Python step and small enough to stay in cache.
+# BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast, and 2^14
+# holds the least memory.
 WALK_BLOCK_ENTRIES = 2 ** 14
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes a pass over packed rows takes
+    at once: as many as hold at most 8 * ``WALK_BLOCK_ENTRIES`` bytes, one
+    row at least.  A bool pass counts a row's unpacked flags, a byte each,
+    and a pass that stays packed its bytes.  The one rule for both passes
+    over packed rows: the bool lift tile of :func:`residue_mul_sub` and
+    measure's projection."""
+    return max(1, 8 * WALK_BLOCK_ENTRIES // row_bytes)
 
 
 def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
@@ -810,9 +820,9 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     The output is started in one place: it holds the tiled lift, or no
     cell; a fold ors its rows in.  The packed lower rows are tiled straight
     into it where a row of ell^(D-1) cells fills whole bytes (ell = 2,
-    D >= 4), and through bool a block of rows at a time otherwise: like
-    every bool pass over packed rows (measure's projection too), it
-    unpacks at most 8 * ``WALK_BLOCK_ENTRIES`` flags at once.  The folds'
+    D >= 4), and through bool otherwise, in the blocks of rows that
+    :func:`block_rows` gives every pass over packed rows, measure's
+    projection too.  The folds'
     bool blocks are bounded by :func:`_block_digits`, so no ell^(2D) bool
     array is allocated.
     """
@@ -851,8 +861,8 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
         out = np.zeros((ell, top, -(-m // 8)), dtype=np.uint8)
         if lower is not None and top % 8 == 0:
             out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-        elif lower is not None:  # through bool, B rows at a time
-            B = max(1, 8 * WALK_BLOCK_ENTRIES // m)
+        elif lower is not None:  # through bool, a block of rows at a time
+            B = block_rows(m)
             for u0 in range(0, top, B):
                 out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
                     lower[u0:u0 + B], axis=1, count=top), ell), axis=1)

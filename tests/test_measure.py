@@ -393,11 +393,10 @@ class TestExactness:
         assert input_depth_sufficiency(fam, SAW, 2)
 
     @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
-    def test_deeper_and_x_cells_routes_build_full_tables(self, ring,
-                                                         monkeypatch):
-        """The re-check at X + 2 and an ``x_cells`` build read the full
-        table at their depth, not the ell^D table of the default route,
-        so the re-check compares two independent routes."""
+    def test_deeper_route_builds_the_full_table(self, ring, monkeypatch):
+        """The re-check at X + 2 reads the full table at its depth, not the
+        ell^D table of the default route, so the re-check compares two
+        independent routes."""
         sizes = []
 
         def spy(variant, cfg, D, X, cells=None):
@@ -410,8 +409,6 @@ class TestExactness:
         fam = kakeya_line_family(ring)
         assert input_depth_sufficiency(fam, SAW, D)
         assert sizes == [(X + 2, ell ** (X + 2)), (X, ell ** D)]
-        build_set_cells(fam, SAW, D, x_cells=[1, 2])
-        assert sizes[-1] == (X, ell ** X)
 
     def test_recheck_caches_only_the_default_pairs(self):
         """The X + 2 build is read once: it stays out of the ``_pairs``
@@ -426,6 +423,59 @@ class TestExactness:
         hits = measure._pairs.cache_info().hits
         measure._pairs(F2, SAW, D, X)
         assert measure._pairs.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("ring, depths", [
+        pytest.param(r, depths, id=str(r))
+        for rings, depths in (((F2, Z2), range(1, 11)),
+                              ((F3, Z3), range(1, 7)), ((F5, Z5), range(1, 4)))
+        for r in rings])
+    def test_x_cells_index_the_pairs(self, ring, depths, variant):
+        """The packed route's ``x_cells`` pairs are the cached pairs at code
+        mod len(table): the ell^D sawyer table at its own input depth
+        repeats with period ell^D, since phi mod ell^D reads only x mod
+        ell^D, and every other table holds all ell^X codes.  At the default
+        X and at X + 1 they equal the full table at every code."""
+        fam = kakeya_line_family(ring)
+        ell = ring.ell
+        for D in depths:
+            X0 = phi_input_depth(variant, D, ell)
+            for X in (X0, X0 + 1):
+                codes = range(ell ** X)
+                x_res, y_res = measure._family_pairs(fam, variant, D, X,
+                                                     codes)
+                assert np.array_equal(x_res, np.arange(ell ** X) % ell ** D)
+                assert np.array_equal(y_res, variant_residue_table(
+                    variant, PhiConfig(ring, 1, 1), D, X))
+
+    def test_x_cells_builds_read_the_cached_pairs(self, monkeypatch):
+        """After a default build, an ``x_cells`` build at the default input
+        depth builds no phi table: it indexes the cached ell^D pairs, and is
+        charged its distinct codes per w row.  At another input depth it
+        builds the full table, which stays out of the cache."""
+        built = []
+
+        def spy(variant, cfg, D, X, cells=None):
+            tab = variant_residue_table(variant, cfg, D, X, cells)
+            built.append((X, len(tab)))
+            return tab
+        monkeypatch.setattr(measure, "variant_residue_table", spy)
+        fam = kakeya_line_family(F3)
+        D = 2
+        X = phi_input_depth(SAW, D, 3)
+        full = build_set_cells(fam, SAW, D)
+        assert built == [(X, 3 ** D)]
+        assert build_set_cells(fam, SAW, D, x_cells=range(3 ** X)) == full
+        assert build_set_cells(fam, SAW, D, x_cells=[5, 5, 7]) == \
+            build_set_cells(dataclasses.replace(fam, cells_eval=None), SAW,
+                            D, x_cells=[7, 5])
+        assert built == [(X, 3 ** D)]
+        with pytest.raises(BudgetExceeded) as ei:
+            build_set_cells(fam, SAW, D, x_cells=[5, 5, 7], budget_pairs=1)
+        assert ei.value.pairs_needed == 2 * 3 ** (D - 1)
+        build_set_cells(fam, SAW, D, x_cells=[5, 7], input_depth=X + 1)
+        assert built[1:] == [(X + 1, 3 ** (X + 1))]
+        assert measure._pairs.cache_info().currsize == 1
 
     def test_deeper_recheck_budget_counts_every_x(self, monkeypatch):
         """The X + 2 re-check reads all ell^(X + 2) x cells, and its
@@ -646,17 +696,19 @@ class TestDecay:
                 == (cs.hit_count, cs.total_cells, cs.estimate(),
                     phi_input_depth(variant, r.depth, ring.ell))
 
-    @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
+    @pytest.mark.parametrize("ring", (F2, Z3, F5, Z5, F7, Z7), ids=str)
     def test_projection_of_a_plane_family(self, ring):
         """One w and two z entries: the bits reshape to three (ell,
         ell^(D-1)) entry pairs, and the projection of each depth equals the
-        build one depth up.  Element route (no cells_eval)."""
+        build one depth below.  Element route (no cells_eval), to D 3, or
+        D 2 at ell = 7."""
         fam = _plane_family(ring)
-        sets = [build_set_cells(fam, SAW, D) for D in (1, 2, 3)]
+        depths = range(1, 3 if ring.ell == 7 else 4)
+        sets = [build_set_cells(fam, SAW, D) for D in depths]
         assert sets[0].total_cells == ring.ell ** 3
         for shallow, deep in zip(sets, sets[1:]):
             assert measure._project(deep) == shallow
-        rep = decay_report(fam, SAW, 1, 3)
+        rep = decay_report(fam, SAW, 1, depths[-1])
         assert [r.hit_cells for r in rep.rows] == [s.hit_count for s in sets]
 
     def test_one_build_per_table(self, monkeypatch):
@@ -857,8 +909,9 @@ class TestBudget:
     def test_pairs_charged_per_w_are_the_table_built(self, ring, monkeypatch):
         """Each w row the fold steps, ell^(D-1) of them, is charged exactly
         the entries of the phi table the packed route asks for: sawyer and
-        dh at their default input depth, the X + 2 re-check and an
-        ``x_cells`` build over every x cell."""
+        dh at their default input depth and the X + 2 re-check.  (An
+        ``x_cells`` build is charged its codes and reads the cached pairs:
+        ``test_x_cells_builds_read_the_cached_pairs``.)"""
         sizes = []
 
         def spy(variant, cfg, D, X, cells=None):
@@ -874,11 +927,9 @@ class TestBudget:
             "sawyer": lambda **b: build_set_cells(fam, SAW, D, **b),
             "dh": lambda **b: build_set_cells(fam, DH, D, **b),
             "recheck": lambda **b: input_depth_sufficiency(fam, SAW, D, **b),
-            "x_cells": lambda **b: build_set_cells(
-                fam, SAW, D, x_cells=range(ell ** X), **b),
         }
         want = {"sawyer": ell ** D, "dh": ell ** (D + 1),
-                "recheck": ell ** (X + 2), "x_cells": ell ** X}
+                "recheck": ell ** (X + 2)}
         for name, run in runs.items():
             measure._pairs.cache_clear()
             with pytest.raises(BudgetExceeded) as ei:
@@ -910,6 +961,35 @@ class TestBudget:
                 with pytest.raises(BadIndex):
                     build_set_cells(fam, SAW, D, x_cells=cells)
         assert build_set_cells(fam, SAW, D, x_cells=[0, 63]).hit_count > 0
+
+    @pytest.mark.parametrize("packed", (True, False), ids=("packed", "element"))
+    def test_x_cells_not_integers_raise(self, packed, monkeypatch):
+        """x codes are integers.  A float code would be truncated to a
+        cell (1.5 and 2.9 would build the set of 1 and 2), and a string
+        code would reach the sort as a TypeError: each raises BadIndex
+        naming the first bad codes, before any table is built.  NumPy
+        integer codes are integers.  Packed route at fq:2 sawyer D 3,
+        element route at zp:3 dh D 2."""
+        if packed:
+            fam, variant, D = kakeya_line_family(F2), SAW, 3
+        else:
+            fam = dataclasses.replace(kakeya_line_family(Z3), cells_eval=None)
+            variant, D = DH, 2
+        want = build_set_cells(fam, variant, D, x_cells=[1, 2])
+        for cells in ([np.int64(2), np.int64(1)], np.array([1, 2], np.uint64),
+                      [np.uint64(1), 2]):
+            assert build_set_cells(fam, variant, D, x_cells=cells) == want
+        measure._pairs.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(measure, "variant_residue_table", _no_table)
+            m.setattr(measure, "phi_for_family", _no_table)
+            for cells, bad in (([1.5, 2.9], [1.5, 2.9]), (["1"], ["1"]),
+                               ([1, 2.0], [2.0]),
+                               ([2, np.float64(1), None, 3.0, 4.5],
+                                [np.float64(1), None, 3.0])):
+                with pytest.raises(BadIndex) as ei:
+                    build_set_cells(fam, variant, D, x_cells=cells)
+                assert str(ei.value).startswith(f"x cells {bad}:")
 
 
 class TestCellSet:
@@ -1028,13 +1108,16 @@ class TestPackedRows:
             self._check_packed(low)
             assert np.array_equal(low.bits, _or_reduced(cs))
 
-    @pytest.mark.parametrize("ring, D", [(F2, 2), (F2, 5), (Z3, 3), (F5, 2)],
-                             ids=str)
+    @pytest.mark.parametrize("ring, D", [(F2, 2), (F2, 3), (F2, 4), (F2, 5),
+                                         (Z3, 3), (F5, 2)], ids=str)
     def test_projection_chunks(self, ring, D, monkeypatch):
         """Unpacked one row at a time or three rows at a time (a partial
-        last chunk at fq:5 D 2), the projection is the same or-reduce:
-        8 * ``ring.WALK_BLOCK_ENTRIES`` flags bound its chunks.  fq:2 D 5
-        takes the whole-byte path, which never chunks."""
+        last chunk at fq:2 D 3 and fq:5 D 2), the projection is the same
+        or-reduce: ``ring.block_rows`` bounds its blocks by 8 *
+        ``ring.WALK_BLOCK_ENTRIES`` bytes.  fq:2 D 4 and D 5, whose
+        depth-(D - 1) rows are whole bytes (8 and 16 cells), take the
+        whole-byte path, a row at a time or in one block; fq:2 D 3 (4
+        cells) is the deepest that unpacks."""
         cs = build_set_cells(nikodym_line_family(ring), SAW, D)
         want = _or_reduced(cs)
         # cap 0 gives chunks of one row; the second cap, 3 * ell^D flags
@@ -1045,10 +1128,50 @@ class TestPackedRows:
             self._check_packed(low)
             assert np.array_equal(low.bits, want)
 
+    @pytest.mark.parametrize("ell, w_dim, z_dim, D", [
+        (2, 2, 1, 3), (2, 2, 1, 4), (2, 3, 1, 4), (2, 1, 2, 3), (3, 2, 1, 3),
+        (3, 2, 2, 2), (5, 2, 1, 2)], ids=str)
+    def test_projection_of_random_sets(self, ell, w_dim, z_dim, D,
+                                       monkeypatch):
+        """Sets with two or three w entries, whose top digits index slabs
+        in turn, and with two z entries, at 5% and 40% density: the
+        projection is the or-reduce of the bits, in one block or a block
+        per value of the first w entry.  (2, 2, 1, 4) and (2, 3, 1, 4)
+        take the whole-byte path."""
+        rng = np.random.default_rng(ell * 100 + w_dim * 10 + z_dim + D)
+        for density in (0.05, 0.4):
+            bits = rng.random(ell ** ((w_dim + z_dim) * D)) < density
+            cs = CellSet(D, ell, w_dim, z_dim, bits)
+            for cap in (ring_module.WALK_BLOCK_ENTRIES, 0):
+                monkeypatch.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
+                low = measure._project(cs)
+                self._check_packed(low)
+                assert np.array_equal(low.bits, _or_reduced(cs))
+
     def test_rows_hold_one_bit_per_cell(self):
         """fq:3 sawyer D 4 holds ell^D rows of ceil(ell^D / 8) bytes."""
         cs = build_set_cells(kakeya_line_family(F3), SAW, 4)
         assert cs.rows.nbytes == 81 * 11
+
+    @pytest.mark.parametrize("ring, D", [(F2, 12), (F3, 8)], ids=str)
+    def test_projection_peaks_at_its_output_and_a_block(self, ring, D):
+        """One projection allocates its output once and otherwise holds one
+        block's arrays: at most two blocks of 8 * ``WALK_BLOCK_ENTRIES``
+        bytes (a block of w-or-ed packed rows at fq:2 sawyer D 12, whose
+        rows are whole bytes; a block's flags and their z-reduced flags at
+        fq:3 sawyer D 8).  A projection through a w-reduced copy of the
+        set peaks at 1.52 and 3.43 MiB, against outputs of 0.50 and
+        0.57 MiB."""
+        import tracemalloc
+        cs = build_set_cells(kakeya_line_family(ring), SAW, D)
+        tracemalloc.start()
+        try:
+            low = measure._project(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert low == build_set_cells(kakeya_line_family(ring), SAW, D - 1)
+        assert peak <= low.rows.nbytes + 2 * 8 * ring_module.WALK_BLOCK_ENTRIES
 
     def test_decay_table_allocates_no_unpacked_hit_set(self):
         """The fq:2 sawyer table to D 12 peaks below 3/8 of ell^(2D) bytes
