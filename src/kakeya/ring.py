@@ -822,9 +822,8 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     into it where a row of ell^(D-1) cells fills whole bytes (ell = 2,
     D >= 4), and through bool otherwise, in the blocks of rows that
     :func:`block_rows` gives every pass over packed rows, measure's
-    projection too.  The folds'
-    bool blocks are bounded by :func:`_block_digits`, so no ell^(2D) bool
-    array is allocated.
+    projection too.  The folds' bool blocks are bounded by
+    :func:`_block_digits`, so no ell^(2D) bool array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
 
