@@ -221,15 +221,6 @@ class CertificateReport:
     rows: tuple[CertificateRow, ...]
 
 
-def _ceil_log(s: int, ell: int) -> int:
-    """Smallest e with ell^e >= s (the pinned integerization of log)."""
-    e, p = 0, 1
-    while p < s:
-        p *= ell
-        e += 1
-    return e
-
-
 def _tail_floor(N: int, ell: int, window: int = 8) -> int:
     """min over j >= 1 of alpha(N+j) - lambda(N+j).
 
@@ -254,7 +245,8 @@ def lemma_predicate(lemma: str, A: int, B: int, N: int, ell: int
         return a_n >= N, f"alpha({N})={a_n} >= {N}"
     if lemma in ("II", "III"):
         s = summand_valuation_floor(N, ell)
-        cl = _ceil_log(s, ell)
+        # ceil(log_ell s), the smallest e with ell^e >= s (s >= 1)
+        cl = lambda_floor(s - 1, ell) + 1 if s > 1 else 0
         holds = s > N and cl >= lam_n
         return holds, (f"alpha({N})-lambda({N})={s} > {N} and "
                        f"ceil(log_{ell}({s}))={cl} >= lambda({N})={lam_n}")

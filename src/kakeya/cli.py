@@ -299,7 +299,10 @@ def _add_budget(sp: argparse.ArgumentParser):
                     default=None,
                     help="most hit-set cells stored, eight per byte (default "
                     "2^28, 32 MB, or KAKEYA_BUDGET_CELLS)")
-    sp.add_argument("--budget-pairs", dest="budget_pairs", type=int, default=None)
+    sp.add_argument("--budget-pairs", dest="budget_pairs", type=int,
+                    default=None,
+                    help="most (x, y) pair entries evaluated in one build, "
+                    "summed over its w rows (default 2^28)")
 
 
 @functools.cache

@@ -23,13 +23,10 @@ from typing import Callable
 from .errors import InsufficientDepth, RankDeficient, RingMismatch
 from .phi import PhiConfig, PhiVariant, phi_dh_eval, phi_eval
 from .ring import (
-    Element,
     ElementMatrix,
     ElementVector,
-    RingMode,
     RingSpec,
-    _canonical,
-    element_from_digits,
+    invert_element,
     mul,
     neg,
     one,
@@ -106,32 +103,6 @@ class FamilyDescriptor:
             raise RingMismatch(f"w is over {w.ring}, the family over {self.ring}")
         if w.dim != self.d_dim:
             raise ValueError(f"w has {w.dim} entries, need d = {self.d_dim}")
-
-
-def invert_element(a: Element) -> Element:
-    """Multiplicative inverse in the fraction field, exact at the depth the
-    operand supports.
-
-    Needs working margin: an element of valuation v known to depth W has an
-    inverse known to depth W - 2v.  Raises RankDeficient for zero.
-    """
-    if a.is_zero:
-        raise RankDeficient("zero has no inverse")
-    v = a.lowest_degree
-    span = a.depth - v
-    out_depth = a.depth - 2 * v
-    if out_depth < 1:
-        raise InsufficientDepth(2 * v + 1, a.depth, "inversion operand")
-    ell = a.ring.ell
-    if a.ring.mode is RingMode.PADIC:
-        return _canonical(a.ring, -v, pow(a.sig, -1, ell ** span), out_depth)
-    u = [a.digit(v + i) for i in range(span)]
-    u0_inv = pow(u[0], -1, ell)
-    ds = [u0_inv]
-    for i in range(1, span):
-        acc = sum(u[j] * ds[i - j] for j in range(1, i + 1)) % ell
-        ds.append((-u0_inv * acc) % ell)
-    return element_from_digits(ds, -v, a.ring, out_depth)
 
 
 def kakeya_line_family(ring: RingSpec) -> FamilyDescriptor:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -238,13 +237,17 @@ def _radix_digits(n: int, m: int, count: int) -> list[int]:
     Divide and conquer: one division by m^(count // 2) splits the digits
     into two halves, each converted alike, so all of them cost about one
     division of n, where a power and a division per digit cost ``count``
-    of them."""
+    of them.  A high half that n's bit length shows is zero comes back as
+    zeros, without building m^(count // 2): a small index of a member with
+    about ell slots, as at a large ell, needs no ell-digit power."""
     if count <= 32:
         ds = [0] * count
         for i in range(count - 1, -1, -1):
             n, ds[i] = divmod(n, m)
         return ds
     half = count // 2
+    if n.bit_length() <= half * (m.bit_length() - 1):  # n < m^half
+        return [0] * (count - half) + _radix_digits(n, m, half)
     hi, lo = divmod(n, m ** half)
     return _radix_digits(hi, m, count - half) + _radix_digits(lo, m, half)
 
@@ -268,11 +271,20 @@ def decode_matrix_fn(j: int, cfg: PhiConfig) -> MatrixFn:
     cached = _decode_cache.get(key)
     if cached is not None:
         return cached
-    k = next(k for k in itertools.count(1) if j < block_offset(k + 1, cfg))
+    # Omega_k holds m^n members, m = |S_k| >= 4 and n = ell^(kp)*pq: more
+    # than j once n reaches j's bit length, so the walk stops there and
+    # builds no size (n*log m digits, about ell*log ell for Omega_1) from
+    # that block on.
+    k, offset, ell, p, q = 1, 0, cfg.ring.ell, cfg.p_dim, cfg.q_dim
+    while ell ** (k * p) * p * q < j.bit_length():
+        size = omega_block_size(k, ell, p, q)
+        if j < offset + size:
+            break
+        offset, k = offset + size, k + 1
     # Needed by the continuity argument: member j never looks deeper than
     # digit max(j, 1).  Block sizes grow fast enough that this is automatic.
     assert k <= max(j, 1), "enumeration blocks are misordered"
-    fn = MatrixFn(cfg, k, j - block_offset(k, cfg))
+    fn = MatrixFn(cfg, k, j - offset)
     if j < 4096:
         _decode_cache[key] = fn
     return fn

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -42,7 +41,9 @@ import numpy as np
 from .errors import (
     BadDepth,
     DigitOutOfRange,
+    InsufficientDepth,
     NegativeValuation,
+    RankDeficient,
     RingMismatch,
 )
 
@@ -166,10 +167,6 @@ class Element:
         if i < 0:
             return 0
         return self.sig // self.ring.ell ** i % self.ring.ell
-
-    def significand(self) -> int:
-        """Digits packed positionally: sum digits[i] * ell^i."""
-        return self.sig
 
     def __add__(self, other):
         return add(self, other)
@@ -400,6 +397,33 @@ def _spread(sig: int, ell: int, f: int, n: int) -> int:
         out |= d << shift
         shift += f
     return out
+
+
+def invert_element(a: Element) -> Element:
+    """Multiplicative inverse in the fraction field, exact at the depth the
+    operand supports.
+
+    Needs working margin: an element of valuation v known to depth W has an
+    inverse known to depth W - 2v.  Raises RankDeficient for zero.
+    """
+    if a.is_zero:
+        raise RankDeficient("zero has no inverse")
+    v = a.lowest_degree
+    span = a.depth - v
+    out_depth = a.depth - 2 * v
+    if out_depth < 1:
+        raise InsufficientDepth(2 * v + 1, a.depth, "inversion operand")
+    ell = a.ring.ell
+    if a.ring.mode is RingMode.PADIC:
+        return _canonical(a.ring, -v, pow(a.sig, -1, ell ** span), out_depth)
+    # the digits once, lowest first; sig < ell^span, so zeros pad them
+    u = a.digits + (0,) * (span - len(a.digits))
+    u0_inv = pow(u[0], -1, ell)
+    ds = [u0_inv]
+    for i in range(1, span):
+        acc = sum(u[j] * ds[i - j] for j in range(1, i + 1)) % ell
+        ds.append((-u0_inv * acc) % ell)
+    return element_from_digits(ds, -v, a.ring, out_depth)
 
 
 def truncate(a: Element, D: int) -> Element:
@@ -760,9 +784,10 @@ def _toeplitz(ring: RingSpec, D: int, b) -> np.ndarray:
     return T
 
 
-# Most int64 entries in one block of walk rows (see _walk), and an eighth
-# of the most bytes one block of any pass over packed rows holds, a bool
-# pass's unpacked flags included (see block_rows).  Each walk step moves a
+# An eighth of the most bytes one block of any pass over packed rows
+# holds, a bool pass's unpacked flags included, and so the most int64
+# entries in one block of walk rows (see _walk); block_rows alone reads it,
+# for the walk's blocks (_block_digits) too.  Each walk step moves a
 # whole block with a few numpy calls, so a block must be large enough to
 # amortize the Python step and small enough to stay in cache.
 # BENCH_14.json records the sweep: 2^14 to 2^16 ran equally fast, and 2^14
@@ -774,9 +799,9 @@ def block_rows(row_bytes: int) -> int:
     """How many rows of ``row_bytes`` bytes a pass over packed rows takes
     at once: as many as hold at most 8 * ``WALK_BLOCK_ENTRIES`` bytes, one
     row at least.  A bool pass counts a row's unpacked flags, a byte each,
-    and a pass that stays packed its bytes.  The one rule for both passes
-    over packed rows: the bool lift tile of :func:`residue_mul_sub` and
-    measure's projection."""
+    and a pass that stays packed its bytes.  The one rule for every pass
+    over packed rows: the bool lift tile of :func:`_bitmap`, the folds'
+    walk blocks (:func:`_block_digits`) and measure's projection."""
     return max(1, 8 * WALK_BLOCK_ENTRIES // row_bytes)
 
 
@@ -785,13 +810,26 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     codes (each in [0, ell^D)).
 
     Returns ``(z_at, bitmap)``.  ``z_at`` maps one int w code to the 1-D
-    row of depth-D codes of a*w - c.  ``bitmap()`` returns the hits packed,
-    eight z cells per byte: a uint8 array of shape (ell^D, ceil(ell^D / 8))
-    whose row w is ``np.packbits`` of the ell^D flags set exactly at
-    ``z_at(w)`` (z = 8k + i is bit 7 - i of byte k), its padding bits zero.
+    row of depth-D codes of a*w - c.  ``bitmap()`` is :func:`_bitmap` of
+    the same pairs: the hits packed, eight z cells per byte, a uint8 array
+    of shape (ell^D, ceil(ell^D / 8)) whose row w is ``np.packbits`` of the
+    ell^D flags set exactly at ``z_at(w)`` (z = 8k + i is bit 7 - i of byte
+    k), its padding bits zero.
+    """
 
-    ``bitmap`` rests on two identities, true in both rings since a carry
-    past digit D - 1 vanishes mod ell^D (and fq has none).  With c = c1 +
+    def z_at(w: int) -> np.ndarray:
+        return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
+
+    return z_at, functools.partial(_bitmap, ring, D, a, c)
+
+
+def _bitmap(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray
+            ) -> np.ndarray:
+    """The packed hits of the pairs (a, c) at depth D, as ``bitmap()`` of
+    :func:`residue_mul_sub` returns them.
+
+    It rests on two identities, true in both rings since a carry past
+    digit D - 1 vanishes mod ell^D (and fq has none).  With c = c1 +
     s*ell^(D-1) (c1 < ell^(D-1), s < ell), a*w - c = (a*w - c1) -
     s*ell^(D-1): s moves only z's top digit, and z mod ell^(D-1) reads only
     a, w and c1 mod ell^(D-1).  With w = u + t*ell^(D-k) (u < ell^(D-k),
@@ -801,21 +839,22 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     * Lift.  Pairs sharing a and c1 and taking all ell values of s (a full
       group) hit, at every w, each top digit over that low part.  For
       D >= 2 their hits are the ell^2 lifts, over w's and z's top digit,
-      of the depth-(D-1) ``bitmap()`` of their pairs (a mod ell^(D-1), c1),
+      of ``_bitmap(ring, D - 1, a mod ell^(D-1), c1)`` of their pairs,
       which lifts its own full groups in turn.  Repeated pairs count once.
     * Fold.  The other pairs of class g hit in row w their cells of row u
       with z's top k digits moved by g*t.  They are laid out as one row of
-      pairs per class, each padded to the largest class's length by
+      n pairs per class, each padded to the largest class's length by
       repeating its own pairs (a repeat sets no new cell), and one
-      :func:`_walk` steps all the rows together over the ell^(D-k) rows u,
-      so each pair is stepped and scattered ell^(D-k) times, not ell^D.
-      k is one digit but at ell = 2 from D = 8, where it is 2 or 3
-      (:func:`_fold_digits`): there each of z's 2^k chunks of 2^(D-k)
-      cells is whole bytes, so the move is a permutation of the chunks of
-      a packed row, and :func:`_fold_packed` ors each class's packed rows,
-      chunks permuted, into the output.  With k = 1, :func:`_fold`
-      finishes each block of rows u for every t in a small bool working
-      block, then packs and ors it in once.
+      :func:`_walk` steps all the rows together over the ell^(D-k) rows u
+      in blocks of B rows, so each pair is stepped and scattered ell^(D-k)
+      times, not ell^D.  k is one digit but at ell = 2 from D = 8, where
+      it is 2 or 3 (:func:`_fold_digits`): there each of z's 2^k chunks of
+      2^(D-k) cells is whole bytes, so the move is a permutation of the
+      chunks of a packed row, and :func:`_fold_packed` ors each class's
+      packed rows, chunks permuted, into the output.  With k = 1,
+      :func:`_fold` finishes each block of rows u for every t in a small
+      bool working block, then packs and ors it in once.  Both folds take
+      B and n from here; :func:`_block_digits` sizes B.
 
     The output is started in one place: it holds the tiled lift, or no
     cell; a fold ors its rows in.  The packed lower rows are tiled straight
@@ -826,87 +865,80 @@ def residue_mul_sub(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray):
     :func:`_block_digits`, so no ell^(2D) bool array is allocated.
     """
     ell, m = ring.ell, ring.ell ** D
-
-    def z_at(w: int) -> np.ndarray:
-        return residue_sub(ring, D, residue_mul(ring, D, a, w), c)
-
-    def bitmap() -> np.ndarray:
-        top = m // ell
-        k = _fold_digits(ell, D)
-        K = ell ** k
-        U = m // K
-        # One sort of the pairs, keyed class-major (a mod K, a // K, c1, s):
-        # each group is a run of distinct keys, each class a run of the
-        # folded pairs.  A stable argsort raised general_ell's peak RSS by
-        # 0.1-0.2 MB, and np.unique (numpy 2.4) took 4x as long on 1,024 keys.
-        keys = (a % K * U + a // K) * m + c % top * ell + c // top
-        keys.sort()
-        distinct = np.ones(len(keys), dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        grp, s = np.divmod(keys[distinct], ell)
-        # ell distinct keys in a row in one group (a, c1) are all of it, a
-        # full group; with fewer than ell keys both sides are empty
-        starts = np.flatnonzero(grp[ell - 1:]
-                                == grp[:max(len(grp) - ell + 1, 0)])
-        lower = None
-        if D > 1 and len(starts):  # ar = g*U + a // K, the key's a
-            ar, c1 = np.divmod(grp[starts], top)
-            _, lower = residue_mul_sub(ring, D - 1, ar % U * K % top + ar // U,
-                                       c1)
-            lower = lower()
-            rest = np.ones(len(grp), dtype=bool)
-            rest[starts[:, None] + np.arange(ell)] = False
-            grp, s = grp[rest], s[rest]
-        out = np.zeros((ell, top, -(-m // 8)), dtype=np.uint8)
-        if lower is not None and top % 8 == 0:
-            out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
-        elif lower is not None:  # through bool, a block of rows at a time
-            B = block_rows(m)
-            for u0 in range(0, top, B):
-                out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
-                    lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
-        if len(grp):  # a walk's set-up took 26-100 us, pairs or none
-            counts = np.bincount(grp // (top * U), minlength=K)  # per class
-            classes = np.flatnonzero(counts)
-            n = counts[classes, None]
-            # row p takes class p's run of pairs, repeated up to the largest
-            # class's length: a repeated pair sets no new cell
-            pick = (np.cumsum(counts)[classes, None] - n
-                    + np.arange(n.max()) % n)
-            ar, c1 = np.divmod(grp[pick], top)
-            rows = 2 * len(classes) if k > 1 else 1  # see _block_digits
-            walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
-                         D - k, _block_digits(ell, D, n.max(), D - k, rows))
-            if k == 1:
-                _fold(out, classes.tolist(), walk)
-            else:  # row w = t*U + u; a chunk of U z cells is whole bytes
-                j = np.arange(K)
-                perms = residue_sub(ring, k, j, residue_mul(
-                    ring, k, j[:, None], classes[:, None, None]))
-                _fold_packed(out.reshape(K, U, K, U // 8), [
-                    None if g == 0 else p
-                    for g, p in zip(classes.tolist(), perms)], walk)
-        return out.reshape(m, -1)
-
-    return z_at, bitmap
+    top = m // ell
+    k = _fold_digits(ell, D)
+    K = ell ** k
+    U = m // K
+    # One sort of the pairs, keyed class-major (a mod K, a // K, c1, s):
+    # each group is a run of distinct keys, each class a run of the
+    # folded pairs.  A stable argsort raised general_ell's peak RSS by
+    # 0.1-0.2 MB, and np.unique (numpy 2.4) took 4x as long on 1,024 keys.
+    keys = (a % K * U + a // K) * m + c % top * ell + c // top
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    grp, s = np.divmod(keys[distinct], ell)
+    # ell distinct keys in a row in one group (a, c1) are all of it, a
+    # full group; with fewer than ell keys both sides are empty
+    starts = np.flatnonzero(grp[ell - 1:]
+                            == grp[:max(len(grp) - ell + 1, 0)])
+    lower = None
+    if D > 1 and len(starts):  # ar = g*U + a // K, the key's a
+        ar, c1 = np.divmod(grp[starts], top)
+        lower = _bitmap(ring, D - 1, ar % U * K % top + ar // U, c1)
+        rest = np.ones(len(grp), dtype=bool)
+        rest[starts[:, None] + np.arange(ell)] = False
+        grp, s = grp[rest], s[rest]
+    out = np.zeros((ell, top, -(-m // 8)), dtype=np.uint8)
+    if lower is not None and top % 8 == 0:
+        out.reshape(ell, top, ell, top // 8)[:] = lower[:, None, :]
+    elif lower is not None:  # through bool, a block of rows at a time
+        B = block_rows(m)
+        for u0 in range(0, top, B):
+            out[:, u0:u0 + B] = np.packbits(np.tile(np.unpackbits(
+                lower[u0:u0 + B], axis=1, count=top), ell), axis=1)
+    if len(grp):  # a walk's set-up took 26-100 us, pairs or none
+        counts = np.bincount(grp // (top * U), minlength=K)  # per class
+        classes = np.flatnonzero(counts)
+        size = counts[classes, None]
+        n = int(size.max())  # the width of a row of pairs
+        # row p takes class p's run of pairs, repeated up to the largest
+        # class's length: a repeated pair sets no new cell
+        pick = np.cumsum(counts)[classes, None] - size + np.arange(n) % size
+        ar, c1 = np.divmod(grp[pick], top)
+        rows = 2 * len(classes) if k > 1 else 1  # see _block_digits
+        J = _block_digits(ell, D, n, D - k, rows)
+        walk = _walk(ring, D, ar % U * K + ar // U, c1 + s[pick] * top,
+                     D - k, J)
+        if k == 1:
+            _fold(out, classes.tolist(), walk, ell ** J, n)
+        else:  # row w = t*U + u; a chunk of U z cells is whole bytes
+            j = np.arange(K)
+            perms = residue_sub(ring, k, j, residue_mul(
+                ring, k, j[:, None], classes[:, None, None]))
+            _fold_packed(out.reshape(K, U, K, U // 8), [
+                None if g == 0 else p
+                for g, p in zip(classes.tolist(), perms)], walk, ell ** J, n)
+    return out.reshape(m, -1)
 
 
 def _fold_digits(ell: int, D: int) -> int:
-    """How many top digits k of w ``bitmap`` folds at depth D: at ell = 2,
-    k = D - 6 up to 3, and 1 below D = 8 and at ell >= 3.  Each chunk of
-    z's ell^(D-k) low cells is then whole bytes.  Timed on the sawyer
-    pairs (``BENCH_27.json``), the bool fold of one digit was fastest up
-    to D = 7, k = 2 at D = 8, and k = 3 from D = 9 to 16."""
+    """How many top digits k of w :func:`_bitmap` folds at depth D: at
+    ell = 2, k = D - 6 up to 3, and 1 below D = 8 and at ell >= 3.  Each
+    chunk of z's ell^(D-k) low cells is then whole bytes.  Timed on the
+    sawyer pairs (``BENCH_27.json``), the bool fold of one digit was
+    fastest up to D = 7, k = 2 at D = 8, and k = 3 from D = 9 to 16."""
     return min(3, max(1, D - 6)) if ell == 2 else 1
 
 
-def _fold(out: np.ndarray, classes: list, walk):
+def _fold(out: np.ndarray, classes: list, walk, B: int, n: int):
     """The fold of w's top digit (k = 1) in bool: at ell >= 3, and at
     ell = 2 below D = 8, where the packed fold measured no faster.  Or
     into ``out`` (axes: w's top digit t, its low code u, packed z) the
     hits of the class rows that ``walk`` (:func:`_walk`) yields, one
-    ``(u0, Z)`` per block of B rows u, where ``Z[p]`` holds the rows of
-    class ``classes[p]`` (the classes in increasing order).
+    ``(u0, Z)`` per block of B rows u, where ``Z[p]``, of shape (B, n),
+    holds the rows of class ``classes[p]`` (the classes in increasing
+    order); :func:`_bitmap` passes the B and n it set the walk up with.
 
     Each block is finished in a bool working block, packed and or-ed in
     once: class 0 hits the same cells at every t, so it is set once, and
@@ -914,8 +946,6 @@ def _fold(out: np.ndarray, classes: list, walk):
     scratch, or-ed into a copy for each t rolled by g*t*ell^(D-1)."""
     ell, top, _ = out.shape
     m = ell * top
-    first = next(walk)
-    B, n = first[1].shape[1:]
     rolled = classes[-1] > 0
     work = np.empty((ell if rolled else 1, B, m), dtype=bool)
     scratch = np.empty((B, m) if rolled else 0, dtype=bool)
@@ -923,7 +953,7 @@ def _fold(out: np.ndarray, classes: list, walk):
     # materialized, since adding a broadcast column took 2.5x as long
     offsets = np.broadcast_to(np.arange(0, B * m, m)[:, None], (B, n)).copy()
     idx = np.empty((B, n), dtype=np.int64)  # one scatter's index at a time
-    for u0, Z in itertools.chain([first], walk):
+    for u0, Z in walk:
         base = work[0]
         base[:] = False
         rows = zip(classes, Z)
@@ -943,14 +973,15 @@ def _fold(out: np.ndarray, classes: list, walk):
         out[:, u0:u0 + B] |= np.packbits(work, axis=-1)
 
 
-def _fold_packed(out: np.ndarray, perms: list, walk):
+def _fold_packed(out: np.ndarray, perms: list, walk, B: int, n: int):
     """The fold of w's top k >= 2 digits at ell = 2, in packed bytes.  Or
     into ``out`` (axes: w's top k digits t, its low code u, z's top k
     digits j, the bytes of z's 2^(D-k) low cells) the hits of the class
     rows that ``walk`` (:func:`_walk`) yields, one ``(u0, Z)`` per block of
-    B rows u; ``Z[p]`` holds the rows of the p-th class, and ``perms[p]``
-    its chunk map: row u + t*2^(D-k) takes, as its chunk j, chunk
-    ``perms[p][t, j]`` of row u (None for class 0, whose chunks stay).
+    B rows u, as :func:`_bitmap` set it up; ``Z[p]``, of shape (B, n),
+    holds the rows of the p-th class, and ``perms[p]`` its chunk map: row
+    u + t*2^(D-k) takes, as its chunk j, chunk ``perms[p][t, j]`` of row u
+    (None for class 0, whose chunks stay).
 
     Each block of every class is scattered into one bool scratch and
     packed once into a round of S blocks, S <= 8, whose packed rows take
@@ -962,8 +993,7 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
     long at D = 10 to 14 (``BENCH_27.json``)."""
     K, U, _, cb = out.shape
     m = K * cb * 8
-    first = next(walk)
-    C, B, n = first[1].shape
+    C = len(perms)
     S = min(8, U // B)  # blocks a round: no more packed bytes than flags
     flags = np.empty((C, B, m), dtype=bool)
     offsets = np.broadcast_to(np.arange(0, C * B * m, m).reshape(C, B, 1),
@@ -971,7 +1001,7 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
     idx = np.empty((C, B, n), dtype=np.int64)
     packed = np.empty((C, S * B, K, cb), dtype=np.uint8)
     moved = np.empty((S * B, K, K, cb), dtype=np.uint8)
-    for done, (u0, Z) in enumerate(itertools.chain([first], walk), 1):
+    for done, (u0, Z) in enumerate(walk, 1):
         flags.fill(False)
         flags.reshape(-1)[np.add(Z, offsets, out=idx)] = True
         r = u0 % (S * B)
@@ -990,15 +1020,15 @@ def _fold_packed(out: np.ndarray, perms: list, walk):
 def _block_digits(ell: int, D: int, n: int, digits: int,
                   rows: int = 1) -> int:
     """The J of :func:`_walk`'s blocks of B = ell^J rows u < ell^digits,
-    for ``rows`` rows of n pairs: the largest J <= ``digits`` with
-    rows * B * n <= ``WALK_BLOCK_ENTRIES`` and rows * B * ell^D <= 8 *
-    ``WALK_BLOCK_ENTRIES``, so the flags of a block take no more bytes
-    than its codes.  The bool fold scatters one class at a time (rows =
-    1); the packed fold scatters its C classes at once and holds a round
-    of packed rows as large as their flags, so it passes rows = 2C."""
-    J = 0
-    while (J < digits and rows * ell ** (J + 1) * max(8 * n, ell ** D)
-           <= 8 * WALK_BLOCK_ENTRIES):
+    for ``rows`` rows of n pairs: the largest J <= ``digits`` with B at
+    most the :func:`block_rows` of a row of ``rows`` * max(8n, ell^D)
+    bytes, so a block's int64 codes and its flags, a byte each, take
+    no more bytes than every pass over packed rows.  The bool fold
+    scatters one class at a time (rows = 1); the packed fold scatters its
+    C classes at once and holds a round of packed rows as large as their
+    flags, so it passes rows = 2C."""
+    B, J = block_rows(rows * max(8 * n, ell ** D)), 0
+    while J < digits and ell ** (J + 1) <= B:
         J += 1
     return J
 
@@ -1011,8 +1041,8 @@ def _walk(ring: RingSpec, D: int, a: np.ndarray, c: np.ndarray,
     for every row of pairs at once.
 
     ``a`` and ``c`` have shape (C, n), C rows of n pairs (the classes of
-    ``bitmap``), or (n,) for one row.  The generator visits every such u
-    once, yielding one ``(u0, Z)`` per step: ``Z`` has shape (C, B, n), or
+    :func:`_bitmap`), or (n,) for one row.  The generator visits every such
+    u once, yielding one ``(u0, Z)`` per step: ``Z`` has shape (C, B, n), or
     (B, n), and row r of the contiguous block ``Z[p]`` is ``z_at(u0 + r)``
     of row p's pairs; the next step may overwrite ``Z``.  The addends
     a*t^i (code a*ell^i mod ell^D in either ring), the fq ell >= 3 addition

@@ -104,9 +104,9 @@ def test_criterion_01_arithmetic_oracle_equivalence():
         ea = smp.element(Z2, 8 + va, valuation=va)
         eb = smp.element(Z2, 8 + vb, valuation=vb)
         prod = mul(ea, eb)
-        sig_oracle = ea.significand() * eb.significand()
+        sig_oracle = ea.sig * eb.sig
         span = prod.depth - (va + vb)
-        assert prod.significand() * 2 ** (prod.lowest_degree - va - vb) == \
+        assert prod.sig * 2 ** (prod.lowest_degree - va - vb) == \
             sig_oracle % 2 ** span
     report(1, "arithmetic oracle equivalence")
 

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -14,6 +16,7 @@ from kakeya.ring import (padic_ring, parse_element, power_series_ring,
                          truncate)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -69,6 +72,21 @@ class TestPhiEval:
         code, _, err = run(capsys, "phi-eval", "--ring", "zp", "--ell", "3",
                            "--x", "fq:2:0:1", "--depth", "2")
         assert code == 1 and "does not match" in err
+
+    def test_large_ell_builds_no_ell_digit_integer(self):
+        """At ell = 1000003 the member that phi reads has ell slots of
+        ell^2 values each: decoding its small index builds neither
+        |Omega_1| = (ell^2)^ell nor a power of half its slots, so the
+        command answers well within the timeout."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kakeya", "phi-eval", "--ring", "fq",
+             "--ell", "1000003", "--x", "fq:1000003:0:1000002,5",
+             "--depth", "2"], capture_output=True, text=True, env=env,
+            timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "fq:1000003:1:5\n"
 
     def test_multi_component(self, capsys):
         x1 = "fq:2:0:1,0,1,1,0,1,0,0,1,1"

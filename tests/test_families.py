@@ -9,7 +9,6 @@ from kakeya.errors import InsufficientDepth, RankDeficient
 from kakeya.families import (
     FamilyDescriptor,
     family_point,
-    invert_element,
     kakeya_line_family,
     nikodym_line_family,
 )
@@ -18,6 +17,7 @@ from kakeya.ring import (
     cell_index,
     element_from_cell,
     element_from_digits,
+    invert_element,
     mat_mul,
     mul,
     one,
@@ -27,7 +27,7 @@ from kakeya.ring import (
     zero,
 )
 
-from conftest import F2, F3, Z2, Z3
+from conftest import F2, F3, F5, F7, Z2, Z3, Z5
 
 
 class TestDescriptors:
@@ -130,7 +130,7 @@ class TestJacobians:
 
 
 class TestInversion:
-    @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3), ids=str)
+    @pytest.mark.parametrize("ring", (Z2, F2, Z3, F3, Z5, F5, F7), ids=str)
     def test_unit_inverses_exhaustive(self, ring):
         for code in range(ring.ell ** 4):
             e = element_from_cell(ring, code, 4, 8)

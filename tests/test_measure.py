@@ -283,8 +283,8 @@ class TestBuildSetCells:
                     seen[name].append((a, c))
                 return real(rg, d, a, c, *rest)
             return call
-        monkeypatch.setattr(ring_module, "residue_mul_sub",
-                            spy("lift", D - 1, ring_module.residue_mul_sub))
+        monkeypatch.setattr(ring_module, "_bitmap",
+                            spy("lift", D - 1, ring_module._bitmap))
         monkeypatch.setattr(ring_module, "_walk",
                             spy("fold", D, ring_module._walk))
         lifted = 0
@@ -391,6 +391,30 @@ class TestExactness:
     def test_deeper_input_same_cells_nikodym(self):
         fam = nikodym_line_family(Z3)
         assert input_depth_sufficiency(fam, SAW, 2)
+
+    @pytest.mark.parametrize("ring, D", [(F2, 11), (Z2, 11), (Z3, 7),
+                                         (F3, 5), (F7, 3), (Z7, 3)],
+                             ids=lambda v: str(v) if isinstance(v, int)
+                             else v.tag + str(v.ell))
+    @pytest.mark.parametrize("variant", (SAW, DH), ids=("sawyer", "dh"))
+    @pytest.mark.parametrize("make", (kakeya_line_family, nikodym_line_family),
+                             ids=("kakeya", "nikodym"))
+    def test_rows_equal_their_z_at_scatter(self, make, variant, ring, D):
+        """Every row w of a packed build is ``np.packbits`` of the flags set
+        at ``z_at(w)`` of the same pairs: a second route for the folded and
+        lifted bits past D 10, where the frozen tables check only totals.
+        ell = 2 at D 11 runs the three-digit packed fold and dh's lift
+        chains; an fq ell >= 3 ``z_at`` is one Toeplitz product a row, so
+        fq:3 stops at D 5."""
+        fam = make(ring)
+        cs = build_set_cells(fam, variant, D)
+        z_at, _ = measure._hits(fam, variant, D,
+                                phi_input_depth(variant, D, ring.ell))
+        row = np.empty(ring.ell ** D, dtype=bool)
+        for w in range(len(row)):
+            row[:] = False
+            row[z_at(w)] = True
+            assert np.array_equal(cs.rows[w], np.packbits(row)), w
 
     @pytest.mark.parametrize("ring", (F2, Z3), ids=str)
     def test_deeper_route_builds_the_full_table(self, ring, monkeypatch):

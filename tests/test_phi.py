@@ -164,6 +164,18 @@ class TestEnumeration:
         r = decode_matrix_fn(16, CFG_F2)
         assert r.k_block == 2 and r.inner_index == 0
 
+    @pytest.mark.parametrize("cfg", (CFG_F2, PhiConfig(F2, 1, 2),
+                                     PhiConfig(Z3, 2, 2), PhiConfig(F5)),
+                             ids=("f2", "f2-q2", "z3-2x2", "f5"))
+    def test_members_at_block_bounds(self, cfg):
+        """The first and last members of Omega_1 to Omega_3 decode to the
+        block and inner index that ``block_offset`` places them at."""
+        for k in (1, 2, 3):
+            first, nxt = block_offset(k, cfg), block_offset(k + 1, cfg)
+            for j in (first, first + 1, nxt - 1):
+                r = decode_matrix_fn(j, cfg)
+                assert (r.k_block, r.inner_index) == (k, j - first), j
+
     def test_zero_matrix_index_zero(self):
         M = ElementMatrix(((zero(F2, 2),),))
         assert index_of_constant_matrix(M, 1) == 0
@@ -503,12 +515,18 @@ class TestRadixDigits:
     slot."""
 
     def test_digits_equal_per_slot_reads(self):
+        """Also at the bounds of a zero high half: n just below and at
+        m^half, and below and at 2^(half*(bits(m) - 1)), where n's bit
+        length stops showing it."""
         rnd = np.random.default_rng(7)
-        for m in (2, 3, 27, 343):
+        for m in (2, 3, 4, 27, 343):
             for count in (1, 2, 31, 32, 33, 64, 100, 257):
+                half, bits = count // 2, m.bit_length() - 1
                 for n in (0, 1, m ** count - 1,
                           int.from_bytes(rnd.bytes(count * 2), "little")
-                          % m ** count, m ** count + 5):
+                          % m ** count, m ** count + 5, m ** half - 1,
+                          m ** half, 2 ** (half * bits) - 1,
+                          2 ** (half * bits)):
                     assert _radix_digits(n, m, count) == [
                         n // m ** (count - 1 - i) % m for i in range(count)]
 

@@ -1063,8 +1063,8 @@ class TestResidueLayer:
                     return real(rg, depth, a, c, *rest)
                 return call
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ring_module, "residue_mul_sub",
-                           spy("lift", residue_mul_sub))
+                mp.setattr(ring_module, "_bitmap",
+                           spy("lift", ring_module._bitmap))
                 mp.setattr(ring_module, "_walk",
                            spy("fold", ring_module._walk))
                 self._check_bitmap(ring, D, a, c)
@@ -1124,10 +1124,11 @@ class TestResidueLayer:
         a = np.asarray([p[0] for p in pairs], dtype=np.int64)
         c = np.asarray([p[1] for p in pairs], dtype=np.int64)
         lifts, blocks, real_walk = [], [], ring_module._walk
+        real_bitmap = ring_module._bitmap
 
         def lift(rg, depth, a, c):
             lifts.append(depth)
-            return residue_mul_sub(rg, depth, a, c)
+            return real_bitmap(rg, depth, a, c)
 
         def walk(rg, depth, a, c, digits, J):
             if depth == D:
@@ -1135,7 +1136,7 @@ class TestResidueLayer:
             return real_walk(rg, depth, a, c, digits, J)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring_module, "WALK_BLOCK_ENTRIES", cap)
-            mp.setattr(ring_module, "residue_mul_sub", lift)
+            mp.setattr(ring_module, "_bitmap", lift)
             mp.setattr(ring_module, "_walk", walk)
             rows = residue_mul_sub(ring, D, a, c)[1]()
         assert D - 1 in lifts
